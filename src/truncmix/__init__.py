@@ -22,7 +22,6 @@ from .inference import (
 from .classifier import bvsb, class_activation, predict
 from .data import (
     Dataset,
-    LabeledExample,
     RawDataset,
     generate_mixture,
     load_csv,
@@ -33,7 +32,6 @@ from .data import (
 from .learning import (
     EpochStats,
     FreeEnergyTrace,
-    SufficientStats,
     batch_e_step,
     batch_m_step,
     exact_log_likelihood,

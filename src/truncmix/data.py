@@ -45,14 +45,6 @@ class RawDataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """One normalized observation with an optional class label."""
-
-    y: np.ndarray
-    label: int | None
-
-
 @dataclass
 class Dataset:
     """Normalized observations, labels, and class count.
@@ -93,10 +85,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.N
-
-    def __getitem__(self, i: int) -> LabeledExample:
-        lab = int(self.labels[i])
-        return LabeledExample(self.Y[i], None if lab == UNLABELED else lab)
 
     @cached_property
     def lgamma_sums(self) -> np.ndarray:
@@ -175,7 +163,11 @@ def write_idx_labels(path, labels):
 
 
 def load_csv(path) -> RawDataset:
-    """Load ``label,p0,...,p{D-1}`` rows; label -1 marks unlabeled examples."""
+    """Load ``label,p0,...,p{D-1}`` rows; label -1 marks unlabeled examples.
+
+    Labels must be integers; the first offending data row (counted from 0
+    after the header) is named in the DataError.
+    """
     with open(path, "r") as f:
         header = f.readline().strip()
         body = np.loadtxt(f, delimiter=",", ndmin=2)
@@ -186,7 +178,12 @@ def load_csv(path) -> RawDataset:
     expected = ["label"] + [f"p{d}" for d in range(D)]
     if names != expected:
         raise DataError(f"bad CSV header in {path}: expected label,p0,...,p{D-1}")
-    return RawDataset(body[:, 1:], body[:, 0].astype(np.int64))
+    labels = body[:, 0]
+    bad = np.nonzero(~np.isfinite(labels) | (labels != np.rint(labels)))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"non-integer label {float(labels[i])!r} at data row {i} of {path}")
+    return RawDataset(body[:, 1:], labels.astype(np.int64))
 
 
 def write_csv(path, X, labels):
@@ -203,10 +200,6 @@ def preprocess(raw: RawDataset, A: float, K: int | None = None) -> Dataset:
     All-zero rows are rejected with the offending index; K defaults to one
     past the largest label present.
     """
-    totals = np.asarray(raw.X, dtype=np.float64).sum(axis=1)
-    dead = np.nonzero(totals <= 0.0)[0]
-    if dead.size:
-        raise DataError(f"degenerate input: zero total mass at index {int(dead[0])}")
     Y = normalize_input(raw.X, A)
     if K is None:
         K = int(raw.labels.max()) + 1 if np.any(raw.labels >= 0) else 1

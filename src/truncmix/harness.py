@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import normalized_columns
-from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights, validate_config
+from .core import (BottomWeights, ConfigError, DataError, ModelConfig, TopWeights,
+                   init_weights, validate_config)
 from .data import Dataset, UNLABELED
-from .inference import integrate, select_truncation
+from .inference import integrate, select_truncation, truncated_softmax
 from .learning import EpochStats, FreeEnergyTrace, batch_e_step, free_energy, online_epoch
 
 _CHUNK = 16384
@@ -69,12 +70,8 @@ def predict_batch(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
         hi = min(Y.shape[0], lo + _CHUNK)
         I = integrate(W, Y[lo:hi])
         sets = select_truncation(I, c_prime)
-        vals = np.take_along_axis(I, sets, axis=1)
-        vals -= vals.max(axis=1, keepdims=True)
-        probs = np.exp(vals)
-        probs /= probs.sum(axis=1, keepdims=True)
         S = np.zeros_like(I)
-        np.put_along_axis(S, sets, probs, axis=1)
+        np.put_along_axis(S, sets, truncated_softmax(I, sets), axis=1)
         out[lo:hi] = np.argmax(S @ mix.T, axis=1)
     return out
 
@@ -111,13 +108,7 @@ def train(
     if cfg.C > train_ds.N:
         raise ConfigError("need at least one training observation per cluster")
     rng = np.random.default_rng(cfg.seed)
-    # Seed each template with a distinct observation: normalized rows already
-    # sum to A and are >= 1.  Starting all rows at the (noisy) data mean
-    # instead leaves the templates nearly interchangeable, and under
-    # truncated winner-take-most updates roughly half of them never enter a
-    # support again -- measurably worse final error at equal budget.
-    W = BottomWeights(train_ds.Y[rng.choice(train_ds.N, size=cfg.C, replace=False)].copy(), cfg.A)
-    R = TopWeights(np.full((cfg.K, cfg.C), 1.0 / cfg.C))
+    W, R = init_weights(cfg, train_ds.Y, rng)
     init_hash = weights_hash(W, R)
 
     trace = FreeEnergyTrace()
@@ -250,14 +241,12 @@ def save_run(out_dir, report: RunReport, W: BottomWeights, R: TopWeights):
     (out / "timings.json").write_text(
         json.dumps({"per_epoch": report.timings}, sort_keys=True, indent=2) + "\n"
     )
-    with open(out / "free_energy.csv", "w") as f:
-        f.write("epoch,free_energy\n")
-        for epoch, v in report.trace.entries:
-            f.write(f"{epoch},{v!r}\n")
-    with open(out / "test_error.csv", "w") as f:
-        f.write("epoch,test_error\n")
-        for epoch, err in enumerate(report.test_errors):
-            f.write(f"{epoch},{err!r}\n")
+    for name, rows in (("free_energy", report.trace.entries),
+                       ("test_error", enumerate(report.test_errors))):
+        with open(out / f"{name}.csv", "w") as f:
+            f.write(f"epoch,{name}\n")
+            for epoch, v in rows:
+                f.write(f"{epoch},{v!r}\n")
     np.save(out / "W.npy", W.W)
     np.save(out / "R.npy", R.R)
     (out / "config.json").write_text(report.config.to_json() + "\n")
@@ -272,4 +261,7 @@ def load_weights(weights_dir) -> tuple[BottomWeights, TopWeights, ModelConfig]:
         R = np.load(d / "R.npy")
     except FileNotFoundError as e:
         raise DataError(f"not a weights directory: {weights_dir} ({e})") from e
+    for name, arr, want in (("W.npy", W, (cfg.C, cfg.D)), ("R.npy", R, (cfg.K, cfg.C))):
+        if arr.shape != want:
+            raise DataError(f"{d / name} has shape {arr.shape}, config.json implies {want}")
     return BottomWeights(W, cfg.A), TopWeights(R), cfg

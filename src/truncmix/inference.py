@@ -37,6 +37,8 @@ def normalize_input(raw, A: float) -> np.ndarray:
     D = raw.shape[-1]
     if A <= D:
         raise DataError("A must exceed D")
+    if not np.all(np.isfinite(raw)):
+        raise DataError("raw input has non-finite components")
     if np.any(raw < 0.0):
         raise DataError("raw input has negative components")
     total = raw.sum(axis=-1, keepdims=True)
@@ -99,6 +101,12 @@ def _softmax_last(values: np.ndarray) -> np.ndarray:
     return p
 
 
+def truncated_softmax(I, sets) -> np.ndarray:
+    """Softmax of ``I`` over each point's truncation set ``sets`` (indices
+    into the last axis of ``I``); the result is aligned with ``sets``."""
+    return _softmax_last(np.take_along_axis(I, sets, axis=-1))
+
+
 @dataclass(frozen=True)
 class TruncatedPosterior:
     """Sparse cluster posterior: probabilities on an explicit index support.
@@ -137,7 +145,7 @@ def truncated_posterior(I, support) -> TruncatedPosterior:
     support = np.asarray(support, dtype=np.intp)
     if np.any(support < 0) or np.any(support >= I.shape[-1]):
         raise ValueError("support indices out of range")
-    return TruncatedPosterior(support, _softmax_last(I[support]))
+    return TruncatedPosterior(support, truncated_softmax(I, support))
 
 
 def full_posterior(I) -> np.ndarray:

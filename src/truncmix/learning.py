@@ -30,6 +30,7 @@ from .inference import (
     log_joint_matrix,
     select_truncation,
     truncated_posterior,
+    truncated_softmax,
 )
 
 MONOTONE_RSLACK = 1e-8
@@ -45,9 +46,6 @@ class FreeEnergyTrace:
         if self.entries and iteration <= self.entries[-1][0]:
             raise ValueError("iteration indices must be strictly increasing")
         self.entries.append((int(iteration), float(value)))
-
-    def iterations(self) -> np.ndarray:
-        return np.array([i for i, _ in self.entries], dtype=np.int64)
 
     def values(self) -> np.ndarray:
         return np.array([v for _, v in self.entries], dtype=np.float64)
@@ -67,27 +65,6 @@ class FreeEnergyTrace:
                 raise MonotonicityError(
                     f"free energy fell from {a!r} to {b!r} at trace index {it}"
                 )
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write("iteration,free_energy\n")
-            for it, v in self.entries:
-                f.write(f"{it},{v!r}\n")
-
-
-@dataclass
-class SufficientStats:
-    """Truncated-expectation accumulators for the bottom-layer M-step."""
-
-    s_sum: np.ndarray   # (C,)  sum_n s_c
-    sy_sum: np.ndarray  # (C, D) sum_n s_c * y_n
-
-    @classmethod
-    def accumulate(cls, Y, supports, probs, C: int) -> "SufficientStats":
-        Y = np.asarray(Y, dtype=np.float64)
-        S = np.zeros((Y.shape[0], C))
-        np.put_along_axis(S, np.asarray(supports, dtype=np.intp), np.asarray(probs), axis=1)
-        return cls(S.sum(axis=0), S.T @ Y)
 
 
 def update_bottom(
@@ -168,15 +145,6 @@ def batch_e_step(Y, W: BottomWeights, c_prime: int) -> np.ndarray:
     return select_truncation(I, c_prime)
 
 
-def _as_posterior_matrices(posteriors) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(posteriors, tuple):
-        supports, probs = posteriors
-        return np.asarray(supports, dtype=np.intp), np.asarray(probs, dtype=np.float64)
-    supports = np.stack([p.support for p in posteriors])
-    probs = np.stack([p.probs for p in posteriors])
-    return supports, probs
-
-
 def batch_m_step(
     Y, posteriors, A: float, prev_W: BottomWeights
 ) -> tuple[BottomWeights, int]:
@@ -184,17 +152,22 @@ def batch_m_step(
 
     W_cd = sum_n s_c y_d / sum_n s_c.  Rows that received zero total
     responsibility keep their previous values; their count is returned as a
-    diagnostic.  ``posteriors`` is either a (supports, probs) matrix pair or
-    a sequence of TruncatedPosterior.
+    diagnostic.  ``posteriors`` is a (supports, probs) pair of (N, C')
+    matrices.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    supports, probs = _as_posterior_matrices(posteriors)
+    supports, probs = posteriors
+    supports = np.asarray(supports, dtype=np.intp)
+    probs = np.asarray(probs, dtype=np.float64)
     if not np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
         raise ValueError("every posterior must sum to 1")
-    stats = SufficientStats.accumulate(Y, supports, probs, prev_W.C)
-    alive = stats.s_sum > 0.0
+    # Truncated expectations: S holds s_c per point, zero off the support.
+    S = np.zeros((Y.shape[0], prev_W.C))
+    np.put_along_axis(S, supports, probs, axis=1)
+    s_sum = S.sum(axis=0)
+    alive = s_sum > 0.0
     W_new = prev_W.W.copy()
-    W_new[alive] = stats.sy_sum[alive] / stats.s_sum[alive, None]
+    W_new[alive] = (S.T @ Y)[alive] / s_sum[alive, None]
     return BottomWeights(W_new, A), int(np.sum(~alive))
 
 
@@ -204,8 +177,8 @@ def init_from_data(Y, n_clusters: int, A: float, rng: np.random.Generator) -> Bo
     Picks one observation at random, then repeatedly adds the observation
     with the largest L1 distance to its nearest chosen row.  Rows are actual
     normalized observations, so they are positive and sum to A.  With
-    well-separated data this covers every mixture component, which the
-    near-symmetric noisy-mean init cannot guarantee.
+    well-separated data this covers every mixture component, which a
+    uniform random choice of rows cannot guarantee.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if n_clusters > Y.shape[0]:
@@ -219,20 +192,13 @@ def init_from_data(Y, n_clusters: int, A: float, rng: np.random.Generator) -> Bo
     return BottomWeights(Y[chosen].copy(), A)
 
 
-@dataclass(frozen=True)
-class TvEmStep:
-    """One E+M iteration: updated weights and the two free-energy readings."""
-
-    weights: BottomWeights
-    free_energy_after_e: float  # F(new sets, old weights)
-    free_energy_after_m: float  # F(new sets, new weights)
-    dead_clusters: int
-
-
 def tv_em_iteration(
     Y, W: BottomWeights, c_prime: int, lgamma_sums=None
-) -> TvEmStep:
-    """One batch EM iteration: re-select sets, then refit the support rows."""
+) -> tuple[BottomWeights, float, float, int]:
+    """One batch EM iteration: re-select sets, then refit the support rows.
+
+    Returns (W_new, F(new sets, old W), F(new sets, W_new), dead clusters).
+    """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if lgamma_sums is None:
         lgamma_sums = gammaln(Y + 1.0).sum(axis=1)
@@ -248,12 +214,9 @@ def tv_em_iteration(
         - np.log(W.C)
     )
     f_e = float(logsumexp(lj_picked, axis=1).sum())
-    shifted = picked - picked.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    W_new, dead = batch_m_step(Y, (sets, probs), W.A, W)
+    W_new, dead = batch_m_step(Y, (sets, truncated_softmax(I, sets)), W.A, W)
     f_m = free_energy(Y, W_new, sets, lgamma_sums)
-    return TvEmStep(W_new, f_e, f_m, dead)
+    return W_new, f_e, f_m, dead
 
 
 def run_tv_em(
@@ -273,10 +236,9 @@ def run_tv_em(
     """
     trace = FreeEnergyTrace()
     for it in range(1, n_iter + 1):
-        step = tv_em_iteration(Y, W, c_prime, lgamma_sums)
-        W = step.weights
-        trace.append(2 * it - 1, step.free_energy_after_e)
-        trace.append(2 * it, step.free_energy_after_m)
+        W, f_e, f_m, _ = tv_em_iteration(Y, W, c_prime, lgamma_sums)
+        trace.append(2 * it - 1, f_e)
+        trace.append(2 * it, f_m)
         if check_monotone:
             trace.assert_monotone(rel_slack)
     return W, trace

@@ -275,7 +275,7 @@ def test_criterion_09_complexity():
         cfg = tm.ModelConfig(K=10, C=400, C_prime=cp, A=900.0, D=784,
                              eps_W=0.001, eps_R=0.001, theta_bvsb=0.6,
                              epochs=1, seed=0)
-        W, R = tm.init_weights(cfg, ds.Y.mean(axis=0), np.random.default_rng(0))
+        W, R = tm.init_weights(cfg, ds.Y, np.random.default_rng(0))
         stats = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
         times[cp] = stats.t_update
         assert stats.bottom_writes == ds.N * cp * 784
@@ -318,13 +318,13 @@ def test_criterion_10_gate_behavior():
     ds = tm.preprocess(raw, 32.0, K=4)
     cfg = tm.ModelConfig(K=4, C=6, C_prime=2, A=32.0, D=8, eps_W=0.01, eps_R=0.01,
                          theta_bvsb=1.0, epochs=1, seed=0)
-    W, R = tm.init_weights(cfg, ds.Y.mean(axis=0), np.random.default_rng(0))
+    W, R = tm.init_weights(cfg, ds.Y, np.random.default_rng(0))
     before = R.R.copy()
     stats = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
     labeled_ok = stats.labeled_updates == ds.N and not np.array_equal(R.R, before)
 
     unlabeled = Dataset(ds.Y, np.full(ds.N, -1, dtype=np.int64), 4, 32.0)
-    W2, R2 = tm.init_weights(cfg, ds.Y.mean(axis=0), np.random.default_rng(0))
+    W2, R2 = tm.init_weights(cfg, ds.Y, np.random.default_rng(0))
     stats2 = online_epoch(unlabeled, W2, R2, cfg, np.random.default_rng(0))
     blocked_ok = stats2.unlabeled_passed == 0 and np.all(R2.R == 1.0 / 6)
 

@@ -153,6 +153,17 @@ class TestExitCodes:
         assert main(train_args(workspace, workspace / "x")) == 2
         assert "bad magic" in capsys.readouterr().err
 
+    def test_weights_disagreeing_with_config_is_data_error(self, workspace, capsys):
+        assert main(train_args(workspace, workspace / "run")) == 0
+        (workspace / "run" / "config.json").write_text(json.dumps({**CFG, "C": 5}))
+        assert main([
+            "eval", "--weights", str(workspace / "run"),
+            "--test-images", str(workspace / "te" / "images-idx3-ubyte"),
+            "--test-labels", str(workspace / "te" / "labels-idx1-ubyte"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "W.npy has shape (6, 8), config.json implies (5, 8)" in err
+
     def test_missing_file_is_data_error(self, workspace):
         args = train_args(workspace, workspace / "x")
         args[args.index("--images") + 1] = str(workspace / "nope")

@@ -107,33 +107,27 @@ class TestInitWeights:
         rng = np.random.default_rng(7)
         raw = rng.uniform(0.0, 4.0, size=(100, 16))
         from truncmix import normalize_input
-        self.mean = normalize_input(raw, 32.0).mean(axis=0)
+        self.Y = normalize_input(raw, 32.0)
 
     def test_rows_sum_to_mass(self):
-        W, R = init_weights(self.cfg, self.mean, np.random.default_rng(0))
+        W, R = init_weights(self.cfg, self.Y, np.random.default_rng(0))
         np.testing.assert_allclose(W.W.sum(axis=1), 32.0, rtol=1e-12)
 
     def test_top_layer_exactly_uniform(self):
-        _, R = init_weights(self.cfg, self.mean, np.random.default_rng(0))
+        _, R = init_weights(self.cfg, self.Y, np.random.default_rng(0))
         assert np.all(R.R == 1.0 / 20)
 
     def test_deterministic_given_seed(self):
-        a = init_weights(self.cfg, self.mean, np.random.default_rng(3))
-        b = init_weights(self.cfg, self.mean, np.random.default_rng(3))
+        a = init_weights(self.cfg, self.Y, np.random.default_rng(3))
+        b = init_weights(self.cfg, self.Y, np.random.default_rng(3))
         assert np.array_equal(a[0].W, b[0].W) and np.array_equal(a[1].R, b[1].R)
-        c = init_weights(self.cfg, self.mean, np.random.default_rng(4))
+        c = init_weights(self.cfg, self.Y, np.random.default_rng(4))
         assert not np.array_equal(a[0].W, c[0].W)
 
-    def test_noise_is_bounded(self):
-        W, _ = init_weights(self.cfg, self.mean, np.random.default_rng(1))
-        # Multiplicative noise in [0.95, 1.05] before per-row rescaling keeps
-        # every entry within ~10% of the mean pattern, row by row.
-        scaled = W.W / self.mean[None, :]
-        ratios = scaled.max(axis=1) / scaled.min(axis=1)
-        assert np.all(ratios <= (1.05 / 0.95) * 1.0001)
-
-    def test_rejects_bad_mean(self):
-        with pytest.raises(ConfigError, match="shape"):
-            init_weights(self.cfg, self.mean[:-1], np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="positive"):
-            init_weights(self.cfg, 0.0 * self.mean, np.random.default_rng(0))
+    def test_rows_are_distinct_observations(self):
+        # The draw is rng.choice(N, C, replace=False), so run reports and
+        # their init hashes depend on exactly this sequence of RNG calls.
+        W, _ = init_weights(self.cfg, self.Y, np.random.default_rng(1))
+        picked = np.random.default_rng(1).choice(100, size=20, replace=False)
+        np.testing.assert_array_equal(W.W, self.Y[picked])
+        assert len(np.unique(W.W, axis=0)) == 20

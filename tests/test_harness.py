@@ -246,6 +246,22 @@ class TestSaveLoad:
         te = (tmp_path / "run" / "test_error.csv").read_text().splitlines()
         assert te[0] == "epoch,test_error"
         assert len(te) == 1 + len(report.test_errors)
+        # Both traces round-trip at full float precision.
+        assert len(fe) == 1 + len(report.trace.entries)
+        for line, (epoch, v) in zip(fe[1:], report.trace.entries):
+            e_str, v_str = line.split(",")
+            assert int(e_str) == epoch and float(v_str) == v
+        for line, (epoch, err) in zip(te[1:], enumerate(report.test_errors)):
+            e_str, v_str = line.split(",")
+            assert int(e_str) == epoch and float(v_str) == err
+
+    def test_top_shape_checked_against_config(self, tmp_path):
+        train_ds, test_ds, cfg = small_problem()
+        report, W, R = train(train_ds, test_ds, cfg.replace(epochs=0))
+        save_run(tmp_path / "run", report, W, R)
+        np.save(tmp_path / "run" / "R.npy", np.full((cfg.K + 1, cfg.C), 1.0 / cfg.C))
+        with pytest.raises(DataError, match=r"R\.npy has shape \(5, 6\), config.json implies \(4, 6\)"):
+            load_weights(tmp_path / "run")
 
     def test_missing_weights_dir(self, tmp_path):
         with pytest.raises(DataError, match="not a weights directory"):

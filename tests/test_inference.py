@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 
 from truncmix import (
@@ -14,7 +16,7 @@ from truncmix import (
     select_truncation,
     truncated_posterior,
 )
-from truncmix.inference import TruncatedPosterior, log_joint_matrix
+from truncmix.inference import TruncatedPosterior, log_joint_matrix, truncated_softmax
 
 from conftest import random_observations, random_weights
 
@@ -60,6 +62,11 @@ class TestNormalizeInput:
     def test_negative_rejected(self):
         with pytest.raises(DataError, match="negative"):
             normalize_input([1.0, -0.5], 10.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            normalize_input([[1.0, bad, 2.0]], 10.0)
 
     def test_mass_not_above_dimension_rejected(self):
         with pytest.raises(DataError, match="A must exceed D"):
@@ -234,6 +241,40 @@ class TestPosteriors:
             TruncatedPosterior(np.array([1, 1]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="sums to"):
             TruncatedPosterior(np.array([0, 1]), np.array([0.5, 0.6]))
+
+
+def _assert_batch_equals_rows(I):
+    """truncated_softmax on the batch must equal the per-sample posterior
+    bit for bit, at every truncation size."""
+    for c_prime in range(1, I.shape[1] + 1):
+        sets = select_truncation(I, c_prime)
+        batch = truncated_softmax(I, sets)
+        assert batch.shape == sets.shape
+        for n in range(I.shape[0]):
+            row = truncated_posterior(I[n], sets[n]).probs
+            assert np.array_equal(batch[n], row), (c_prime, n)
+
+
+class TestTruncatedSoftmax:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_batch_equals_per_sample_posterior(self, data):
+        N = data.draw(st.integers(1, 6), label="N")
+        C = data.draw(st.integers(1, 40), label="C")
+        # A small pool of values forces ties inside and across supports.
+        pool = data.draw(st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=max(1, C // 2),
+        ), label="pool")
+        elements = st.sampled_from(pool) | st.floats(-1e3, 1e3, allow_nan=False,
+                                                     allow_infinity=False)
+        _assert_batch_equals_rows(data.draw(arrays(np.float64, (N, C), elements=elements)))
+
+    def test_batch_equals_per_sample_posterior_at_bench_size(self):
+        # C=400 exercises the blocked summation path of long supports.
+        I = np.random.default_rng(13).normal(scale=40.0, size=(3, 400))
+        I[:, ::7] = I[:, :1]  # ties with each row's first entry
+        _assert_batch_equals_rows(I)
 
 
 class TestLogJoint:
