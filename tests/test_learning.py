@@ -405,6 +405,28 @@ class TestFreeEnergyTrace:
         with pytest.raises(ValueError, match="strictly increasing"):
             trace.append(0, -4.0)
 
+    def test_csv_round_trip_full_precision(self, tmp_path):
+        # The trace reaches disk through save_run's free_energy.csv.
+        from truncmix.harness import RunReport, save_run
+
+        trace = FreeEnergyTrace()
+        trace.append(0, -123.45678901234567)
+        trace.append(1, -0.1)
+        cfg = ModelConfig(K=2, C=2, C_prime=1, A=12.0, D=4, eps_W=0.01, eps_R=0.01,
+                          theta_bvsb=0.6, epochs=1, seed=0)
+        report = RunReport(config=cfg, seed=0, n_labeled=0, init_hash="",
+                           test_errors=[0.5, 0.25], trace=trace, gate_stats=[],
+                           timings=[], final_error=0.25)
+        W = BottomWeights(np.full((2, 4), 3.0), 12.0)
+        R = TopWeights(np.full((2, 2), 0.5))
+        save_run(tmp_path, report, W, R)
+        lines = (tmp_path / "free_energy.csv").read_text().splitlines()
+        assert lines[0] == "epoch,free_energy"
+        assert len(lines) == 1 + len(trace.entries)
+        for line, (it, v) in zip(lines[1:], trace.entries):
+            i_str, v_str = line.split(",")
+            assert int(i_str) == it and float(v_str) == v
+
     def test_worst_relative_decrease(self):
         trace = FreeEnergyTrace()
         for i, v in enumerate([-100.0, -90.0, -99.0]):
