@@ -34,7 +34,6 @@ from .learning import (
     FreeEnergyTrace,
     batch_e_step,
     batch_m_step,
-    exact_log_likelihood,
     free_energy,
     init_from_data,
     online_epoch,

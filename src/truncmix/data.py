@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .core import DataError, OBS_SUM_RTOL
+from .core import ConfigError, DataError, OBS_SUM_RTOL
 from .inference import normalize_input
 
 IMAGE_MAGIC = 0x00000803
@@ -212,6 +212,8 @@ def subsample_labels(ds: Dataset, labels_per_class: int, seed: int) -> Dataset:
     Chosen uniformly without replacement within each class; every other
     example becomes unlabeled.  Example order and contents are untouched.
     """
+    if labels_per_class < 0:
+        raise ConfigError(f"labels per class must be >= 0, got {labels_per_class}")
     rng = np.random.default_rng(seed)
     keep = np.full(ds.N, UNLABELED, dtype=np.int64)
     for k in range(ds.K):
@@ -231,26 +233,23 @@ def generate_mixture(
     dim: int,
     n: int,
     seed: int,
-    mass: float | None = None,
     separation: float = 9.0,
 ) -> tuple[RawDataset, np.ndarray]:
     """Sample count data from a known Poisson mixture with uniform weights.
 
     Each cluster's rate row puts ``separation``-fold extra mass on its own
-    block of dimensions, then is scaled to sum to ``mass`` (default 8*dim),
+    block of dimensions, then is scaled to sum to 8*dim,
     so rows are well separated.  Cluster assignments are returned as labels.
     Returns (raw dataset, true rate matrix).
     """
     if n_clusters < 1 or dim < n_clusters:
         raise DataError("need dim >= n_clusters >= 1")
     rng = np.random.default_rng(seed)
-    if mass is None:
-        mass = 8.0 * dim
     base = rng.uniform(0.8, 1.2, size=(n_clusters, dim))
     blocks = np.array_split(np.arange(dim), n_clusters)
     for c, block in enumerate(blocks):
         base[c, block] *= 1.0 + separation
-    true_W = base * (mass / base.sum(axis=1, keepdims=True))
+    true_W = base * (8.0 * dim / base.sum(axis=1, keepdims=True))
     labels = rng.integers(0, n_clusters, size=n)
     X = rng.poisson(true_W[labels]).astype(np.int64)
     # An all-zero draw would be rejected at preprocess; resample those rows.

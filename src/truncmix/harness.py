@@ -192,6 +192,8 @@ def export_weight_grid(
     render that cluster's R column; all scaled to 0..255 per panel.  Tiles
     are laid out row-major with one-pixel black gaps.
     """
+    if rows < 1 or cols < 1:
+        raise ConfigError(f"grid must be at least 1x1, got {rows}x{cols}")
     if W.D != side * side:
         raise DataError(f"D={W.D} is not side*side for side={side}")
     n_panels = rows * cols

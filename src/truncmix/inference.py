@@ -26,6 +26,17 @@ def _weights_array(W) -> np.ndarray:
     return W.W if isinstance(W, BottomWeights) else np.asarray(W, dtype=np.float64)
 
 
+def _reject_rows(bad: np.ndarray, what: str):
+    """Raise DataError if any entry of ``bad`` is set, naming the first
+    offending row of a batch."""
+    if not np.any(bad):
+        return
+    if bad.ndim == 1:
+        raise DataError(what)
+    first = int(np.nonzero(bad.any(axis=-1).ravel())[0][0])
+    raise DataError(f"{what} at index {first}")
+
+
 def normalize_input(raw, A: float) -> np.ndarray:
     """Rescale nonnegative raw intensities to a fixed mass A.
 
@@ -37,17 +48,10 @@ def normalize_input(raw, A: float) -> np.ndarray:
     D = raw.shape[-1]
     if A <= D:
         raise DataError("A must exceed D")
-    if not np.all(np.isfinite(raw)):
-        raise DataError("raw input has non-finite components")
-    if np.any(raw < 0.0):
-        raise DataError("raw input has negative components")
+    _reject_rows(~np.isfinite(raw), "raw input has non-finite components")
+    _reject_rows(raw < 0.0, "raw input has negative components")
     total = raw.sum(axis=-1, keepdims=True)
-    bad = total <= 0.0
-    if np.any(bad):
-        if raw.ndim == 1:
-            raise DataError("degenerate input: zero total mass")
-        first = int(np.nonzero(bad.ravel())[0][0])
-        raise DataError(f"degenerate input: zero total mass at index {first}")
+    _reject_rows(total <= 0.0, "degenerate input: zero total mass")
     return (A - D) * raw / total + 1.0
 
 
@@ -168,16 +172,3 @@ def log_joint(W_row, y, C: int) -> float:
         - gammaln(y + 1.0).sum()
     )
 
-
-def log_joint_matrix(W, Y, lgamma_sums=None) -> np.ndarray:
-    """(N, C) matrix of log joints for a batch of observations.
-
-    ``lgamma_sums`` may carry precomputed sum_d lgamma(y_d + 1) per row to
-    avoid recomputing it on every call.
-    """
-    Wm = _weights_array(W)
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if lgamma_sums is None:
-        lgamma_sums = gammaln(Y + 1.0).sum(axis=1)
-    I = integrate(Wm, Y)
-    return I - Wm.sum(axis=1)[None, :] - np.asarray(lgamma_sums)[:, None] - np.log(Wm.shape[0])

@@ -27,7 +27,6 @@ from .data import Dataset, UNLABELED
 from .inference import (
     TruncatedPosterior,
     integrate,
-    log_joint_matrix,
     select_truncation,
     truncated_posterior,
     truncated_softmax,
@@ -58,10 +57,10 @@ class FreeEnergyTrace:
         drops = (v[:-1] - v[1:]) / np.abs(v[:-1])
         return float(max(0.0, drops.max()))
 
-    def assert_monotone(self, rel_slack: float = MONOTONE_RSLACK):
+    def assert_monotone(self):
         v = self.values()
         for a, b, (it, _) in zip(v[:-1], v[1:], self.entries[1:]):
-            if b < a - rel_slack * abs(a):
+            if b < a - MONOTONE_RSLACK * abs(a):
                 raise MonotonicityError(
                     f"free energy fell from {a!r} to {b!r} at trace index {it}"
                 )
@@ -115,6 +114,19 @@ def update_top(
     return R
 
 
+def _free_energy_at(I, W: BottomWeights, sets, lgamma_sums) -> float:
+    """Truncated free energy from the activations ``I = integrate(W, Y)``."""
+    # Joints differ from activations only by terms constant across clusters
+    # (row sums all equal A, lgamma term depends on the point alone).
+    lj_picked = (
+        np.take_along_axis(I, sets, axis=1)
+        - W.W.sum(axis=1)[sets]
+        - np.asarray(lgamma_sums)[:, None]
+        - np.log(W.C)
+    )
+    return float(logsumexp(lj_picked, axis=1).sum())
+
+
 def free_energy(Y, W: BottomWeights, sets, lgamma_sums=None) -> float:
     """Truncated free energy: per point, log-sum-exp of the support joints."""
     sets = np.asarray(sets, dtype=np.intp)
@@ -123,15 +135,9 @@ def free_energy(Y, W: BottomWeights, sets, lgamma_sums=None) -> float:
         sets = sets[None, :]
     if sets.shape[0] != Y.shape[0]:
         raise ValueError("need one truncation set per data point")
-    lj = log_joint_matrix(W, Y, lgamma_sums)
-    picked = np.take_along_axis(lj, sets, axis=1)
-    return float(logsumexp(picked, axis=1).sum())
-
-
-def exact_log_likelihood(Y, W: BottomWeights, lgamma_sums=None) -> float:
-    """Dense-marginalization log-likelihood; equals the free energy at full sets."""
-    lj = log_joint_matrix(W, np.atleast_2d(Y), lgamma_sums)
-    return float(logsumexp(lj, axis=1).sum())
+    if lgamma_sums is None:
+        lgamma_sums = gammaln(Y + 1.0).sum(axis=1)
+    return _free_energy_at(integrate(W, Y), W, sets, lgamma_sums)
 
 
 def batch_e_step(Y, W: BottomWeights, c_prime: int) -> np.ndarray:
@@ -193,30 +199,21 @@ def init_from_data(Y, n_clusters: int, A: float, rng: np.random.Generator) -> Bo
 
 
 def tv_em_iteration(
-    Y, W: BottomWeights, c_prime: int, lgamma_sums=None
-) -> tuple[BottomWeights, float, float, int]:
+    Y, W: BottomWeights, I, c_prime: int, lgamma_sums
+) -> tuple[BottomWeights, np.ndarray, float, float, int]:
     """One batch EM iteration: re-select sets, then refit the support rows.
 
-    Returns (W_new, F(new sets, old W), F(new sets, W_new), dead clusters).
+    ``I`` is ``integrate(W, Y)``.  Returns (W_new, integrate(W_new, Y),
+    F(new sets, old W), F(new sets, W_new), dead clusters); the returned
+    activations are the next iteration's ``I``.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if lgamma_sums is None:
-        lgamma_sums = gammaln(Y + 1.0).sum(axis=1)
-    I = integrate(W, Y)
     sets = select_truncation(I, c_prime)
-    picked = np.take_along_axis(I, sets, axis=1)
-    # Joints differ from activations only by terms constant across clusters
-    # (row sums all equal A, lgamma term depends on the point alone).
-    lj_picked = (
-        picked
-        - W.W.sum(axis=1)[sets]
-        - np.asarray(lgamma_sums)[:, None]
-        - np.log(W.C)
-    )
-    f_e = float(logsumexp(lj_picked, axis=1).sum())
+    f_e = _free_energy_at(I, W, sets, lgamma_sums)
     W_new, dead = batch_m_step(Y, (sets, truncated_softmax(I, sets)), W.A, W)
-    f_m = free_energy(Y, W_new, sets, lgamma_sums)
-    return W_new, f_e, f_m, dead
+    I_new = integrate(W_new, Y)
+    f_m = _free_energy_at(I_new, W_new, sets, lgamma_sums)
+    return W_new, I_new, f_e, f_m, dead
 
 
 def run_tv_em(
@@ -224,23 +221,25 @@ def run_tv_em(
     W: BottomWeights,
     c_prime: int,
     n_iter: int,
-    lgamma_sums=None,
-    rel_slack: float = MONOTONE_RSLACK,
+    lgamma_sums,
     check_monotone: bool = True,
 ) -> tuple[BottomWeights, FreeEnergyTrace]:
     """Run batch EM for ``n_iter`` iterations with a machine-checked trace.
 
     The trace interleaves F(sets_t, W_{t-1}) and F(sets_t, W_t); both steps
     must increase F, so the whole sequence is checked for monotonicity and a
-    violation raises MonotonicityError rather than passing silently.
+    violation raises MonotonicityError rather than passing silently.  Each
+    weight state is integrated once.
     """
+    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     trace = FreeEnergyTrace()
+    I = integrate(W, Y)
     for it in range(1, n_iter + 1):
-        W, f_e, f_m, _ = tv_em_iteration(Y, W, c_prime, lgamma_sums)
+        W, I, f_e, f_m, _ = tv_em_iteration(Y, W, I, c_prime, lgamma_sums)
         trace.append(2 * it - 1, f_e)
         trace.append(2 * it, f_m)
         if check_monotone:
-            trace.assert_monotone(rel_slack)
+            trace.assert_monotone()
     return W, trace
 
 

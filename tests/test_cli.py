@@ -28,6 +28,26 @@ def workspace(tmp_path):
     return tmp_path
 
 
+@pytest.fixture()
+def square_run(workspace):
+    # D=8 is not a perfect square, so build a square synthetic run; the
+    # class column must fit the panel height, so K <= side here.
+    (workspace / "sq.json").write_text(json.dumps({**CFG, "K": 3, "D": 9, "A": 36.0}))
+    assert main([
+        "synth", "--clusters", "3", "--dim", "9", "--n", "60",
+        "--seed", "3", "--out", str(workspace / "sq"),
+    ]) == 0
+    assert main([
+        "train", "--config", str(workspace / "sq.json"),
+        "--images", str(workspace / "sq" / "images-idx3-ubyte"),
+        "--labels", str(workspace / "sq" / "labels-idx1-ubyte"),
+        "--test-images", str(workspace / "sq" / "images-idx3-ubyte"),
+        "--test-labels", str(workspace / "sq" / "labels-idx1-ubyte"),
+        "--out", str(workspace / "sqrun"),
+    ]) == 0
+    return workspace / "sqrun"
+
+
 def train_args(ws, out, extra=()):
     return [
         "train", "--config", str(ws / "cfg.json"),
@@ -87,24 +107,9 @@ class TestCompareAndTools:
         }
         assert len(hashes) == 1
 
-    def test_export_weights(self, workspace):
-        # D=8 is not a perfect square, so build a square synthetic run; the
-        # class column must fit the panel height, so K <= side here.
-        (workspace / "sq.json").write_text(json.dumps({**CFG, "K": 3, "D": 9, "A": 36.0}))
+    def test_export_weights(self, workspace, square_run):
         assert main([
-            "synth", "--clusters", "3", "--dim", "9", "--n", "60",
-            "--seed", "3", "--out", str(workspace / "sq"),
-        ]) == 0
-        assert main([
-            "train", "--config", str(workspace / "sq.json"),
-            "--images", str(workspace / "sq" / "images-idx3-ubyte"),
-            "--labels", str(workspace / "sq" / "labels-idx1-ubyte"),
-            "--test-images", str(workspace / "sq" / "images-idx3-ubyte"),
-            "--test-labels", str(workspace / "sq" / "labels-idx1-ubyte"),
-            "--out", str(workspace / "sqrun"),
-        ]) == 0
-        assert main([
-            "export-weights", "--weights", str(workspace / "sqrun"),
+            "export-weights", "--weights", str(square_run),
             "--rows", "2", "--cols", "3", "--out", str(workspace / "grid.pgm"),
         ]) == 0
         assert (workspace / "grid.pgm").read_bytes().startswith(b"P5\n")
@@ -144,6 +149,22 @@ class TestExitCodes:
         args[args.index("--config") + 1] = str(workspace / "bad.json")
         assert main(args) == 1
         assert "A must exceed D" in capsys.readouterr().err
+
+    def test_negative_labels_per_class_is_usage_error(self, workspace, capsys):
+        args = train_args(workspace, workspace / "x", ("--labels-per-class", "-1"))
+        assert main(args) == 1
+        assert "labels per class must be >= 0, got -1" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
+    @pytest.mark.parametrize("rows,cols", [("0", "3"), ("2", "0")])
+    def test_empty_weight_grid_is_usage_error(self, workspace, square_run, capsys, rows, cols):
+        out = workspace / "grid.pgm"
+        assert main([
+            "export-weights", "--weights", str(square_run),
+            "--rows", rows, "--cols", cols, "--out", str(out),
+        ]) == 1
+        assert f"grid must be at least 1x1, got {rows}x{cols}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_idx_is_data_error(self, workspace, capsys):
         img = workspace / "tr" / "images-idx3-ubyte"

@@ -16,7 +16,8 @@ from truncmix import (
     select_truncation,
     truncated_posterior,
 )
-from truncmix.inference import TruncatedPosterior, log_joint_matrix, truncated_softmax
+from truncmix.inference import TruncatedPosterior, truncated_softmax
+from truncmix.learning import free_energy
 
 from conftest import random_observations, random_weights
 
@@ -62,6 +63,16 @@ class TestNormalizeInput:
     def test_negative_rejected(self):
         with pytest.raises(DataError, match="negative"):
             normalize_input([1.0, -0.5], 10.0)
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "non-finite components at index 1"),
+        (-0.5, "negative components at index 1"),
+    ])
+    def test_batch_bad_row_names_first_index(self, bad, message):
+        raw = np.ones((4, 5))
+        raw[1, 4] = raw[3, 0] = bad
+        with pytest.raises(DataError, match=message):
+            normalize_input(raw, 10.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -311,16 +322,18 @@ class TestLogJoint:
         rng = np.random.default_rng(15)
         W = random_weights(rng, 5, 6, 12.0)
         Y = random_observations(rng, 4, 6, 12.0)
-        lj = log_joint_matrix(W, Y)
         for n in range(4):
             for c in range(5):
-                assert lj[n, c] == pytest.approx(log_joint(W.W[c], Y[n], 5), rel=1e-12)
+                lj = free_energy(Y[n], W, [c])
+                assert lj == pytest.approx(log_joint(W.W[c], Y[n], 5), rel=1e-12)
 
     def test_matrix_form_accepts_precomputed_lgamma(self):
         rng = np.random.default_rng(16)
         W = random_weights(rng, 3, 5, 10.0)
         Y = random_observations(rng, 6, 5, 10.0)
         lg = gammaln(Y + 1.0).sum(axis=1)
-        np.testing.assert_allclose(
-            log_joint_matrix(W, Y, lg), log_joint_matrix(W, Y), rtol=1e-15
-        )
+        for n in range(6):
+            for c in range(3):
+                assert free_energy(Y[n], W, [c], lg[n : n + 1]) == pytest.approx(
+                    free_energy(Y[n], W, [c]), rel=1e-15
+                )

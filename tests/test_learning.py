@@ -13,10 +13,10 @@ from truncmix import (
     TopWeights,
     batch_e_step,
     batch_m_step,
-    exact_log_likelihood,
     free_energy,
     generate_mixture,
     init_weights,
+    integrate,
     online_epoch,
     preprocess,
     run_tv_em,
@@ -192,7 +192,7 @@ class TestFreeEnergy:
         Y = random_observations(rng, 12, 4, 9.0)
         full = np.tile(np.arange(5), (12, 1))
         assert free_energy(Y, W, full) == pytest.approx(
-            exact_log_likelihood(Y, W), rel=1e-14
+            mp_free_energy(Y, W.W, full, 5), rel=1e-14
         )
 
     def test_single_point_single_cluster_is_log_joint(self):
@@ -214,7 +214,7 @@ class TestFreeEnergy:
         rng = np.random.default_rng(6)
         W = random_weights(rng, 8, 5, 11.0)
         Y = random_observations(rng, 30, 5, 11.0)
-        ll = exact_log_likelihood(Y, W)
+        ll = free_energy(Y, W, np.tile(np.arange(8), (30, 1)))
         for cp in (1, 3, 8):
             f = free_energy(Y, W, batch_e_step(Y, W, cp))
             assert f <= ll + 1e-9 * abs(ll)
@@ -323,7 +323,9 @@ class TestTvEm:
         ds, _ = self.make_data(3)
         rng = np.random.default_rng(4)
         W = random_weights(rng, 6, 12, 48.0)
-        W_new, f_e, f_m, _ = tv_em_iteration(ds.Y, W, 2, ds.lgamma_sums)
+        W_new, I_new, f_e, f_m, _ = tv_em_iteration(
+            ds.Y, W, integrate(W, ds.Y), 2, ds.lgamma_sums
+        )
         # E-step reading uses the new sets with the old weights; M-step
         # reading re-scores the same sets with the refit weights.
         sets = batch_e_step(ds.Y, W, 2)
@@ -334,13 +336,31 @@ class TestTvEm:
             free_energy(ds.Y, W_new, sets, ds.lgamma_sums), rel=1e-14
         )
         assert f_m >= f_e
+        np.testing.assert_array_equal(I_new, integrate(W_new, ds.Y))
+
+    @pytest.mark.parametrize("cp", [1, 2, 6])
+    def test_carried_activations_are_never_stale(self, cp):
+        # run_tv_em carries integrate(W_t, Y) from one iteration to the next;
+        # every trace entry must equal F rescored from scratch on the weights
+        # it claims, so a stale or skipped activation update breaks equality.
+        ds, _ = self.make_data(13, n=120)
+        lg = ds.lgamma_sums
+        W0 = random_weights(np.random.default_rng(14), 6, 12, 48.0)
+        Ws = [W0] + [run_tv_em(ds.Y, W0, cp, t, lg)[0] for t in range(1, 6)]
+        for n_iter in range(1, 6):
+            _, trace = run_tv_em(ds.Y, W0, cp, n_iter, lg)
+            assert [it for it, _ in trace.entries] == list(range(1, 2 * n_iter + 1))
+            for t in range(1, n_iter + 1):
+                sets = batch_e_step(ds.Y, Ws[t - 1], cp)
+                assert trace.entries[2 * t - 2][1] == free_energy(ds.Y, Ws[t - 1], sets, lg)
+                assert trace.entries[2 * t - 1][1] == free_energy(ds.Y, Ws[t], sets, lg)
 
     def test_no_truncation_matches_dense_em_oracle(self):
         ds, _ = self.make_data(5, n=60, clusters=4, dim=6)
         W = random_weights(np.random.default_rng(6), 4, 6, 24.0)
         for _ in range(5):
             post_oracle, W_oracle = dense_em_iteration_oracle(ds.Y, W.W, 4)
-            W_new, *_ = tv_em_iteration(ds.Y, W, 4, ds.lgamma_sums)
+            W_new, *_ = tv_em_iteration(ds.Y, W, integrate(W, ds.Y), 4, ds.lgamma_sums)
             sets = batch_e_step(ds.Y, W, 4)
             vals = np.take_along_axis(
                 np.asarray(ds.Y @ np.log(W.W).T), sets, axis=1
@@ -355,7 +375,9 @@ class TestTvEm:
         rng = np.random.default_rng(7)
         ds, _ = self.make_data(8, n=20, clusters=4, dim=8)
         W = random_weights(rng, 12, 8, 32.0)
-        W_new, _, _, dead_clusters = tv_em_iteration(ds.Y, W, 1, ds.lgamma_sums)
+        W_new, _, _, _, dead_clusters = tv_em_iteration(
+            ds.Y, W, integrate(W, ds.Y), 1, ds.lgamma_sums
+        )
         assert dead_clusters >= 1
         sets = batch_e_step(ds.Y, W, 1)
         dead = np.setdiff1d(np.arange(12), np.unique(sets))
@@ -379,13 +401,16 @@ class TestTvEm:
     def test_free_energy_below_likelihood_at_every_iteration(self):
         ds, _ = self.make_data(11, n=150, clusters=5, dim=10)
         W = random_weights(np.random.default_rng(12), 5, 10, 40.0)
+        full = np.tile(np.arange(5), (ds.N, 1))
         for _ in range(10):
-            W, _, f_m, _ = tv_em_iteration(ds.Y, W, 2, ds.lgamma_sums)
-            ll = exact_log_likelihood(ds.Y, W, ds.lgamma_sums)
+            W, _, _, f_m, _ = tv_em_iteration(ds.Y, W, integrate(W, ds.Y), 2, ds.lgamma_sums)
+            ll = free_energy(ds.Y, W, full, ds.lgamma_sums)
             assert f_m <= ll + 1e-9 * abs(ll)
         # With full sets the bound is tight.
-        W_full, _, f_full, _ = tv_em_iteration(ds.Y, W, 5, ds.lgamma_sums)
-        ll = exact_log_likelihood(ds.Y, W_full, ds.lgamma_sums)
+        W_full, _, _, f_full, _ = tv_em_iteration(
+            ds.Y, W, integrate(W, ds.Y), 5, ds.lgamma_sums
+        )
+        ll = free_energy(ds.Y, W_full, full, ds.lgamma_sums)
         assert f_full == pytest.approx(ll, rel=1e-13)
 
     def test_monotonicity_violation_raises(self):

@@ -1,13 +1,19 @@
 """The benchmark's tracer wraps truncmix names by attribute; every one must exist.
 
 A rename or deletion in ``src/`` that the benchmark depends on fails here,
-in the fast tier, rather than at benchmark time.  Only reads ``perfbench/``.
+in the fast tier, rather than at benchmark time.  The batch TV-EM rep also
+runs end to end on a tiny draw, so a signature change that breaks one of
+its call sites fails here too.  Only reads ``perfbench/``.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from truncmix.data import RawDataset, generate_mixture, preprocess
+from truncmix.learning import init_from_data
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -26,3 +32,17 @@ def test_traced_name_resolves(owner, attr):
 
 def test_span_selftest():
     selftest.check()
+
+
+def test_tvem_rep_runs_on_tiny_draw():
+    raw, _ = generate_mixture(10, 16, 900, seed=3)
+    train, test = (
+        preprocess(RawDataset(raw.X[rows], raw.labels[rows]), 900.0, 10)
+        for rows in (slice(0, 600), slice(600, None))
+    )
+    W0 = init_from_data(train.Y, workloads.C, 900.0, np.random.default_rng(0))
+    gate = workloads.Gate()
+    rep = workloads.tvem_rep(workloads.WORKLOADS["tvem"], train, test, W0,
+                             workloads.BOUNDARY, gate)
+    assert rep["ok"], gate.reasons
+    assert gate.failed == 0, gate.reasons
