@@ -11,15 +11,13 @@ from .core import (
     validate_config,
 )
 from .inference import (
-    TruncatedPosterior,
-    full_posterior,
     integrate,
     log_joint,
     normalize_input,
     select_truncation,
     truncated_posterior,
 )
-from .classifier import bvsb, class_activation, predict
+from .classifier import bvsb, class_activation
 from .data import (
     Dataset,
     RawDataset,

@@ -1,4 +1,4 @@
-"""Top-layer class inference, confidence gating, and prediction.
+"""Top-layer class inference and confidence gating.
 
 The class posterior mixes column-normalized top weights by the (truncated)
 cluster posterior:
@@ -12,7 +12,6 @@ Only support columns of R are read, so the unlabeled branch costs O(K * C').
 import numpy as np
 
 from .core import TopWeights
-from .inference import TruncatedPosterior
 
 
 def _top_array(R) -> np.ndarray:
@@ -37,8 +36,11 @@ def normalized_columns(R, support=None) -> np.ndarray:
     return cols / sums
 
 
-def class_activation(s: TruncatedPosterior, R, label: int | None = None) -> np.ndarray:
-    """Class posterior t for one observation; sums to one in both branches."""
+def class_activation(support, probs, R, label: int | None = None) -> np.ndarray:
+    """Class posterior t for one observation; sums to one in both branches.
+
+    ``probs`` is the cluster posterior on ``support`` (distinct indices).
+    """
     Rm = _top_array(R)
     K = Rm.shape[0]
     if label is not None:
@@ -47,7 +49,7 @@ def class_activation(s: TruncatedPosterior, R, label: int | None = None) -> np.n
         t = np.zeros(K)
         t[label] = 1.0
         return t
-    return normalized_columns(Rm, s.support) @ s.probs
+    return normalized_columns(Rm, support) @ probs
 
 
 def bvsb(t) -> float:
@@ -55,10 +57,5 @@ def bvsb(t) -> float:
     t = np.asarray(t, dtype=np.float64)
     if t.shape[-1] < 2:
         raise ValueError("BvSB undefined for single class")
-    part = np.partition(t, t.shape[-1] - 2, axis=-1)
-    return float(part[-1] - part[-2]) if t.ndim == 1 else part[..., -1] - part[..., -2]
-
-
-def predict(s: TruncatedPosterior, R) -> int:
-    """argmax_k of the unlabeled class posterior; ties go to the smaller k."""
-    return int(np.argmax(class_activation(s, R)))
+    part = np.partition(t, t.shape[-1] - 2)
+    return float(part[-1] - part[-2])

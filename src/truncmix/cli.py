@@ -146,8 +146,22 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _load_report(path) -> dict:
+    """A run report with a seed and a numeric final_error; anything else is
+    a DataError that names ``path``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as e:  # invalid JSON or not UTF-8
+        raise DataError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(doc, dict) or "seed" not in doc:
+        raise DataError(f"{path}: not a run report")
+    if type(doc.get("final_error")) not in (int, float):
+        raise DataError(f"{path}: final_error is missing or not a number")
+    return doc
+
+
 def cmd_aggregate(args) -> int:
-    reports = [json.loads(Path(p).read_text()) for p in args.reports]
+    reports = [_load_report(p) for p in args.reports]
     summary = aggregate(reports)
     text = json.dumps(summary, sort_keys=True, indent=2)
     if args.out:

@@ -17,7 +17,6 @@ import numpy as np
 # long online-update sequences and get a looser one.
 W_ROW_RTOL = 1e-6
 R_ROW_TOL = 1e-9
-PROB_TOL = 1e-12
 OBS_SUM_RTOL = 1e-9
 
 

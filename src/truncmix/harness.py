@@ -18,7 +18,7 @@ from .classifier import normalized_columns
 from .core import (BottomWeights, ConfigError, DataError, ModelConfig, TopWeights,
                    init_weights, validate_config)
 from .data import Dataset, UNLABELED
-from .inference import integrate, select_truncation, truncated_softmax
+from .inference import integrate, select_truncation, truncated_posterior
 from .learning import EpochStats, FreeEnergyTrace, batch_e_step, free_energy, online_epoch
 
 _CHUNK = 16384
@@ -71,7 +71,7 @@ def predict_batch(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
         I = integrate(W, Y[lo:hi])
         sets = select_truncation(I, c_prime)
         S = np.zeros_like(I)
-        np.put_along_axis(S, sets, truncated_softmax(I, sets), axis=1)
+        np.put_along_axis(S, sets, truncated_posterior(I, sets), axis=1)
         out[lo:hi] = np.argmax(S @ mix.T, axis=1)
     return out
 
@@ -101,6 +101,8 @@ def train(
     unaffected.
     """
     validate_config(cfg)
+    if trace_every < 0:
+        raise ConfigError(f"trace_every must be >= 0, got {trace_every}")
     if train_ds.D != cfg.D or test_ds.D != cfg.D:
         raise ConfigError(f"config D={cfg.D} but data has D={train_ds.D}")
     if train_ds.A != cfg.A:
@@ -115,7 +117,7 @@ def train(
     lgam = train_ds.lgamma_sums
 
     def record_trace(epoch: int):
-        if trace_every <= 0:
+        if trace_every == 0:
             return
         if epoch % trace_every == 0 or epoch == cfg.epochs:
             sets = batch_e_step(train_ds.Y, W, cfg.C_prime)

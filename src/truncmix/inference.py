@@ -14,12 +14,10 @@ All functions here are pure and operate on the last axis, so a single call
 handles one observation or a whole batch.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln
 
-from .core import BottomWeights, DataError, PROB_TOL
+from .core import BottomWeights, DataError
 
 
 def _weights_array(W) -> np.ndarray:
@@ -98,63 +96,23 @@ def select_truncation(I, c_prime: int) -> np.ndarray:
     return idx.reshape(I.shape[:-1] + (c_prime,))
 
 
-def _softmax_last(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max(axis=-1, keepdims=True)
-    p = np.exp(shifted)
+def truncated_posterior(I, sets) -> np.ndarray:
+    """Softmax of ``I`` restricted to ``sets``, in the log domain.
+
+    ``sets`` indexes the last axis of ``I``: a 1-D support for one
+    observation or an (N, C') matrix for a batch.  Each support holds
+    distinct indices, as ``select_truncation`` returns them.  The result is
+    aligned with ``sets``; entries may underflow to 0.0 when activation gaps
+    within a support exceed the float64 exponent range.
+    """
+    I = np.asarray(I, dtype=np.float64)
+    sets = np.asarray(sets, dtype=np.intp)
+    if np.any(sets < 0) or np.any(sets >= I.shape[-1]):
+        raise ValueError("support indices out of range")
+    picked = np.take_along_axis(I, sets, axis=-1)
+    p = np.exp(picked - picked.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     return p
-
-
-def truncated_softmax(I, sets) -> np.ndarray:
-    """Softmax of ``I`` over each point's truncation set ``sets`` (indices
-    into the last axis of ``I``); the result is aligned with ``sets``."""
-    return _softmax_last(np.take_along_axis(I, sets, axis=-1))
-
-
-@dataclass(frozen=True)
-class TruncatedPosterior:
-    """Sparse cluster posterior: probabilities on an explicit index support.
-
-    Entries outside ``support`` are exactly zero.  ``probs`` sums to one;
-    individual entries may underflow to 0.0 when activation gaps within the
-    support exceed the float64 exponent range.
-    """
-
-    support: np.ndarray  # distinct cluster indices
-    probs: np.ndarray    # aligned probabilities
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.intp)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-        if support.ndim != 1 or probs.shape != support.shape:
-            raise ValueError("support and probs must be aligned 1-D arrays")
-        if len(np.unique(support)) != support.size:
-            raise ValueError("support indices must be distinct")
-        if np.any(probs < 0.0):
-            raise ValueError("posterior probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"posterior sums to {probs.sum()!r}, expected 1")
-
-    def dense(self, C: int) -> np.ndarray:
-        out = np.zeros(C)
-        out[self.support] = self.probs
-        return out
-
-
-def truncated_posterior(I, support) -> TruncatedPosterior:
-    """Softmax of ``I`` restricted to ``support``, in the log domain."""
-    I = np.asarray(I, dtype=np.float64)
-    support = np.asarray(support, dtype=np.intp)
-    if np.any(support < 0) or np.any(support >= I.shape[-1]):
-        raise ValueError("support indices out of range")
-    return TruncatedPosterior(support, truncated_softmax(I, support))
-
-
-def full_posterior(I) -> np.ndarray:
-    """Dense softmax over all clusters; the untruncated limit."""
-    return _softmax_last(np.asarray(I, dtype=np.float64))
 
 
 def log_joint(W_row, y, C: int) -> float:

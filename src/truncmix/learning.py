@@ -24,13 +24,7 @@ from scipy.special import gammaln, logsumexp
 from .classifier import bvsb, class_activation
 from .core import BottomWeights, ModelConfig, MonotonicityError, TopWeights
 from .data import Dataset, UNLABELED
-from .inference import (
-    TruncatedPosterior,
-    integrate,
-    select_truncation,
-    truncated_posterior,
-    truncated_softmax,
-)
+from .inference import integrate, select_truncation, truncated_posterior
 
 MONOTONE_RSLACK = 1e-8
 
@@ -67,37 +61,37 @@ class FreeEnergyTrace:
 
 
 def update_bottom(
-    W: BottomWeights, s: TruncatedPosterior, y: np.ndarray, eps_W: float
+    W: BottomWeights, support: np.ndarray, probs: np.ndarray, y: np.ndarray, eps_W: float
 ) -> BottomWeights:
     """One Hebbian step on the bottom layer, in place.
 
-    W_cd <- (1 - eps*s_c) W_cd + eps*s_c * y_d for the support rows only;
-    rows outside the support are untouched.  Row sums are conserved because
-    both y and every W row carry the same mass A.
+    W_cd <- (1 - eps*s_c) W_cd + eps*s_c * y_d for the support rows only,
+    where ``probs`` holds s on ``support`` (distinct indices); rows outside
+    the support are untouched.  Row sums are conserved because both y and
+    every W row carry the same mass A.
     """
-    probs = s.probs
     if eps_W * probs.max() > 1.0:
         raise ValueError("eps_W * max(s) must not exceed 1")
     w = W.W
     es = eps_W * probs
-    rows = s.support
-    if rows.size == w.shape[0] and np.array_equal(rows, np.arange(rows.size)):
+    if support.size == w.shape[0] and np.array_equal(support, np.arange(support.size)):
         w *= (1.0 - es)[:, None]
         w += es[:, None] * y
     else:
-        w[rows] *= (1.0 - es)[:, None]
-        w[rows] += es[:, None] * y
+        w[support] *= (1.0 - es)[:, None]
+        w[support] += es[:, None] * y
     return W
 
 
 def update_top(
-    R: TopWeights, t: np.ndarray, s: TruncatedPosterior, eps_R: float
+    R: TopWeights, t: np.ndarray, support: np.ndarray, probs: np.ndarray, eps_R: float
 ) -> TopWeights:
     """One Hebbian step on the top layer, in place.
 
-    R_kc <- R_kc + eps*t_k*(s_c - R_kc).  The decay term is dense in c
-    (zero s_c outside the support still shrinks R_kc); only the additive
-    term is sparse.  Row sums are conserved since both s and R rows sum to 1.
+    R_kc <- R_kc + eps*t_k*(s_c - R_kc), where ``probs`` holds s on
+    ``support`` (distinct indices).  The decay term is dense in c (zero s_c
+    outside the support still shrinks R_kc); only the additive term is
+    sparse.  Row sums are conserved since both s and R rows sum to 1.
     """
     t = np.asarray(t, dtype=np.float64)
     if eps_R * t.max() > 1.0:
@@ -105,12 +99,11 @@ def update_top(
     r = R.R
     et = eps_R * t
     r *= (1.0 - et)[:, None]
-    rows = s.support
-    bump = np.outer(et, s.probs)
-    if rows.size == r.shape[1] and np.array_equal(rows, np.arange(rows.size)):
+    bump = np.outer(et, probs)
+    if support.size == r.shape[1] and np.array_equal(support, np.arange(support.size)):
         r += bump
     else:
-        r[:, rows] += bump
+        r[:, support] += bump
     return R
 
 
@@ -210,7 +203,7 @@ def tv_em_iteration(
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     sets = select_truncation(I, c_prime)
     f_e = _free_energy_at(I, W, sets, lgamma_sums)
-    W_new, dead = batch_m_step(Y, (sets, truncated_softmax(I, sets)), W.A, W)
+    W_new, dead = batch_m_step(Y, (sets, truncated_posterior(I, sets)), W.A, W)
     I_new = integrate(W_new, Y)
     f_m = _free_energy_at(I_new, W_new, sets, lgamma_sums)
     return W_new, I_new, f_e, f_m, dead
@@ -300,21 +293,21 @@ def online_epoch(
         t1 = perf()
         support = select_truncation(I, c_prime)
         t2 = perf()
-        s = truncated_posterior(I, support)
+        probs = truncated_posterior(I, support)
         label = int(labels[i])
-        t = class_activation(s, R, None if label == UNLABELED else label)
+        t = class_activation(support, probs, R, None if label == UNLABELED else label)
         t3 = perf()
-        update_bottom(W, s, y, cfg.eps_W)
+        update_bottom(W, support, probs, y, cfg.eps_W)
         if support.size == w.shape[0]:
             np.log(w, out=logw)
         else:
             logw[support] = np.log(w[support])
         stats.bottom_writes += support.size * w.shape[1]
         if label != UNLABELED:
-            update_top(R, t, s, cfg.eps_R)
+            update_top(R, t, support, probs, cfg.eps_R)
             stats.labeled_updates += 1
         elif bvsb(t) > cfg.theta_bvsb:
-            update_top(R, t, s, cfg.eps_R)
+            update_top(R, t, support, probs, cfg.eps_R)
             stats.unlabeled_passed += 1
         else:
             stats.unlabeled_skipped += 1

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from truncmix import TopWeights, bvsb, class_activation, predict
+from truncmix import TopWeights, bvsb, class_activation
 from truncmix.classifier import normalized_columns
-from truncmix.inference import TruncatedPosterior
 
 
 def posterior(support, probs):
-    return TruncatedPosterior(np.asarray(support), np.asarray(probs, dtype=np.float64))
+    """A (support, probs) pair as the online path passes it."""
+    return np.asarray(support, dtype=np.intp), np.asarray(probs, dtype=np.float64)
 
 
 class TestClassActivation:
     def test_labeled_branch_is_one_hot(self):
         R = TopWeights(np.full((10, 6), 1.0 / 6))
         s = posterior([0, 1], [0.5, 0.5])
-        t = class_activation(s, R, label=3)
+        t = class_activation(*s, R, label=3)
         expected = np.zeros(10)
         expected[3] = 1.0
         np.testing.assert_array_equal(t, expected)
@@ -25,13 +25,13 @@ class TestClassActivation:
         for _ in range(10):
             p = rng.dirichlet(np.ones(3))
             sup = np.sort(rng.choice(8, size=3, replace=False))
-            t = class_activation(posterior(sup, p), R)
+            t = class_activation(*posterior(sup, p), R)
             np.testing.assert_allclose(t, 0.25, rtol=1e-12)
 
     def test_hand_evaluated_two_class_mix(self):
         # Columns 0 and 1 point deterministically at classes 0 and 1.
         R = np.array([[0.7, 0.0], [0.0, 0.3]])
-        t = class_activation(posterior([0, 1], [0.5, 0.5]), R)
+        t = class_activation(*posterior([0, 1], [0.5, 0.5]), R)
         np.testing.assert_allclose(t, [0.5, 0.5], rtol=1e-15)
 
     def test_sums_to_one_in_both_branches(self):
@@ -41,8 +41,8 @@ class TestClassActivation:
             p = rng.dirichlet(np.ones(4))
             sup = np.sort(rng.choice(12, size=4, replace=False))
             s = posterior(sup, p)
-            assert class_activation(s, R).sum() == pytest.approx(1.0, abs=1e-12)
-            assert class_activation(s, R, label=2).sum() == 1.0
+            assert class_activation(*s, R).sum() == pytest.approx(1.0, abs=1e-12)
+            assert class_activation(*s, R, label=2).sum() == 1.0
 
     def test_column_scale_invariance(self):
         rng = np.random.default_rng(2)
@@ -53,13 +53,13 @@ class TestClassActivation:
         sup = np.array([1, 3, 4, 6, 8])
         s = posterior(sup, p)
         np.testing.assert_allclose(
-            class_activation(s, R), class_activation(s, scaled), rtol=0.0, atol=1e-12
+            class_activation(*s, R), class_activation(*s, scaled), rtol=0.0, atol=1e-12
         )
-        assert predict(s, R) == predict(s, scaled)
+        assert np.argmax(class_activation(*s, R)) == np.argmax(class_activation(*s, scaled))
 
     def test_zero_column_falls_back_to_uniform(self):
         R = np.array([[0.5, 0.0], [0.5, 0.0]])
-        t = class_activation(posterior([0, 1], [0.4, 0.6]), R)
+        t = class_activation(*posterior([0, 1], [0.4, 0.6]), R)
         np.testing.assert_allclose(t, [0.5, 0.5], rtol=1e-15)
         cols = normalized_columns(R)
         np.testing.assert_allclose(cols[:, 1], 0.5)
@@ -67,7 +67,7 @@ class TestClassActivation:
     def test_bad_label_rejected(self):
         R = TopWeights(np.full((3, 4), 0.25))
         with pytest.raises(ValueError, match="label"):
-            class_activation(posterior([0], [1.0]), R, label=3)
+            class_activation(*posterior([0], [1.0]), R, label=3)
 
 
 class TestBvsb:
@@ -99,11 +99,14 @@ class TestBvsb:
 
 
 class TestPredict:
+    """The per-point prediction is argmax_k of the unlabeled class posterior;
+    ties go to the smaller k."""
+
     def test_uniform_ties_break_to_class_zero(self):
         R = TopWeights(np.full((10, 6), 1.0 / 6))
-        assert predict(posterior([0, 5], [0.7, 0.3]), R) == 0
+        assert np.argmax(class_activation(*posterior([0, 5], [0.7, 0.3]), R)) == 0
 
     def test_hand_evaluated_prediction(self):
         R = np.array([[0.7, 0.0], [0.0, 0.3]])
-        assert predict(posterior([0, 1], [0.9, 0.1]), R) == 0
-        assert predict(posterior([0, 1], [0.1, 0.9]), R) == 1
+        assert np.argmax(class_activation(*posterior([0, 1], [0.9, 0.1]), R)) == 0
+        assert np.argmax(class_activation(*posterior([0, 1], [0.1, 0.9]), R)) == 1

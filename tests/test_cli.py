@@ -127,6 +127,31 @@ class TestCompareAndTools:
         assert summary["n_runs"] == 2
         assert "mean_final_error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("case,message", [
+        ("not_json", "not valid JSON"),
+        ("json_list", "not a run report"),
+        ("no_seed", "not a run report"),
+        ("no_final_error", "final_error is missing or not a number"),
+        ("text_final_error", "final_error is missing or not a number"),
+    ])
+    def test_aggregate_malformed_report_is_data_error(self, workspace, capsys, case, message):
+        assert main(train_args(workspace, workspace / "a")) == 0
+        doc = json.loads((workspace / "a" / "report.json").read_text())
+        if case == "no_seed":
+            del doc["seed"]
+        elif case == "no_final_error":
+            del doc["final_error"]
+        elif case == "text_final_error":
+            doc["final_error"] = "low"
+        text = {"not_json": '{"seed": 0,', "json_list": "[0.1, 0.2]"}.get(case, json.dumps(doc))
+        bad = workspace / "bad.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["aggregate", str(workspace / "a" / "report.json"), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: {message}" in err
+        assert err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_missing_required_flag_is_usage_error(self, workspace, capsys):
@@ -154,6 +179,12 @@ class TestExitCodes:
         args = train_args(workspace, workspace / "x", ("--labels-per-class", "-1"))
         assert main(args) == 1
         assert "labels per class must be >= 0, got -1" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
+    def test_negative_trace_every_is_usage_error(self, workspace, capsys):
+        args = train_args(workspace, workspace / "x", ("--trace-every", "-1"))
+        assert main(args) == 1
+        assert "trace_every must be >= 0, got -1" in capsys.readouterr().err
         assert not (workspace / "x").exists()
 
     @pytest.mark.parametrize("rows,cols", [("0", "3"), ("2", "0")])

@@ -14,7 +14,7 @@ from truncmix import (
     evaluate,
     export_weight_grid,
     generate_mixture,
-    predict,
+    class_activation,
     predict_batch,
     preprocess,
     subsample_labels,
@@ -79,8 +79,8 @@ class TestEvaluate:
         batch = predict_batch(ds.Y, W, R, 3)
         for n in range(ds.N):
             I = integrate(W, ds.Y[n])
-            s = truncated_posterior(I, select_truncation(I, 3))
-            assert batch[n] == predict(s, R)
+            sup = select_truncation(I, 3)
+            assert batch[n] == np.argmax(class_activation(sup, truncated_posterior(I, sup), R))
 
 
 class TestTrain:

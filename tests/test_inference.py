@@ -9,14 +9,12 @@ from scipy.special import gammaln
 from truncmix import (
     BottomWeights,
     DataError,
-    full_posterior,
     integrate,
     log_joint,
     normalize_input,
     select_truncation,
     truncated_posterior,
 )
-from truncmix.inference import TruncatedPosterior, truncated_softmax
 from truncmix.learning import free_energy
 
 from conftest import random_observations, random_weights
@@ -161,6 +159,13 @@ class TestSelectTruncation:
             I = np.round(rng.standard_normal(48) * 2.0) / 2.0
             k = int(rng.integers(1, 49))
             np.testing.assert_array_equal(select_truncation(I, k), sort_oracle_top_k(I, k))
+        # The same on a tie-heavy batch; ascending rows hold distinct indices.
+        I = np.round(rng.standard_normal((200, 48)) * 2.0) / 2.0
+        for k in range(1, 49):
+            sets = select_truncation(I, k)
+            assert np.all(np.diff(sets, axis=1) > 0)
+            for n in range(I.shape[0]):
+                np.testing.assert_array_equal(sets[n], sort_oracle_top_k(I[n], k))
 
     def test_always_contains_argmax(self):
         rng = np.random.default_rng(7)
@@ -185,17 +190,17 @@ class TestSelectTruncation:
 
 class TestPosteriors:
     def test_single_support_is_certain(self):
-        s = truncated_posterior(np.array([4.0, 2.0, 1.0]), np.array([1]))
-        np.testing.assert_array_equal(s.probs, [1.0])
+        p = truncated_posterior(np.array([4.0, 2.0, 1.0]), np.array([1]))
+        np.testing.assert_array_equal(p, [1.0])
 
     def test_equal_activations_give_uniform(self):
-        s = truncated_posterior(np.full(6, -3.25), np.array([0, 2, 5]))
-        np.testing.assert_allclose(s.probs, 1.0 / 3, rtol=1e-15)
+        p = truncated_posterior(np.full(6, -3.25), np.array([0, 2, 5]))
+        np.testing.assert_allclose(p, 1.0 / 3, rtol=1e-15)
 
     def test_hand_evaluated_softmax(self):
         I = np.array([0.0, math.log(3.0), 99.0])
-        s = truncated_posterior(I, np.array([0, 1]))
-        np.testing.assert_allclose(s.probs, [0.25, 0.75], rtol=1e-14)
+        p = truncated_posterior(I, np.array([0, 1]))
+        np.testing.assert_allclose(p, [0.25, 0.75], rtol=1e-14)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(9)
@@ -203,66 +208,68 @@ class TestPosteriors:
             I = rng.uniform(-3.0, 3.0, size=20)
             sup = np.sort(rng.choice(20, size=6, replace=False))
             np.testing.assert_allclose(
-                truncated_posterior(I, sup).probs, naive_posterior(I[sup]), rtol=1e-12
+                truncated_posterior(I, sup), naive_posterior(I[sup]), rtol=1e-12
             )
 
     def test_overflow_safe(self):
         I = np.array([1e4, 1e4 - 5.0, -1e4])
-        s = truncated_posterior(I, np.array([0, 1, 2]))
-        assert np.isfinite(s.probs).all() and s.probs.sum() == pytest.approx(1.0)
+        p = truncated_posterior(I, np.array([0, 1, 2]))
+        assert np.isfinite(p).all() and p.sum() == pytest.approx(1.0)
 
     def test_renormalization_consistency(self):
         rng = np.random.default_rng(10)
         I = rng.uniform(-50.0, 50.0, size=32)
         sup = select_truncation(I, 7)
-        dense = full_posterior(I)
+        dense = truncated_posterior(I, np.arange(32))
         np.testing.assert_allclose(
-            truncated_posterior(I, sup).probs, dense[sup] / dense[sup].sum(), rtol=1e-12
+            truncated_posterior(I, sup), dense[sup] / dense[sup].sum(), rtol=1e-12
         )
 
-    def test_full_posterior_symmetry_and_identity(self):
-        np.testing.assert_array_equal(full_posterior(np.zeros(2)), [0.5, 0.5])
+    def test_full_support_symmetry_and_identity(self):
+        np.testing.assert_array_equal(truncated_posterior(np.zeros(2), np.arange(2)), [0.5, 0.5])
+        full = np.arange(64)
         rng = np.random.default_rng(11)
         I = rng.uniform(-20.0, 20.0, size=64)
         np.testing.assert_allclose(
-            full_posterior(I),
-            truncated_posterior(I, np.arange(64)).probs,
+            truncated_posterior(I, full),
+            naive_posterior(I),
             rtol=0.0, atol=1e-14,
         )
         small = rng.uniform(-2.0, 2.0, size=64)
-        np.testing.assert_allclose(full_posterior(small), naive_posterior(small), rtol=1e-12)
+        np.testing.assert_allclose(
+            truncated_posterior(small, full), naive_posterior(small), rtol=1e-12
+        )
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(12)
         I = rng.uniform(-5.0, 5.0, size=24)
         shifted = I + 123.456
         np.testing.assert_array_equal(select_truncation(I, 5), select_truncation(shifted, 5))
-        np.testing.assert_allclose(full_posterior(I), full_posterior(shifted), rtol=0, atol=1e-12)
+        full = np.arange(24)
+        np.testing.assert_allclose(
+            truncated_posterior(I, full), truncated_posterior(shifted, full), rtol=0, atol=1e-12
+        )
         sup = select_truncation(I, 5)
         np.testing.assert_allclose(
-            truncated_posterior(I, sup).probs,
-            truncated_posterior(shifted, sup).probs,
+            truncated_posterior(I, sup),
+            truncated_posterior(shifted, sup),
             rtol=0.0, atol=1e-12,
         )
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             truncated_posterior(np.zeros(3), np.array([0, 3]))
-        with pytest.raises(ValueError, match="distinct"):
-            TruncatedPosterior(np.array([1, 1]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="sums to"):
-            TruncatedPosterior(np.array([0, 1]), np.array([0.5, 0.6]))
 
 
 def _assert_batch_equals_rows(I):
-    """truncated_softmax on the batch must equal the per-sample posterior
-    bit for bit, at every truncation size."""
+    """truncated_posterior on the (N, C') batch must equal its 1-D
+    per-sample call bit for bit, at every truncation size."""
     for c_prime in range(1, I.shape[1] + 1):
         sets = select_truncation(I, c_prime)
-        batch = truncated_softmax(I, sets)
+        batch = truncated_posterior(I, sets)
         assert batch.shape == sets.shape
         for n in range(I.shape[0]):
-            row = truncated_posterior(I[n], sets[n]).probs
+            row = truncated_posterior(I[n], sets[n])
             assert np.array_equal(batch[n], row), (c_prime, n)
 
 

@@ -25,7 +25,7 @@ from truncmix import (
     update_top,
 )
 from truncmix.data import Dataset
-from truncmix.inference import TruncatedPosterior, log_joint
+from truncmix.inference import log_joint
 from truncmix.learning import FreeEnergyTrace
 
 from conftest import random_observations, random_weights
@@ -84,8 +84,8 @@ class TestUpdateBottom:
 
     def test_rows_outside_support_untouched(self):
         before = self.W.W.copy()
-        s = TruncatedPosterior(np.array([1, 3]), np.array([0.25, 0.75]))
-        update_bottom(self.W, s, self.y, eps_W=0.5)
+        s = np.array([1, 3]), np.array([0.25, 0.75])
+        update_bottom(self.W, *s, self.y, eps_W=0.5)
         untouched = [0, 2, 4, 5]
         assert np.array_equal(self.W.W[untouched], before[untouched])
         assert not np.array_equal(self.W.W[[1, 3]], before[[1, 3]])
@@ -93,36 +93,36 @@ class TestUpdateBottom:
     def test_write_footprint_is_support_rows_exactly(self):
         # Independent instrumentation: the set of entries an update may write
         # is exactly support x D.
-        s = TruncatedPosterior(np.array([0, 4]), np.array([0.5, 0.5]))
+        support = np.array([0, 4])
         mask = np.zeros(self.W.W.shape, dtype=bool)
-        mask[s.support] = True
-        assert mask.sum() == s.support.size * self.W.D
+        mask[support] = True
+        assert mask.sum() == support.size * self.W.D
         before = self.W.W.copy()
-        update_bottom(self.W, s, self.y, eps_W=0.3)
+        update_bottom(self.W, support, np.array([0.5, 0.5]), self.y, eps_W=0.3)
         assert np.array_equal(self.W.W[~mask], before[~mask])
 
     def test_fixed_point_when_row_equals_input(self):
         self.W.W[2] = self.y
         before = self.W.W[2].copy()
-        s = TruncatedPosterior(np.array([2]), np.array([1.0]))
-        update_bottom(self.W, s, self.y, eps_W=0.7)
+        s = np.array([2]), np.array([1.0])
+        update_bottom(self.W, *s, self.y, eps_W=0.7)
         np.testing.assert_allclose(self.W.W[2], before, rtol=1e-14)
 
     def test_row_sums_conserved(self):
-        s = TruncatedPosterior(np.array([0, 1, 2]), np.array([0.2, 0.3, 0.5]))
-        update_bottom(self.W, s, self.y, eps_W=0.9)
+        s = np.array([0, 1, 2]), np.array([0.2, 0.3, 0.5])
+        update_bottom(self.W, *s, self.y, eps_W=0.9)
         np.testing.assert_allclose(self.W.W.sum(axis=1), 15.0, rtol=1e-12)
 
     def test_positivity_preserved_at_full_rate(self):
-        s = TruncatedPosterior(np.array([1]), np.array([1.0]))
-        update_bottom(self.W, s, self.y, eps_W=1.0)
+        s = np.array([1]), np.array([1.0])
+        update_bottom(self.W, *s, self.y, eps_W=1.0)
         assert np.all(self.W.W > 0.0)
         np.testing.assert_allclose(self.W.W[1], self.y, rtol=1e-14)
 
     def test_rate_precondition(self):
-        s = TruncatedPosterior(np.array([1]), np.array([1.0]))
+        s = np.array([1]), np.array([1.0])
         with pytest.raises(ValueError, match="eps_W"):
-            update_bottom(self.W, s, self.y, eps_W=1.0 + 1e-9)
+            update_bottom(self.W, *s, self.y, eps_W=1.0 + 1e-9)
 
     def test_full_support_fast_path_matches_fancy_path(self):
         rng = np.random.default_rng(1)
@@ -130,8 +130,7 @@ class TestUpdateBottom:
         Wb = Wa.copy()
         y = random_observations(rng, 1, 4, 10.0)[0]
         probs = rng.dirichlet(np.ones(5))
-        full = TruncatedPosterior(np.arange(5), probs)
-        update_bottom(Wa, full, y, 0.4)
+        update_bottom(Wa, np.arange(5), probs, y, 0.4)
         # Same support presented in an order that defeats the fast path.
         wb = Wb.W
         es = 0.4 * probs
@@ -145,11 +144,11 @@ class TestUpdateTop:
     def setup_method(self):
         rng = np.random.default_rng(2)
         self.R = TopWeights(rng.dirichlet(np.ones(8), size=3))
-        self.s = TruncatedPosterior(np.array([1, 6]), np.array([0.4, 0.6]))
+        self.support, self.probs = np.array([1, 6]), np.array([0.4, 0.6])
 
     def test_zero_class_mass_leaves_row_unchanged(self):
         before = self.R.R.copy()
-        update_top(self.R, np.array([0.0, 1.0, 0.0]), self.s, eps_R=0.5)
+        update_top(self.R, np.array([0.0, 1.0, 0.0]), self.support, self.probs, eps_R=0.5)
         assert np.array_equal(self.R.R[0], before[0])
         assert np.array_equal(self.R.R[2], before[2])
         assert not np.array_equal(self.R.R[1], before[1])
@@ -159,26 +158,29 @@ class TestUpdateTop:
         # the update does not vanish where s_c = 0.
         before = self.R.R.copy()
         t = np.array([0.5, 0.25, 0.25])
-        update_top(self.R, t, self.s, eps_R=0.8)
+        update_top(self.R, t, self.support, self.probs, eps_R=0.8)
         outside = [c for c in range(8) if c not in (1, 6)]
         expected = before[:, outside] * (1.0 - 0.8 * t)[:, None]
         np.testing.assert_allclose(self.R.R[:, outside], expected, rtol=1e-15)
 
     def test_row_sums_conserved(self):
         t = np.array([0.7, 0.2, 0.1])
-        update_top(self.R, t, self.s, eps_R=1.0)
+        update_top(self.R, t, self.support, self.probs, eps_R=1.0)
         np.testing.assert_allclose(self.R.R.sum(axis=1), 1.0, rtol=1e-13)
 
     def test_fixed_point_when_row_equals_dense_posterior(self):
-        dense = self.s.dense(8)
+        dense = np.zeros(8)
+        dense[self.support] = self.probs
         R = TopWeights(np.vstack([dense, dense, dense]))
         before = R.R.copy()
-        update_top(R, np.array([1.0, 0.3, 0.0]), self.s, eps_R=0.9)
+        update_top(R, np.array([1.0, 0.3, 0.0]), self.support, self.probs, eps_R=0.9)
         np.testing.assert_allclose(R.R, before, rtol=0.0, atol=1e-16)
 
     def test_rate_precondition(self):
         with pytest.raises(ValueError, match="eps_R"):
-            update_top(self.R, np.array([1.0, 0.0, 0.0]), self.s, eps_R=1.0 + 1e-9)
+            update_top(
+                self.R, np.array([1.0, 0.0, 0.0]), self.support, self.probs, eps_R=1.0 + 1e-9
+            )
 
 
 # ---------------------------------------------------------------------------
