@@ -49,6 +49,10 @@ def class_activation(support, probs, R, label: int | None = None) -> np.ndarray:
         t = np.zeros(K)
         t[label] = 1.0
         return t
+    cols = Rm[:, support]
+    sums = cols.sum(axis=0)
+    if sums.all():
+        return (cols / sums) @ probs
     return normalized_columns(Rm, support) @ probs
 
 

@@ -80,6 +80,8 @@ def evaluate(test_ds: Dataset, W: BottomWeights, R: TopWeights, c_prime: int) ->
     """Fraction of test points whose predicted class differs from the label."""
     if np.any(test_ds.labels == UNLABELED):
         raise DataError("test set must be fully labeled")
+    if test_ds.D != W.D:
+        raise DataError(f"weights have D={W.D} but test data has D={test_ds.D}")
     preds = predict_batch(test_ds.Y, W, R, c_prime)
     return float(np.mean(preds != test_ds.labels))
 
@@ -128,12 +130,17 @@ def train(
     gate_stats, timings = [], []
     for epoch in range(1, cfg.epochs + 1):
         stats: EpochStats = online_epoch(train_ds, W, R, cfg, rng)
+        try:
+            W.validate()
+            R.validate()
+        except ConfigError as e:
+            raise FloatingPointError(f"epoch {epoch}: {e}") from e
         gate_stats.append(stats.gate_counts())
         timings.append(stats.timings())
         test_errors.append(evaluate(test_ds, W, R, cfg.C_prime))
         record_trace(epoch)
         if verbose:
-            took = stats.t_integrate + stats.t_select + stats.t_update
+            took = sum(stats.timings().values())
             print(
                 f"epoch {epoch}/{cfg.epochs}  test_error={test_errors[-1]:.4f}"
                 f"  gated={stats.unlabeled_skipped}  [{took:.1f}s]",
@@ -166,10 +173,14 @@ def compare_truncation(
     Returns {c_prime: (report, W, R)}.  All runs share the same init by
     construction; this is asserted through the per-run init hashes.
     """
+    values = [int(cp) for cp in c_prime_list]
+    repeated = sorted({cp for cp in values if values.count(cp) > 1})
+    if repeated:
+        raise ConfigError(f"C' values listed more than once: {', '.join(map(str, repeated))}")
     results = {}
-    for cp in c_prime_list:
-        run_cfg = cfg.replace(C_prime=int(cp))
-        results[int(cp)] = train(train_ds, test_ds, run_cfg, trace_every=trace_every)
+    for cp in values:
+        run_cfg = cfg.replace(C_prime=cp)
+        results[cp] = train(train_ds, test_ds, run_cfg, trace_every=trace_every)
     hashes = {r[0].init_hash for r in results.values()}
     if len(hashes) > 1:
         raise RuntimeError("comparison runs diverged at initialization")

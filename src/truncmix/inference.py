@@ -83,6 +83,13 @@ def select_truncation(I, c_prime: int) -> np.ndarray:
         if I.ndim == 1:
             return idx
         return np.broadcast_to(idx, I.shape).copy()
+    if I.ndim == 1:
+        # One observation: when nothing outside the top c_prime ties with its
+        # smallest entry, that top set is the answer and needs no tie rule.
+        top = np.argpartition(I, C - c_prime)[C - c_prime:]
+        if np.count_nonzero(I >= I[top[0]]) == c_prime:
+            top.sort()
+            return top
     part = np.argpartition(-I, c_prime - 1, axis=-1)[..., :c_prime]
     # Threshold = value of the c_prime-th largest entry.  Everything strictly
     # above it is kept; remaining slots are filled with the smallest-index
@@ -107,9 +114,12 @@ def truncated_posterior(I, sets) -> np.ndarray:
     """
     I = np.asarray(I, dtype=np.float64)
     sets = np.asarray(sets, dtype=np.intp)
-    if np.any(sets < 0) or np.any(sets >= I.shape[-1]):
+    if sets.min() < 0 or sets.max() >= I.shape[-1]:
         raise ValueError("support indices out of range")
-    picked = np.take_along_axis(I, sets, axis=-1)
+    if I.ndim == sets.ndim == 1:
+        picked = I[sets]
+    else:
+        picked = np.take_along_axis(I, sets, axis=-1)
     p = np.exp(picked - picked.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     return p

@@ -27,6 +27,7 @@ from .data import Dataset, UNLABELED
 from .inference import integrate, select_truncation, truncated_posterior
 
 MONOTONE_RSLACK = 1e-8
+_L1_BLOCK = 64  # rows per block of init_from_data's distance pass
 
 
 @dataclass
@@ -78,8 +79,10 @@ def update_bottom(
         w *= (1.0 - es)[:, None]
         w += es[:, None] * y
     else:
-        w[support] *= (1.0 - es)[:, None]
-        w[support] += es[:, None] * y
+        rows = w.take(support, axis=0)
+        rows *= (1.0 - es)[:, None]
+        rows += es[:, None] * y
+        w[support] = rows
     return W
 
 
@@ -98,6 +101,14 @@ def update_top(
         raise ValueError("eps_R * max(t) must not exceed 1")
     r = R.R
     et = eps_R * t
+    hit = np.flatnonzero(et)
+    if hit.size == 1:
+        # A one-hot t (every labeled sample) leaves the other rows exactly as
+        # the dense step would: scaled by 1.0, plus 0.0.
+        k = hit[0]
+        r[k] *= 1.0 - et[k]
+        r[k, support] += et[k] * probs
+        return R
     r *= (1.0 - et)[:, None]
     bump = np.outer(et, probs)
     if support.size == r.shape[1] and np.array_equal(support, np.arange(support.size)):
@@ -182,12 +193,19 @@ def init_from_data(Y, n_clusters: int, A: float, rng: np.random.Generator) -> Bo
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if n_clusters > Y.shape[0]:
         raise ValueError("need at least one observation per cluster")
-    chosen = [int(rng.integers(0, Y.shape[0]))]
-    dist = np.abs(Y - Y[chosen[0]]).sum(axis=1)
-    for _ in range(n_clusters - 1):
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.abs(Y - Y[nxt]).sum(axis=1))
+    N = Y.shape[0]
+    chosen = [int(rng.integers(0, N))]
+    dist = np.full(N, np.inf)  # L1 distance to the nearest chosen row
+    buf = np.empty((min(N, _L1_BLOCK), Y.shape[1]))
+    while len(chosen) < n_clusters:
+        row = Y[chosen[-1]]
+        for lo in range(0, N, _L1_BLOCK):
+            b = buf[: min(N - lo, _L1_BLOCK)]
+            np.subtract(Y[lo : lo + len(b)], row, out=b)
+            np.abs(b, out=b)
+            near = dist[lo : lo + len(b)]
+            np.minimum(near, b.sum(axis=1), out=near)
+        chosen.append(int(np.argmax(dist)))
     return BottomWeights(Y[chosen].copy(), A)
 
 
@@ -246,6 +264,7 @@ class EpochStats:
     bottom_writes: int = 0      # matrix entries written by bottom updates
     t_integrate: float = 0.0    # seconds per phase over the whole epoch
     t_select: float = 0.0
+    t_posterior: float = 0.0    # truncated posterior, class posterior
     t_update: float = 0.0
 
     def gate_counts(self) -> dict:
@@ -260,6 +279,7 @@ class EpochStats:
         return {
             "integrate": self.t_integrate,
             "select": self.t_select,
+            "posterior": self.t_posterior,
             "update": self.t_update,
         }
 
@@ -314,5 +334,6 @@ def online_epoch(
         t4 = perf()
         stats.t_integrate += t1 - t0
         stats.t_select += t2 - t1
+        stats.t_posterior += t3 - t2
         stats.t_update += t4 - t3
     return stats

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from truncmix import harness
 from truncmix.cli import main
 from truncmix.core import MonotonicityError
 
@@ -215,6 +216,39 @@ class TestExitCodes:
         ]) == 2
         err = capsys.readouterr().err
         assert "W.npy has shape (6, 8), config.json implies (5, 8)" in err
+
+    def test_eval_on_data_of_other_dimension_is_data_error(self, workspace, square_run, capsys):
+        assert main(train_args(workspace, workspace / "run")) == 0
+        capsys.readouterr()
+        assert main([
+            "eval", "--weights", str(workspace / "run"),
+            "--test-images", str(workspace / "sq" / "images-idx3-ubyte"),
+            "--test-labels", str(workspace / "sq" / "labels-idx1-ubyte"),
+        ]) == 2
+        assert "weights have D=8 but test data has D=9" in capsys.readouterr().err
+
+    def test_repeated_cprime_is_usage_error(self, workspace, capsys):
+        args = train_args(workspace, workspace / "cmp")
+        args[0] = "compare"
+        assert main(args[:1] + ["--cprime-list", "2,2,C,6"] + args[1:]) == 1
+        assert "C' values listed more than once: 2, 6" in capsys.readouterr().err
+        assert not (workspace / "cmp").exists()
+
+    @pytest.mark.parametrize("layer", ["W", "R"])
+    def test_broken_weight_invariant_after_epoch_is_numeric_failure(
+        self, workspace, monkeypatch, capsys, layer
+    ):
+        real_epoch = harness.online_epoch
+
+        def drifting_epoch(ds, W, R, cfg, rng):
+            stats = real_epoch(ds, W, R, cfg, rng)
+            (W.W if layer == "W" else R.R)[0] *= 1.01
+            return stats
+
+        monkeypatch.setattr(harness, "online_epoch", drifting_epoch)
+        assert main(train_args(workspace, workspace / "x")) == 3
+        assert f"epoch 1: {layer} row 0 sums to" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
 
     def test_missing_file_is_data_error(self, workspace):
         args = train_args(workspace, workspace / "x")

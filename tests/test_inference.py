@@ -181,6 +181,17 @@ class TestSelectTruncation:
         for n in range(25):
             np.testing.assert_array_equal(got[n], select_truncation(I[n], 4))
 
+    @settings(deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 4), st.integers(1, 40)),
+                  elements=st.integers(-3, 3)))
+    def test_single_row_equals_batch_row_with_ties(self, I):
+        # The 1-D call has its own path; a few distinct values force ties at
+        # the threshold, which it must break exactly as the batch call does.
+        for c_prime in range(1, I.shape[1] + 1):
+            batch = select_truncation(I, c_prime)
+            for n in range(I.shape[0]):
+                assert np.array_equal(select_truncation(I[n], c_prime), batch[n]), (c_prime, n)
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
             select_truncation(np.zeros(4), 0)

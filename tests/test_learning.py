@@ -26,7 +26,7 @@ from truncmix import (
 )
 from truncmix.data import Dataset
 from truncmix.inference import log_joint
-from truncmix.learning import FreeEnergyTrace
+from truncmix.learning import FreeEnergyTrace, init_from_data
 
 from conftest import random_observations, random_weights
 
@@ -425,6 +425,21 @@ class TestTvEm:
             trace.assert_monotone()
 
 
+class TestInitFromData:
+    @pytest.mark.parametrize("n,clusters", [(150, 7), (64, 64), (5, 1)])
+    def test_matches_unblocked_farthest_point_loop(self, n, clusters):
+        # 150 rows cover two full 64-row blocks and a partial one.
+        Y = random_observations(np.random.default_rng(n), n, 9, 40.0)
+        rng = np.random.default_rng(3)
+        chosen = [int(rng.integers(0, n))]
+        dist = np.abs(Y - Y[chosen[0]]).sum(axis=1)
+        for _ in range(clusters - 1):
+            chosen.append(int(np.argmax(dist)))
+            dist = np.minimum(dist, np.abs(Y - Y[chosen[-1]]).sum(axis=1))
+        W = init_from_data(Y, clusters, 40.0, np.random.default_rng(3))
+        assert np.array_equal(W.W, Y[chosen])
+
+
 class TestFreeEnergyTrace:
     def test_indices_strictly_increasing(self):
         trace = FreeEnergyTrace()
@@ -529,3 +544,84 @@ class TestOnlineEpoch:
         assert np.all(W.W > 0.0)
         W.validate()
         R.validate()
+
+
+def reference_online_epoch(ds, W, R, cfg, rng):
+    """``online_epoch`` written with the plain formulas: a stable-sort top-C'
+    with ties to the smaller index, a ``take_along_axis`` softmax, normalized
+    support columns of R, a double gather/scatter bottom step, and a dense
+    ``np.outer`` top step.  Returns the gate counts and the number of samples
+    whose C'-th and (C'+1)-th largest activations tie."""
+    w, r = W.W, R.R
+    logw = np.log(w)
+    counts = {"labeled_updates": 0, "unlabeled_passed": 0, "unlabeled_skipped": 0}
+    ties = 0
+    for i in rng.permutation(ds.N):
+        y = ds.Y[i]
+        I = logw @ y
+        order = np.argsort(-I, kind="stable")
+        if cfg.C_prime < cfg.C and I[order[cfg.C_prime - 1]] == I[order[cfg.C_prime]]:
+            ties += 1
+        support = np.sort(order[: cfg.C_prime])
+        picked = np.take_along_axis(I, support, axis=-1)
+        probs = np.exp(picked - picked.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        label = int(ds.labels[i])
+        if label == -1:
+            cols = r[:, support]
+            sums = cols.sum(axis=0)
+            cols = np.where(sums == 0.0, 1.0 / cfg.K, cols)
+            t = (cols / np.where(sums == 0.0, 1.0, sums)) @ probs
+        else:
+            t = np.zeros(cfg.K)
+            t[label] = 1.0
+        es = cfg.eps_W * probs
+        w[support] *= (1.0 - es)[:, None]
+        w[support] += es[:, None] * y
+        logw[support] = np.log(w[support])
+        top2 = np.sort(t)[-2:]
+        if label != -1 or top2[1] - top2[0] > cfg.theta_bvsb:
+            et = cfg.eps_R * t
+            r *= (1.0 - et)[:, None]
+            r[:, support] += np.outer(et, probs)
+            counts["labeled_updates" if label != -1 else "unlabeled_passed"] += 1
+        else:
+            counts["unlabeled_skipped"] += 1
+    return counts, ties
+
+
+class TestOnlineEpochOracle:
+    """``online_epoch`` must equal the plain formulas bit for bit."""
+
+    @staticmethod
+    def make_state(c_prime):
+        raw, _ = generate_mixture(4, 8, 240, seed=11)
+        ds = preprocess(raw, 32.0, K=4)
+        # Every third point keeps its label; the rest go through the gate.
+        labels = np.where(np.arange(ds.N) % 3 == 0, ds.labels, -1)
+        ds = Dataset(ds.Y, labels, 4, 32.0)
+        cfg = ModelConfig(K=4, C=12, C_prime=c_prime, A=32.0, D=8,
+                          eps_W=0.05, eps_R=0.05, theta_bvsb=0.3, epochs=1, seed=0)
+        # Each of six rows twice, so activations tie exactly until the copies
+        # are updated apart.
+        W = BottomWeights(np.tile(ds.Y[:6], (2, 1)), 32.0)
+        # Zero columns send the class posterior through its uniform fallback;
+        # ties go to these smaller indices.
+        R0 = np.full((4, 12), 1.0)
+        R0[:, :6] = 0.0
+        R = TopWeights(R0 / R0.sum(axis=1, keepdims=True))
+        return ds, cfg, W, R
+
+    @pytest.mark.parametrize("c_prime", [1, 3, 12])
+    def test_matches_reference_bit_for_bit(self, c_prime):
+        ds, cfg, W, R = self.make_state(c_prime)
+        W_ref, R_ref = W.copy(), R.copy()
+        for epoch in range(3):
+            stats = online_epoch(ds, W, R, cfg, np.random.default_rng(epoch))
+            counts, ties = reference_online_epoch(ds, W_ref, R_ref, cfg,
+                                                  np.random.default_rng(epoch))
+            assert stats.gate_counts() == {**counts, "bottom_writes": ds.N * c_prime * 8}
+            assert np.array_equal(W.W, W_ref.W) and np.array_equal(R.R, R_ref.R)
+            if epoch == 0:
+                assert counts["unlabeled_passed"] and counts["unlabeled_skipped"]
+                assert ties > 0 or c_prime == cfg.C
