@@ -28,11 +28,12 @@ def normalized_columns(R, support=None) -> np.ndarray:
     Rm = _top_array(R)
     cols = Rm if support is None else Rm[:, np.asarray(support, dtype=np.intp)]
     sums = cols.sum(axis=0)
+    if sums.all():
+        return cols / sums
     zero = sums == 0.0
-    if np.any(zero):
-        cols = cols.copy()
-        cols[:, zero] = 1.0 / Rm.shape[0]
-        sums = np.where(zero, 1.0, sums)
+    cols = cols.copy()
+    cols[:, zero] = 1.0 / Rm.shape[0]
+    sums = np.where(zero, 1.0, sums)
     return cols / sums
 
 
@@ -49,10 +50,6 @@ def class_activation(support, probs, R, label: int | None = None) -> np.ndarray:
         t = np.zeros(K)
         t[label] = 1.0
         return t
-    cols = Rm[:, support]
-    sums = cols.sum(axis=0)
-    if sums.all():
-        return (cols / sums) @ probs
     return normalized_columns(Rm, support) @ probs
 
 
