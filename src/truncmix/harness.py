@@ -177,6 +177,9 @@ def compare_truncation(
     repeated = sorted({cp for cp in values if values.count(cp) > 1})
     if repeated:
         raise ConfigError(f"C' values listed more than once: {', '.join(map(str, repeated))}")
+    outside = sorted({cp for cp in values if not 1 <= cp <= cfg.C})
+    if outside:
+        raise ConfigError(f"C' values out of range [1, {cfg.C}]: {', '.join(map(str, outside))}")
     results = {}
     for cp in values:
         run_cfg = cfg.replace(C_prime=cp)

@@ -20,6 +20,9 @@ from scipy.special import gammaln
 from .core import BottomWeights, DataError
 
 
+_SELECT_BLOCK = 256  # rows per block of a batch select: bounds its scratch memory
+
+
 def _weights_array(W) -> np.ndarray:
     return W.W if isinstance(W, BottomWeights) else np.asarray(W, dtype=np.float64)
 
@@ -69,10 +72,14 @@ def integrate(W, y) -> np.ndarray:
 def select_truncation(I, c_prime: int) -> np.ndarray:
     """Indices of the ``c_prime`` largest entries along the last axis.
 
-    Ties are broken toward the smaller index, so the result is a
-    deterministic function of the input.  Uses a linear-time partial
-    selection rather than a full sort; the returned indices are ascending.
-    Output shape is I.shape[:-1] + (c_prime,).
+    Ties go to the smaller index and the indices are ascending, so the
+    result is a deterministic function of I, of shape I.shape[:-1] +
+    (c_prime,).  One ``argpartition`` gives each row's top set and its
+    threshold (the c_prime-th largest value).  When no row has an entry
+    outside its top set equal to the threshold, the sets are unique and are
+    returned sorted; otherwise a tie rule fills the slots left above the
+    threshold with its smallest-index equals.  A 2-D batch is selected in
+    blocks of ``_SELECT_BLOCK`` rows and returned as one compact array.
     """
     I = np.asarray(I)
     C = I.shape[-1]
@@ -83,18 +90,19 @@ def select_truncation(I, c_prime: int) -> np.ndarray:
         if I.ndim == 1:
             return idx
         return np.broadcast_to(idx, I.shape).copy()
+    if I.ndim == 2 and len(I) > _SELECT_BLOCK:
+        return np.concatenate([select_truncation(I[i:i + _SELECT_BLOCK], c_prime)
+                               for i in range(0, len(I), _SELECT_BLOCK)])
+    top = np.argpartition(I, C - c_prime, axis=-1)[..., C - c_prime:]
     if I.ndim == 1:
-        # One observation: when nothing outside the top c_prime ties with its
-        # smallest entry, that top set is the answer and needs no tie rule.
-        top = np.argpartition(I, C - c_prime)[C - c_prime:]
-        if np.count_nonzero(I >= I[top[0]]) == c_prime:
+        thresh = I[top[0]]
+        if np.count_nonzero(I >= thresh) == c_prime:
             top.sort()
             return top
-    part = np.argpartition(-I, c_prime - 1, axis=-1)[..., :c_prime]
-    # Threshold = value of the c_prime-th largest entry.  Everything strictly
-    # above it is kept; remaining slots are filled with the smallest-index
-    # entries equal to it.
-    thresh = np.take_along_axis(I, part, axis=-1).min(axis=-1, keepdims=True)
+    else:
+        thresh = np.take_along_axis(I, top[..., :1], axis=-1)
+        if np.all(np.count_nonzero(I >= thresh, axis=-1) == c_prime):
+            return np.sort(top, axis=-1)
     above = I > thresh
     at = I == thresh
     need = c_prime - above.sum(axis=-1, keepdims=True)

@@ -234,6 +234,19 @@ class TestExitCodes:
         assert "C' values listed more than once: 2, 6" in capsys.readouterr().err
         assert not (workspace / "cmp").exists()
 
+    def test_out_of_range_cprime_is_usage_error_before_training(
+        self, workspace, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a run was trained before the C' list was checked")
+
+        monkeypatch.setattr(harness, "train", no_training)
+        args = train_args(workspace, workspace / "cmp")
+        args[0] = "compare"
+        assert main(args[:1] + ["--cprime-list", "2,9,0"] + args[1:]) == 1
+        assert "C' values out of range [1, 6]: 0, 9" in capsys.readouterr().err
+        assert not (workspace / "cmp").exists()
+
     @pytest.mark.parametrize("layer", ["W", "R"])
     def test_broken_weight_invariant_after_epoch_is_numeric_failure(
         self, workspace, monkeypatch, capsys, layer

@@ -192,6 +192,48 @@ class TestSelectTruncation:
             for n in range(I.shape[0]):
                 assert np.array_equal(select_truncation(I[n], c_prime), batch[n]), (c_prime, n)
 
+    @pytest.mark.parametrize("N", [30, 513])
+    @pytest.mark.parametrize("c_prime", [1, 3, 15, 40])
+    def test_one_tied_row_sends_its_batch_to_tie_rule(self, c_prime, N):
+        # Every row but one has a unique threshold.  Row 29 gets copies of its
+        # threshold value at the 20 smallest indices below it, so its top set
+        # is decided by the tie rule; the rows selected with it must fall back
+        # too.  N=513 ends a batch select with a block of one row.
+        rng = np.random.default_rng(14)
+        I = rng.normal(scale=50.0, size=(N, 64))
+        row = I[29]
+        thresh = np.sort(row)[-c_prime]
+        row[np.flatnonzero(row < thresh)[:20]] = thresh
+        sets = select_truncation(I, c_prime)
+        assert sets.shape == (N, c_prime)
+        for n in range(N):
+            np.testing.assert_array_equal(sets[n], sort_oracle_top_k(I[n], c_prime))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_batch_equals_single_rows_with_sparse_threshold_ties(self, data):
+        N = data.draw(st.integers(1, 6), label="N")
+        C = data.draw(st.integers(2, 40), label="C")
+        I = data.draw(arrays(np.float64, (N, C), elements=st.floats(
+            -1e3, 1e3, allow_nan=False, allow_infinity=False)), label="I")
+        c_prime = data.draw(st.integers(1, C - 1), label="c_prime")
+        # Copy a row's threshold value to a few other entries of that row.
+        ties = data.draw(st.lists(st.tuples(st.integers(0, N - 1), st.integers(0, C - 1)),
+                                  max_size=3), label="ties")
+        for n, j in ties:
+            I[n, j] = np.sort(I[n])[-c_prime]
+        batch = select_truncation(I, c_prime)
+        for n in range(N):
+            assert np.array_equal(select_truncation(I[n], c_prime), batch[n]), n
+
+    @pytest.mark.parametrize("N", [40, 513])
+    @pytest.mark.parametrize("c_prime", [1, 15, 48])
+    def test_batch_result_is_compact(self, c_prime, N):
+        # A view into the argpartition buffer would keep an (N, C) array alive.
+        sets = select_truncation(np.random.default_rng(15).normal(size=(N, 48)), c_prime)
+        assert sets.shape == (N, c_prime)
+        assert sets.base is None or sets.base.size == sets.size
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
             select_truncation(np.zeros(4), 0)
