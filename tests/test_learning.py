@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -281,19 +283,20 @@ class TestBatchMStep:
             np.testing.assert_allclose(W_new.W[c], Y.mean(axis=0), rtol=1e-12)
 
     def test_matches_weighted_mean_oracle(self):
-        rng = np.random.default_rng(12)
-        C, D, N, cp = 7, 5, 40, 3
-        W = random_weights(rng, C, D, 11.0)
-        Y = random_observations(rng, N, D, 11.0)
-        sup = np.stack([np.sort(rng.choice(C, size=cp, replace=False)) for _ in range(N)])
-        probs = rng.dirichlet(np.ones(cp), size=N)
-        W_new, _ = batch_m_step(Y, (sup, probs), 11.0, W)
-        dense = np.zeros((N, C))
-        np.put_along_axis(dense, sup, probs, axis=1)
-        alive = dense.sum(axis=0) > 0
-        oracle = weighted_mean_oracle(Y, dense)
-        np.testing.assert_allclose(W_new.W[alive], oracle[alive], rtol=1e-12)
-        np.testing.assert_allclose(W_new.W.sum(axis=1), 11.0, rtol=1e-9)
+        C, D, N = 7, 5, 40
+        for cp in (1, 3, C):
+            rng = np.random.default_rng(12)
+            W = random_weights(rng, C, D, 11.0)
+            Y = random_observations(rng, N, D, 11.0)
+            sup = np.stack([np.sort(rng.choice(C, size=cp, replace=False)) for _ in range(N)])
+            probs = rng.dirichlet(np.ones(cp), size=N)
+            W_new, _ = batch_m_step(Y, (sup, probs), 11.0, W)
+            dense = np.zeros((N, C))
+            np.put_along_axis(dense, sup, probs, axis=1)
+            alive = dense.sum(axis=0) > 0
+            oracle = weighted_mean_oracle(Y, dense)
+            np.testing.assert_allclose(W_new.W[alive], oracle[alive], rtol=1e-12)
+            np.testing.assert_allclose(W_new.W.sum(axis=1), 11.0, rtol=1e-9)
 
     def test_rejects_unnormalized_posteriors(self):
         rng = np.random.default_rng(14)
@@ -302,6 +305,47 @@ class TestBatchMStep:
         bad = (np.array([[0, 1], [1, 2]]), np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValueError, match="sum to 1"):
             batch_m_step(Y, bad, 8.0, W)
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_rejects_support_index_out_of_range(self, index):
+        rng = np.random.default_rng(15)
+        W = random_weights(rng, 3, 3, 8.0)
+        Y = random_observations(rng, 2, 3, 8.0)
+        bad = (np.array([[0, 1], [1, index]]), np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="support indices out of range"):
+            batch_m_step(Y, bad, 8.0, W)
+
+    @pytest.mark.parametrize("sup_shape,probs_shape", [
+        ((2, 2), (2, 1)),  # probs would broadcast across the support
+        ((3, 2), (3, 2)),  # one row more than Y
+        ((1, 2), (1, 2)),  # one row fewer than Y
+    ])
+    def test_rejects_mismatched_shapes(self, sup_shape, probs_shape):
+        rng = np.random.default_rng(16)
+        W = random_weights(rng, 3, 3, 8.0)
+        Y = random_observations(rng, 2, 3, 8.0)
+        sup = np.zeros(sup_shape, dtype=np.intp)
+        sup[:, -1] = 1
+        probs = np.full(probs_shape, 1.0 / probs_shape[1])
+        message = re.escape(str(sup_shape)) + ".*" + re.escape(str(probs_shape))
+        with pytest.raises(ValueError, match=message):
+            batch_m_step(Y, (sup, probs), 8.0, W)
+
+    def test_memory_scales_with_support_not_clusters(self):
+        # A dense N x C responsibility matrix alone would be N*C*8 bytes.
+        rng = np.random.default_rng(17)
+        N, C, cp, D = 4000, 200, 3, 16
+        W = random_weights(rng, C, D, 40.0)
+        Y = random_observations(rng, N, D, 40.0)
+        sup = np.sort(np.argsort(rng.random((N, C)), axis=1)[:, :cp], axis=1)
+        probs = rng.dirichlet(np.ones(cp), size=N)
+        tracemalloc.start()
+        try:
+            batch_m_step(Y, (sup, probs), 40.0, W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < N * C * 8 / 4
 
 
 class TestTvEm:
