@@ -12,7 +12,6 @@ from .core import (
 )
 from .inference import (
     integrate,
-    log_joint,
     normalize_input,
     select_truncation,
     truncated_posterior,

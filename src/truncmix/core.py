@@ -138,9 +138,6 @@ class BottomWeights:
     def D(self) -> int:
         return self.W.shape[1]
 
-    def copy(self) -> "BottomWeights":
-        return BottomWeights(self.W.copy(), self.A)
-
 
 @dataclass
 class TopWeights:
@@ -169,9 +166,6 @@ class TopWeights:
     @property
     def C(self) -> int:
         return self.R.shape[1]
-
-    def copy(self) -> "TopWeights":
-        return TopWeights(self.R.copy())
 
 
 def init_weights(

@@ -18,7 +18,7 @@ from .classifier import normalized_columns
 from .core import (BottomWeights, ConfigError, DataError, ModelConfig, TopWeights,
                    init_weights, validate_config)
 from .data import Dataset, UNLABELED
-from .inference import integrate, select_truncation, truncated_posterior
+from .inference import integrate, select_truncation, softmax_inplace, truncated_posterior
 from .learning import EpochStats, FreeEnergyTrace, batch_e_step, free_energy, online_epoch
 
 _CHUNK = 16384
@@ -62,22 +62,34 @@ def weights_hash(W: BottomWeights, R: TopWeights) -> str:
 
 
 def predict_batch(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarray:
-    """Vectorized truncated-path predictions for a batch of observations."""
+    """Vectorized truncated-path predictions for a batch of observations.
+
+    Each chunk's activation matrix I becomes its posterior matrix S in
+    place: below C'=C the truncated posterior is scattered into the zeroed
+    I; at C'=C the support is every cluster, so I takes its row softmax
+    directly, with no select, gather or scatter.
+    """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     mix = normalized_columns(R)  # (K, C)
     out = np.empty(Y.shape[0], dtype=np.int64)
     for lo in range(0, Y.shape[0], _CHUNK):
         hi = min(Y.shape[0], lo + _CHUNK)
-        I = integrate(W, Y[lo:hi])
-        sets = select_truncation(I, c_prime)
-        S = np.zeros_like(I)
-        np.put_along_axis(S, sets, truncated_posterior(I, sets), axis=1)
+        S = integrate(W, Y[lo:hi])
+        if c_prime == S.shape[1]:
+            softmax_inplace(S)
+        else:
+            sets = select_truncation(S, c_prime)
+            probs = truncated_posterior(S, sets)
+            S.fill(0.0)
+            np.put_along_axis(S, sets, probs, axis=1)
         out[lo:hi] = np.argmax(S @ mix.T, axis=1)
     return out
 
 
 def evaluate(test_ds: Dataset, W: BottomWeights, R: TopWeights, c_prime: int) -> float:
     """Fraction of test points whose predicted class differs from the label."""
+    if test_ds.N == 0:
+        raise DataError("test set is empty")
     if np.any(test_ds.labels == UNLABELED):
         raise DataError("test set must be fully labeled")
     if test_ds.D != W.D:

@@ -10,12 +10,11 @@ clusters, ranking clusters by log joint is the same as ranking them by the
 linear activation I_c = sum_d log(W_cd) * y_d.  Truncated inference keeps the
 C' largest activations and renormalizes the posterior on that support.
 
-All functions here are pure and operate on the last axis, so a single call
-handles one observation or a whole batch.
+All functions here operate on the last axis, so a single call handles one
+observation or a whole batch.  All but ``softmax_inplace`` are pure.
 """
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import BottomWeights, DataError
 
@@ -130,23 +129,16 @@ def truncated_posterior(I, sets) -> np.ndarray:
         picked = I[sets]
     else:
         picked = np.take_along_axis(I, sets, axis=-1)
-    p = np.exp(picked - picked.max(axis=-1, keepdims=True))
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    return softmax_inplace(picked)
 
 
-def log_joint(W_row, y, C: int) -> float:
-    """log p(c, y) for one cluster row under a uniform 1/C cluster prior.
+def softmax_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite a float64 array with its softmax along the last axis; returns it.
 
-    Normalized inputs are real-valued, so the Poisson mass function is
-    evaluated through its continuous extension: log(y!) -> lgamma(y + 1).
+    The max is subtracted before exponentiating, so no finite row overflows;
+    entries may underflow to 0.0 as in ``truncated_posterior``.
     """
-    W_row = np.asarray(W_row, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return float(
-        -np.log(C)
-        + np.dot(y, np.log(W_row))
-        - W_row.sum()
-        - gammaln(y + 1.0).sum()
-    )
-
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x

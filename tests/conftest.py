@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import truncmix as tm
 
@@ -41,3 +42,19 @@ def random_weights(rng, C, D, A) -> tm.BottomWeights:
 
 def random_observations(rng, N, D, A) -> np.ndarray:
     return tm.normalize_input(rng.uniform(0.0, 10.0, size=(N, D)), A)
+
+
+def log_joint(W_row, y, C: int) -> float:
+    """log p(c, y) for one cluster row under a uniform 1/C cluster prior.
+
+    Normalized inputs are real-valued, so the Poisson mass function is
+    evaluated through its continuous extension: log(y!) -> lgamma(y + 1).
+    """
+    W_row = np.asarray(W_row, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return float(
+        -np.log(C)
+        + np.dot(y, np.log(W_row))
+        - W_row.sum()
+        - gammaln(y + 1.0).sum()
+    )

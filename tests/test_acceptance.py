@@ -22,10 +22,9 @@ from scipy.optimize import linear_sum_assignment
 
 import truncmix as tm
 from truncmix.data import Dataset
-from truncmix.inference import log_joint
 from truncmix.learning import init_from_data, online_epoch
 
-from conftest import random_observations, random_weights
+from conftest import log_joint, random_observations, random_weights
 from test_learning import mp_dense_posterior, mp_free_energy
 
 mp.mp.dps = 50

@@ -2,11 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from truncmix import harness
 from truncmix.cli import main
 from truncmix.core import MonotonicityError
+from truncmix.data import write_idx_images, write_idx_labels
 
 
 CFG = {
@@ -226,6 +228,25 @@ class TestExitCodes:
             "--test-labels", str(workspace / "sq" / "labels-idx1-ubyte"),
         ]) == 2
         assert "weights have D=8 but test data has D=9" in capsys.readouterr().err
+
+    def test_empty_test_set_is_data_error(self, workspace, capsys):
+        assert main(train_args(workspace, workspace / "run")) == 0
+        empty = workspace / "empty"
+        empty.mkdir()
+        write_idx_images(empty / "img", np.empty((0, 8)), 1, 8)
+        write_idx_labels(empty / "lab", np.empty(0, dtype=np.int64))
+        capsys.readouterr()
+        assert main([
+            "eval", "--weights", str(workspace / "run"),
+            "--test-images", str(empty / "img"), "--test-labels", str(empty / "lab"),
+        ]) == 2
+        assert "test set is empty" in capsys.readouterr().err
+        args = train_args(workspace, workspace / "x")
+        args[args.index("--test-images") + 1] = str(empty / "img")
+        args[args.index("--test-labels") + 1] = str(empty / "lab")
+        assert main(args) == 2
+        assert "test set is empty" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
 
     def test_repeated_cprime_is_usage_error(self, workspace, capsys):
         args = train_args(workspace, workspace / "cmp")

@@ -20,11 +20,12 @@ from truncmix import (
     subsample_labels,
     train,
 )
+from truncmix.classifier import normalized_columns
 from truncmix.data import Dataset
 from truncmix.harness import load_weights, save_run
 from truncmix.inference import select_truncation, truncated_posterior, integrate
 
-from conftest import random_weights
+from conftest import random_observations, random_weights
 
 
 def small_problem(seed=0, n_train=240, n_test=120):
@@ -81,6 +82,27 @@ class TestEvaluate:
             I = integrate(W, ds.Y[n])
             sup = select_truncation(I, 3)
             assert batch[n] == np.argmax(class_activation(sup, truncated_posterior(I, sup), R))
+
+    @pytest.mark.parametrize("c_prime", [1, 3, 9])
+    def test_batch_predictions_equal_reference_construction(self, c_prime):
+        rng = np.random.default_rng(4)
+        W = random_weights(rng, 9, 7, 15.0)
+        W.W[1:4] = W.W[0]  # four equal top activations for rows shaped like W[0]
+        R = TopWeights(rng.dirichlet(np.full(9, 0.3), size=4))
+        Y = np.vstack([W.W[0], random_observations(rng, 60, 7, 15.0)])
+        I = integrate(W, Y)
+        if c_prime < 4:
+            assert np.count_nonzero(I[0] >= np.sort(I[0])[-c_prime]) > c_prime
+        sets = select_truncation(I, c_prime)
+        S = np.zeros_like(I)
+        np.put_along_axis(S, sets, truncated_posterior(I, sets), axis=1)
+        want = np.argmax(S @ normalized_columns(R).T, axis=1)
+        before = [a.copy() for a in (Y, W.W, R.R)]
+        got = predict_batch(Y, W, R, c_prime)
+        assert np.array_equal(got, want)
+        assert len(set(want)) > 1
+        for a, b in zip((Y, W.W, R.R), before):
+            assert np.array_equal(a, b)
 
 
 class TestTrain:

@@ -10,14 +10,14 @@ from truncmix import (
     BottomWeights,
     DataError,
     integrate,
-    log_joint,
     normalize_input,
     select_truncation,
     truncated_posterior,
 )
+from truncmix.inference import softmax_inplace
 from truncmix.learning import free_energy
 
-from conftest import random_observations, random_weights
+from conftest import log_joint, random_observations, random_weights
 
 
 def sort_oracle_top_k(I, k):
@@ -328,6 +328,23 @@ class TestPosteriors:
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             truncated_posterior(np.zeros(3), np.array([0, 3]))
+
+    @pytest.mark.parametrize("shape", [(40,), (5, 40)])
+    def test_input_left_untouched(self, shape):
+        I = np.random.default_rng(17).normal(scale=30.0, size=shape)
+        before = I.copy()
+        for c_prime in (1, 7, 40):
+            truncated_posterior(I, select_truncation(I, c_prime))
+            assert np.array_equal(I, before), c_prime
+
+    @pytest.mark.parametrize("shape", [(40,), (5, 40)])
+    def test_in_place_softmax_equals_out_of_place_formula(self, shape):
+        x = np.random.default_rng(18).normal(scale=30.0, size=shape)
+        want = np.exp(x - x.max(axis=-1, keepdims=True))
+        want /= want.sum(axis=-1, keepdims=True)
+        buf = x.copy()
+        assert softmax_inplace(buf) is buf
+        assert np.array_equal(buf, want)
 
 
 def _assert_batch_equals_rows(I):

@@ -27,10 +27,9 @@ from truncmix import (
     update_top,
 )
 from truncmix.data import Dataset
-from truncmix.inference import log_joint
 from truncmix.learning import FreeEnergyTrace, init_from_data
 
-from conftest import random_observations, random_weights
+from conftest import log_joint, random_observations, random_weights
 
 mp.mp.dps = 50
 
@@ -68,6 +67,10 @@ def dense_em_iteration_oracle(Y, W_arr, C):
     post = np.stack([mp_dense_posterior(W_arr, y, C) for y in Y])
     W_new = (post.T @ Y) / post.sum(axis=0)[:, None]
     return post, W_new
+
+
+def copy_weights(W, R):
+    return BottomWeights(W.W.copy(), W.A), TopWeights(R.R.copy())
 
 
 def weighted_mean_oracle(Y, dense_posteriors):
@@ -129,12 +132,11 @@ class TestUpdateBottom:
     def test_full_support_fast_path_matches_fancy_path(self):
         rng = np.random.default_rng(1)
         Wa = random_weights(rng, 5, 4, 10.0)
-        Wb = Wa.copy()
+        wb = Wa.W.copy()
         y = random_observations(rng, 1, 4, 10.0)[0]
         probs = rng.dirichlet(np.ones(5))
         update_bottom(Wa, np.arange(5), probs, y, 0.4)
         # Same support presented in an order that defeats the fast path.
-        wb = Wb.W
         es = 0.4 * probs
         rows = np.array([4, 2, 0, 1, 3])
         wb[rows] *= (1.0 - es[rows])[:, None]
@@ -559,10 +561,10 @@ class TestOnlineEpoch:
         ds = Dataset(y[None, :], np.array([-1]), 2, 12.0)
         cfg = ModelConfig(K=2, C=2, C_prime=1, A=12.0, D=4, eps_W=0.01, eps_R=0.01,
                           theta_bvsb=0.6, epochs=1, seed=0)
-        stats = online_epoch(ds, W.copy(), R.copy(), cfg, np.random.default_rng(0))
+        stats = online_epoch(ds, *copy_weights(W, R), cfg, np.random.default_rng(0))
         assert stats.unlabeled_passed == 1
         stats = online_epoch(
-            ds, W.copy(), R.copy(), cfg.replace(theta_bvsb=0.85), np.random.default_rng(0)
+            ds, *copy_weights(W, R), cfg.replace(theta_bvsb=0.85), np.random.default_rng(0)
         )
         assert stats.unlabeled_skipped == 1
 
@@ -659,7 +661,7 @@ class TestOnlineEpochOracle:
     @pytest.mark.parametrize("c_prime", [1, 3, 12])
     def test_matches_reference_bit_for_bit(self, c_prime):
         ds, cfg, W, R = self.make_state(c_prime)
-        W_ref, R_ref = W.copy(), R.copy()
+        W_ref, R_ref = copy_weights(W, R)
         for epoch in range(3):
             stats = online_epoch(ds, W, R, cfg, np.random.default_rng(epoch))
             counts, ties = reference_online_epoch(ds, W_ref, R_ref, cfg,
