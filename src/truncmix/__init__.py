@@ -8,7 +8,6 @@ from .core import (
     MonotonicityError,
     TopWeights,
     init_weights,
-    validate_config,
 )
 from .inference import (
     integrate,
@@ -18,8 +17,6 @@ from .inference import (
 )
 from .classifier import bvsb, class_activation
 from .data import (
-    Dataset,
-    RawDataset,
     generate_mixture,
     load_csv,
     load_idx,
@@ -27,12 +24,9 @@ from .data import (
     subsample_labels,
 )
 from .learning import (
-    EpochStats,
-    FreeEnergyTrace,
     batch_e_step,
     batch_m_step,
     free_energy,
-    init_from_data,
     online_epoch,
     run_tv_em,
     tv_em_iteration,
@@ -40,7 +34,6 @@ from .learning import (
     update_top,
 )
 from .harness import (
-    RunReport,
     aggregate,
     compare_truncation,
     evaluate,

@@ -7,9 +7,8 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .core import ConfigError, DataError, ModelConfig, MonotonicityError
 from .data import (
@@ -57,7 +56,7 @@ def _load_dataset(images, labels, A, K):
 def _load_config(args) -> ModelConfig:
     cfg = ModelConfig.from_json(Path(args.config).read_text())
     if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -74,7 +73,7 @@ def cmd_train(args) -> int:
     cfg, train_ds, test_ds = _prepare(args)
     report, W, R = train(train_ds, test_ds, cfg, trace_every=args.trace_every, verbose=True)
     save_run(args.out, report, W, R)
-    print(f"final test error: {report.final_error:.4f} ({cfg.epochs} epochs, seed {cfg.seed})")
+    print(f"final test error: {report.test_errors[-1]:.4f} ({cfg.epochs} epochs, seed {cfg.seed})")
     print(f"wrote {args.out}/report.json")
     return EXIT_OK
 
@@ -108,7 +107,7 @@ def cmd_compare(args) -> int:
     for cp, (report, W, R) in results.items():
         save_run(Path(args.out) / f"cprime_{cp}", report, W, R)
         summary[str(cp)] = {
-            "final_error": report.final_error,
+            "final_error": report.test_errors[-1],
             "final_free_energy": report.trace.entries[-1][1] if report.trace.entries else None,
         }
     out = Path(args.out)
@@ -120,10 +119,7 @@ def cmd_compare(args) -> int:
 
 def cmd_export_weights(args) -> int:
     W, R, _cfg = load_weights(args.weights)
-    side = int(round(np.sqrt(W.D)))
-    if side * side != W.D:
-        raise DataError(f"D={W.D} is not a perfect square; cannot render panels")
-    export_weight_grid(W, R, args.rows, args.cols, side, args.out)
+    export_weight_grid(W, R, args.rows, args.cols, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

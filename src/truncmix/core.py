@@ -8,7 +8,8 @@ plain numpy plus validation; the math lives in `inference`, `learning` and
 """
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -52,8 +53,34 @@ class ModelConfig:
     epochs: int       # online passes over the training set
     seed: int         # RNG seed
 
-    def replace(self, **kw) -> "ModelConfig":
-        return validate_config(replace(self, **kw))
+    def __post_init__(self):
+        """Raise ConfigError naming the first violated invariant, so every
+        instance, however it was built, is a valid configuration."""
+        def _int(name, value, minimum):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer")
+            if value < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}")
+
+        for name in ("A", "eps_W", "eps_R", "theta_bvsb"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number")
+        _int("K", self.K, 2)
+        _int("C", self.C, 1)
+        _int("C_prime", self.C_prime, 1)
+        if self.C_prime > self.C:
+            raise ConfigError("C_prime must not exceed C")
+        _int("D", self.D, 1)
+        if not np.isfinite(self.A) or self.A <= self.D:
+            raise ConfigError("A must exceed D")
+        for name, eps in (("eps_W", self.eps_W), ("eps_R", self.eps_R)):
+            if not (0.0 < eps <= 1.0):
+                raise ConfigError(f"{name} must lie in (0, 1]")
+        if not (0.0 <= self.theta_bvsb <= 1.0):
+            raise ConfigError("theta_bvsb must lie in [0, 1]")
+        _int("epochs", self.epochs, 0)
+        _int("seed", self.seed, -(2**63))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -73,34 +100,7 @@ class ModelConfig:
         missing = sorted(set(names) - set(doc))
         if missing:
             raise ConfigError(f"missing config keys: {', '.join(missing)}")
-        return validate_config(cls(**doc))
-
-
-def validate_config(cfg: ModelConfig) -> ModelConfig:
-    """Return ``cfg`` unchanged, or raise ConfigError naming the first
-    violated invariant."""
-    def _int(name, value, minimum):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an integer")
-        if value < minimum:
-            raise ConfigError(f"{name} must be >= {minimum}")
-
-    _int("K", cfg.K, 1)
-    _int("C", cfg.C, 1)
-    _int("C_prime", cfg.C_prime, 1)
-    if cfg.C_prime > cfg.C:
-        raise ConfigError("C_prime must not exceed C")
-    _int("D", cfg.D, 1)
-    if not np.isfinite(cfg.A) or cfg.A <= cfg.D:
-        raise ConfigError("A must exceed D")
-    for name, eps in (("eps_W", cfg.eps_W), ("eps_R", cfg.eps_R)):
-        if not (0.0 < eps <= 1.0):
-            raise ConfigError(f"{name} must lie in (0, 1]")
-    if not (0.0 <= cfg.theta_bvsb <= 1.0):
-        raise ConfigError("theta_bvsb must lie in [0, 1]")
-    _int("epochs", cfg.epochs, 0)
-    _int("seed", cfg.seed, -(2**63))
-    return cfg
+        return cls(**doc)
 
 
 @dataclass

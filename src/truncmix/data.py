@@ -36,14 +36,6 @@ class RawDataset:
         if self.X.ndim != 2 or self.labels.shape != (self.X.shape[0],):
             raise DataError("raw data must be (N, D) with N labels")
 
-    @property
-    def N(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def D(self) -> int:
-        return self.X.shape[1]
-
 
 @dataclass
 class Dataset:
@@ -82,9 +74,6 @@ class Dataset:
     @property
     def D(self) -> int:
         return self.Y.shape[1]
-
-    def __len__(self) -> int:
-        return self.N
 
     @cached_property
     def lgamma_sums(self) -> np.ndarray:
@@ -186,24 +175,10 @@ def load_csv(path) -> RawDataset:
     return RawDataset(body[:, 1:], labels.astype(np.int64))
 
 
-def write_csv(path, X, labels):
-    X = np.asarray(X)
-    labels = np.asarray(labels, dtype=np.int64)
-    header = "label," + ",".join(f"p{d}" for d in range(X.shape[1]))
-    out = np.column_stack([labels.astype(np.float64), X])
-    np.savetxt(path, out, delimiter=",", header=header, comments="", fmt="%.17g")
-
-
-def preprocess(raw: RawDataset, A: float, K: int | None = None) -> Dataset:
-    """Normalize every example to mass A and wrap it into a Dataset.
-
-    All-zero rows are rejected with the offending index; K defaults to one
-    past the largest label present.
-    """
-    Y = normalize_input(raw.X, A)
-    if K is None:
-        K = int(raw.labels.max()) + 1 if np.any(raw.labels >= 0) else 1
-    return Dataset(Y, raw.labels, K, float(A))
+def preprocess(raw: RawDataset, A: float, K: int) -> Dataset:
+    """Normalize every example to mass A and wrap it into a Dataset of K
+    classes.  All-zero rows are rejected with the offending index."""
+    return Dataset(normalize_input(raw.X, A), raw.labels, K, float(A))
 
 
 def subsample_labels(ds: Dataset, labels_per_class: int, seed: int) -> Dataset:

@@ -8,15 +8,15 @@ out of the report document and written separately.
 
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .classifier import normalized_columns
-from .core import (BottomWeights, ConfigError, DataError, ModelConfig, TopWeights,
-                   init_weights, validate_config)
+from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights, init_weights
 from .data import Dataset, UNLABELED
 from .inference import integrate, select_truncation, softmax_inplace, truncated_posterior
 from .learning import EpochStats, FreeEnergyTrace, batch_e_step, free_energy, online_epoch
@@ -29,25 +29,23 @@ class RunReport:
     """Everything a single training run produced, ready to serialize."""
 
     config: ModelConfig
-    seed: int
     n_labeled: int
     init_hash: str              # sha256 over the initial W and R bytes
     test_errors: list           # index = epoch; entry 0 is the untrained error
     trace: FreeEnergyTrace      # (epoch, free energy) on the training set
     gate_stats: list            # per-epoch gate/write counters
     timings: list               # per-epoch phase seconds (not in report JSON)
-    final_error: float
 
     def to_dict(self) -> dict:
         return {
             "config": json.loads(self.config.to_json()),
-            "seed": self.seed,
+            "seed": self.config.seed,
             "n_labeled": self.n_labeled,
             "init_hash": self.init_hash,
             "test_errors": list(self.test_errors),
             "free_energy": [[it, v] for it, v in self.trace.entries],
             "gate_stats": list(self.gate_stats),
-            "final_error": self.final_error,
+            "final_error": self.test_errors[-1],
         }
 
     def to_json(self) -> str:
@@ -69,8 +67,7 @@ def predict_batch(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
     I; at C'=C the support is every cluster, so I takes its row softmax
     directly, with no select, gather or scatter.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    mix = normalized_columns(R)  # (K, C)
+    mix = normalized_columns(R.R)  # (K, C)
     out = np.empty(Y.shape[0], dtype=np.int64)
     for lo in range(0, Y.shape[0], _CHUNK):
         hi = min(Y.shape[0], lo + _CHUNK)
@@ -114,13 +111,15 @@ def train(
     ``verbose`` prints per-epoch progress to stderr; output files are
     unaffected.
     """
-    validate_config(cfg)
     if trace_every < 0:
         raise ConfigError(f"trace_every must be >= 0, got {trace_every}")
-    if train_ds.D != cfg.D or test_ds.D != cfg.D:
-        raise ConfigError(f"config D={cfg.D} but data has D={train_ds.D}")
-    if train_ds.A != cfg.A:
-        raise ConfigError(f"config A={cfg.A} but data was normalized to A={train_ds.A}")
+    if train_ds.N == 0:
+        raise DataError("training set is empty")
+    for name, ds in (("training", train_ds), ("test", test_ds)):
+        if ds.D != cfg.D:
+            raise ConfigError(f"config D={cfg.D} but {name} data has D={ds.D}")
+        if ds.A != cfg.A:
+            raise ConfigError(f"config A={cfg.A} but {name} data was normalized to A={ds.A}")
     if cfg.C > train_ds.N:
         raise ConfigError("need at least one training observation per cluster")
     rng = np.random.default_rng(cfg.seed)
@@ -161,14 +160,12 @@ def train(
 
     report = RunReport(
         config=cfg,
-        seed=cfg.seed,
         n_labeled=train_ds.n_labeled,
         init_hash=init_hash,
         test_errors=test_errors,
         trace=trace,
         gate_stats=gate_stats,
         timings=timings,
-        final_error=test_errors[-1],
     )
     return report, W, R
 
@@ -194,8 +191,7 @@ def compare_truncation(
         raise ConfigError(f"C' values out of range [1, {cfg.C}]: {', '.join(map(str, outside))}")
     results = {}
     for cp in values:
-        run_cfg = cfg.replace(C_prime=cp)
-        results[cp] = train(train_ds, test_ds, run_cfg, trace_every=trace_every)
+        results[cp] = train(train_ds, test_ds, replace(cfg, C_prime=cp), trace_every=trace_every)
     hashes = {r[0].init_hash for r in results.values()}
     if len(hashes) > 1:
         raise RuntimeError("comparison runs diverged at initialization")
@@ -210,20 +206,20 @@ def _scale_panel(values: np.ndarray) -> np.ndarray:
     return scaled.astype(np.uint8)
 
 
-def export_weight_grid(
-    W: BottomWeights, R: TopWeights, rows: int, cols: int, side: int, path
-):
+def export_weight_grid(W: BottomWeights, R: TopWeights, rows: int, cols: int, path):
     """Write a PGM grid of bottom-weight panels with their class columns.
 
-    Each tile shows one cluster's rate row as a ``side x side`` image, a
+    D must be a perfect square, side * side.  Each tile shows one cluster's
+    rate row as a ``side x side`` image, a
     one-pixel black separator, and a one-pixel-wide column whose top K pixels
     render that cluster's R column; all scaled to 0..255 per panel.  Tiles
     are laid out row-major with one-pixel black gaps.
     """
     if rows < 1 or cols < 1:
         raise ConfigError(f"grid must be at least 1x1, got {rows}x{cols}")
-    if W.D != side * side:
-        raise DataError(f"D={W.D} is not side*side for side={side}")
+    side = math.isqrt(W.D)
+    if side * side != W.D:
+        raise DataError(f"D={W.D} is not a perfect square; cannot render panels")
     n_panels = rows * cols
     if n_panels > W.C:
         raise DataError(f"grid capacity {n_panels} exceeds available clusters {W.C}")

@@ -22,10 +22,6 @@ from .core import BottomWeights, DataError
 _SELECT_BLOCK = 256  # rows per block of a batch select: bounds its scratch memory
 
 
-def _weights_array(W) -> np.ndarray:
-    return W.W if isinstance(W, BottomWeights) else np.asarray(W, dtype=np.float64)
-
-
 def _reject_rows(bad: np.ndarray, what: str):
     """Raise DataError if any entry of ``bad`` is set, naming the first
     offending row of a batch."""
@@ -55,14 +51,13 @@ def normalize_input(raw, A: float) -> np.ndarray:
     return (A - D) * raw / total + 1.0
 
 
-def integrate(W, y) -> np.ndarray:
+def integrate(W: BottomWeights, y) -> np.ndarray:
     """Log-domain input integration: I_c = sum_d log(W_cd) * y_d.
 
     ``y`` may be a single D-vector or an (N, D) batch; returns (C,) or (N, C).
     """
-    Wm = _weights_array(W)
     with np.errstate(divide="ignore"):
-        I = np.asarray(y, dtype=np.float64) @ np.log(Wm).T
+        I = np.asarray(y, dtype=np.float64) @ np.log(W.W).T
     if not np.all(np.isfinite(I)):
         raise DataError("non-finite log activation (W must be positive, y finite)")
     return I

@@ -44,6 +44,11 @@ def random_observations(rng, N, D, A) -> np.ndarray:
     return tm.normalize_input(rng.uniform(0.0, 10.0, size=(N, D)), A)
 
 
+def lgamma_sums(Y) -> np.ndarray:
+    """sum_d lgamma(y_d + 1) per row of Y, the argument ``free_energy`` takes."""
+    return gammaln(Y + 1.0).sum(axis=1)
+
+
 def log_joint(W_row, y, C: int) -> float:
     """log p(c, y) for one cluster row under a uniform 1/C cluster prior.
 
@@ -58,3 +63,21 @@ def log_joint(W_row, y, C: int) -> float:
         - W_row.sum()
         - gammaln(y + 1.0).sum()
     )
+
+
+def write_csv(path, X, labels):
+    """Write ``label,p0,...`` rows, the format ``load_csv`` reads."""
+    X = np.asarray(X)
+    header = "label," + ",".join(f"p{d}" for d in range(X.shape[1]))
+    out = np.column_stack([np.asarray(labels, dtype=np.float64), X])
+    np.savetxt(path, out, delimiter=",", header=header, comments="", fmt="%.17g")
+
+
+def worst_relative_decrease(trace) -> float:
+    """Largest per-step drop of a FreeEnergyTrace, normalized by |previous
+    value|; 0 if none."""
+    v = trace.values()
+    if v.size < 2:
+        return 0.0
+    drops = (v[:-1] - v[1:]) / np.abs(v[:-1])
+    return float(max(0.0, drops.max()))

@@ -30,7 +30,7 @@ class TestClassActivation:
 
     def test_hand_evaluated_two_class_mix(self):
         # Columns 0 and 1 point deterministically at classes 0 and 1.
-        R = np.array([[0.7, 0.0], [0.0, 0.3]])
+        R = TopWeights(np.eye(2))
         t = class_activation(*posterior([0, 1], [0.5, 0.5]), R)
         np.testing.assert_allclose(t, [0.5, 0.5], rtol=1e-15)
 
@@ -46,22 +46,23 @@ class TestClassActivation:
 
     def test_column_scale_invariance(self):
         rng = np.random.default_rng(2)
-        R = rng.uniform(0.1, 1.0, size=(6, 9))
-        scaled = R.copy()
+        R = TopWeights(rng.dirichlet(np.ones(9), size=6))
+        scaled = R.R.copy()
         scaled[:, 4] *= 1234.5
         p = rng.dirichlet(np.ones(5))
         sup = np.array([1, 3, 4, 6, 8])
         s = posterior(sup, p)
-        np.testing.assert_allclose(
-            class_activation(*s, R), class_activation(*s, scaled), rtol=0.0, atol=1e-12
-        )
-        assert np.argmax(class_activation(*s, R)) == np.argmax(class_activation(*s, scaled))
+        # A scaled column breaks R's row sums, so it goes through the
+        # column normalization that class_activation applies.
+        t_scaled = normalized_columns(scaled, sup) @ p
+        np.testing.assert_allclose(class_activation(*s, R), t_scaled, rtol=0.0, atol=1e-12)
+        assert np.argmax(class_activation(*s, R)) == np.argmax(t_scaled)
 
     def test_zero_column_falls_back_to_uniform(self):
-        R = np.array([[0.5, 0.0], [0.5, 0.0]])
+        R = TopWeights(np.array([[1.0, 0.0], [1.0, 0.0]]))
         t = class_activation(*posterior([0, 1], [0.4, 0.6]), R)
         np.testing.assert_allclose(t, [0.5, 0.5], rtol=1e-15)
-        cols = normalized_columns(R)
+        cols = normalized_columns(R.R)
         np.testing.assert_allclose(cols[:, 1], 0.5)
 
     def test_bad_label_rejected(self):
@@ -107,6 +108,6 @@ class TestPredict:
         assert np.argmax(class_activation(*posterior([0, 5], [0.7, 0.3]), R)) == 0
 
     def test_hand_evaluated_prediction(self):
-        R = np.array([[0.7, 0.0], [0.0, 0.3]])
+        R = TopWeights(np.eye(2))
         assert np.argmax(class_activation(*posterior([0, 1], [0.9, 0.1]), R)) == 0
         assert np.argmax(class_activation(*posterior([0, 1], [0.1, 0.9]), R)) == 1

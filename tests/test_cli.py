@@ -178,6 +178,34 @@ class TestExitCodes:
         assert main(args) == 1
         assert "A must exceed D" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("A", "900"), ("eps_W", "0.1"), ("theta_bvsb", None), ("eps_R", [0.1]), ("eps_W", True),
+    ])
+    def test_non_numeric_config_real_is_usage_error(self, workspace, capsys, field, value):
+        (workspace / "bad.json").write_text(json.dumps({**CFG, field: value}))
+        args = train_args(workspace, workspace / "x")
+        args[args.index("--config") + 1] = str(workspace / "bad.json")
+        assert main(args) == 1
+        assert f"config error: {field} must be a real number" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
+    def test_single_class_config_is_usage_error(self, workspace, capsys):
+        # One class leaves the BvSB margin undefined at the first unlabeled point.
+        assert main([
+            "synth", "--clusters", "1", "--dim", "8", "--n", "40",
+            "--seed", "4", "--out", str(workspace / "one"),
+        ]) == 0
+        (workspace / "k1.json").write_text(json.dumps({**CFG, "K": 1}))
+        one = [str(workspace / "one" / f) for f in ("images-idx3-ubyte", "labels-idx1-ubyte")]
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(workspace / "k1.json"), "--images", one[0],
+            "--labels", one[1], "--test-images", one[0], "--test-labels", one[1],
+            "--labels-per-class", "5", "--out", str(workspace / "x"),
+        ]) == 1
+        assert "K must be >= 2" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
     def test_negative_labels_per_class_is_usage_error(self, workspace, capsys):
         args = train_args(workspace, workspace / "x", ("--labels-per-class", "-1"))
         assert main(args) == 1
@@ -246,6 +274,27 @@ class TestExitCodes:
         args[args.index("--test-labels") + 1] = str(empty / "lab")
         assert main(args) == 2
         assert "test set is empty" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
+    def test_empty_training_set_is_data_error(self, workspace, capsys):
+        empty = workspace / "empty"
+        empty.mkdir()
+        write_idx_images(empty / "img", np.empty((0, 8)), 1, 8)
+        write_idx_labels(empty / "lab", np.empty(0, dtype=np.int64))
+        args = train_args(workspace, workspace / "x")
+        args[args.index("--images") + 1] = str(empty / "img")
+        args[args.index("--labels") + 1] = str(empty / "lab")
+        assert main(args) == 2
+        assert "data error: training set is empty" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
+    def test_test_set_of_other_dimension_is_named(self, workspace, square_run, capsys):
+        args = train_args(workspace, workspace / "x")
+        args[args.index("--test-images") + 1] = str(workspace / "sq" / "images-idx3-ubyte")
+        args[args.index("--test-labels") + 1] = str(workspace / "sq" / "labels-idx1-ubyte")
+        capsys.readouterr()
+        assert main(args) == 1
+        assert "config D=8 but test data has D=9" in capsys.readouterr().err
         assert not (workspace / "x").exists()
 
     def test_repeated_cprime_is_usage_error(self, workspace, capsys):

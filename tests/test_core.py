@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from truncmix import (
     ModelConfig,
     TopWeights,
     init_weights,
-    validate_config,
 )
 
 
@@ -25,38 +27,59 @@ class TestValidateConfig:
     def test_reference_parameters_valid(self):
         # The documented full-scale setting: C=10000, C'=15, A=900, N=60000.
         cfg = make_config(C=10000, eps_W=0.2 * 10000 / 60000)
-        assert validate_config(cfg) is cfg
+        assert cfg.C == 10000
 
     def test_truncation_disabled_boundary(self):
-        validate_config(make_config(C_prime=400))
+        make_config(C_prime=400)
 
     def test_mass_must_exceed_dimension(self):
         with pytest.raises(ConfigError, match="A must exceed D"):
-            validate_config(make_config(A=100.0))
+            make_config(A=100.0)
 
     def test_truncation_size_bounds(self):
         with pytest.raises(ConfigError, match="C_prime"):
-            validate_config(make_config(C_prime=401))
+            make_config(C_prime=401)
         with pytest.raises(ConfigError, match="C_prime"):
-            validate_config(make_config(C_prime=0))
+            make_config(C_prime=0)
 
     @pytest.mark.parametrize("field,value", [
         ("eps_W", 0.0), ("eps_W", 1.5), ("eps_R", -0.1), ("eps_R", 2.0),
     ])
     def test_learning_rate_range(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            validate_config(make_config(**{field: value}))
+            make_config(**{field: value})
 
     @pytest.mark.parametrize("value", [-0.01, 1.01])
     def test_threshold_range(self, value):
         with pytest.raises(ConfigError, match="theta_bvsb"):
-            validate_config(make_config(theta_bvsb=value))
+            make_config(theta_bvsb=value)
 
     def test_counts_must_be_integers(self):
         with pytest.raises(ConfigError, match="K must be an integer"):
-            validate_config(make_config(K=10.0))
+            make_config(K=10.0)
         with pytest.raises(ConfigError, match="epochs"):
-            validate_config(make_config(epochs=-1))
+            make_config(epochs=-1)
+
+
+@pytest.mark.parametrize("build", ["direct", "replace", "from_json"])
+@pytest.mark.parametrize("field,value,message", [
+    ("K", 1, "K must be >= 2"),
+    ("C_prime", 401, "C_prime must not exceed C"),
+    ("A", 100.0, "A must exceed D"),
+    ("A", "900", "A must be a real number"),
+    ("eps_W", True, "eps_W must be a real number"),
+    ("eps_R", [0.1], "eps_R must be a real number"),
+    ("theta_bvsb", None, "theta_bvsb must be a real number"),
+])
+def test_invalid_value_rejected_on_every_construction_path(build, field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        if build == "direct":
+            make_config(**{field: value})
+        elif build == "replace":
+            replace(make_config(), **{field: value})
+        else:
+            doc = {**json.loads(make_config().to_json()), field: value}
+            ModelConfig.from_json(json.dumps(doc))
 
 
 class TestConfigJson:

@@ -10,10 +10,11 @@ from truncmix.data import (
     UNLABELED,
     load_idx_images,
     load_idx_labels,
-    write_csv,
     write_idx_images,
     write_idx_labels,
 )
+
+from conftest import write_csv
 
 
 def write_golden_idx(tmp_path, pixels, labels, rows, cols):
@@ -38,7 +39,7 @@ class TestIdxLoading:
         raw = load_idx(img, lab)
         np.testing.assert_array_equal(raw.X, pixels)
         np.testing.assert_array_equal(raw.labels, [9, 0])
-        assert raw.N == 2 and raw.D == 4
+        assert raw.X.shape == (2, 4)
 
     def test_wrong_magic(self, tmp_path):
         img, lab = write_golden_idx(tmp_path, [[1]], [0], rows=1, cols=1)
@@ -106,14 +107,14 @@ class TestPreprocess:
     def test_outputs_sum_to_mass(self):
         rng = np.random.default_rng(1)
         raw, _ = generate_mixture(4, 12, 100, seed=1)
-        ds = preprocess(raw, 900.0)
+        ds = preprocess(raw, 900.0, K=4)
         np.testing.assert_allclose(ds.Y.sum(axis=1), 900.0, rtol=1e-9)
         assert np.all(ds.Y >= 1.0)
 
     def test_constant_image_becomes_uniform(self):
         from truncmix.data import RawDataset
         raw = RawDataset(np.full((1, 10), 8.0), np.array([0]))
-        ds = preprocess(raw, 25.0)
+        ds = preprocess(raw, 25.0, K=1)
         np.testing.assert_allclose(ds.Y[0], 2.5, rtol=1e-14)
 
     def test_zero_image_names_index(self):
@@ -121,27 +122,26 @@ class TestPreprocess:
         X = np.ones((5, 4))
         X[3] = 0.0
         with pytest.raises(DataError, match="index 3"):
-            preprocess(RawDataset(X, np.zeros(5, dtype=int)), 10.0)
+            preprocess(RawDataset(X, np.zeros(5, dtype=int)), 10.0, K=1)
 
-    def test_class_count_inferred_or_given(self):
+    def test_class_count_given(self):
         from truncmix.data import RawDataset
         raw = RawDataset(np.ones((4, 3)), np.array([0, 2, -1, 1]))
-        assert preprocess(raw, 9.0).K == 3
         assert preprocess(raw, 9.0, K=5).K == 5
         with pytest.raises(DataError):
             preprocess(raw, 9.0, K=2)  # label 2 out of range
 
     def test_lgamma_cache_matches_direct(self):
         raw, _ = generate_mixture(3, 6, 20, seed=2)
-        ds = preprocess(raw, 24.0)
+        ds = preprocess(raw, 24.0, K=3)
         np.testing.assert_allclose(
             ds.lgamma_sums, gammaln(ds.Y + 1.0).sum(axis=1), rtol=1e-15
         )
 
     def test_examples_view(self):
         raw, _ = generate_mixture(3, 6, 10, seed=3)
-        ds = preprocess(raw, 24.0)
-        assert len(ds) == 10
+        ds = preprocess(raw, 24.0, K=3)
+        assert ds.N == 10
 
 
 class TestSubsampleLabels:

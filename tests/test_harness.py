@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestEvaluate:
         sets = select_truncation(I, c_prime)
         S = np.zeros_like(I)
         np.put_along_axis(S, sets, truncated_posterior(I, sets), axis=1)
-        want = np.argmax(S @ normalized_columns(R).T, axis=1)
+        want = np.argmax(S @ normalized_columns(R.R).T, axis=1)
         before = [a.copy() for a in (Y, W.W, R.R)]
         got = predict_batch(Y, W, R, c_prime)
         assert np.array_equal(got, want)
@@ -108,17 +109,17 @@ class TestEvaluate:
 class TestTrain:
     def test_zero_epochs_reports_initial_error_only(self):
         train_ds, test_ds, cfg = small_problem()
-        cfg = cfg.replace(epochs=0)
+        cfg = replace(cfg, epochs=0)
         report, W, R = train(train_ds, test_ds, cfg)
         assert len(report.test_errors) == 1
-        assert report.final_error == report.test_errors[0]
+        assert report.to_dict()["final_error"] == report.test_errors[0]
         assert report.gate_stats == [] and report.timings == []
         assert [it for it, _ in report.trace.entries] == [0]
 
     def test_epoch_zero_error_shared_across_truncation_sizes(self):
         train_ds, test_ds, cfg = small_problem()
-        r_trunc, _, _ = train(train_ds, test_ds, cfg.replace(epochs=0))
-        r_full, _, _ = train(train_ds, test_ds, cfg.replace(epochs=0, C_prime=6))
+        r_trunc, _, _ = train(train_ds, test_ds, replace(cfg, epochs=0))
+        r_full, _, _ = train(train_ds, test_ds, replace(cfg, epochs=0, C_prime=6))
         assert r_trunc.test_errors[0] == r_full.test_errors[0]
         assert r_trunc.init_hash == r_full.init_hash
 
@@ -149,13 +150,22 @@ class TestTrain:
     def test_mismatched_data_rejected(self):
         train_ds, test_ds, cfg = small_problem()
         with pytest.raises(ConfigError, match="D="):
-            train(train_ds, test_ds, cfg.replace(D=9, A=32.0))
+            train(train_ds, test_ds, replace(cfg, D=9, A=32.0))
+
+    @pytest.mark.parametrize("which", ["training", "test"])
+    def test_data_of_other_mass_rejected_naming_the_set(self, which):
+        train_ds, test_ds, cfg = small_problem()
+        raw, _ = generate_mixture(4, 8, 40, seed=5)
+        other = preprocess(raw, 64.0, K=4)
+        train_ds, test_ds = (other, test_ds) if which == "training" else (train_ds, other)
+        with pytest.raises(ConfigError, match=f"{which} data was normalized to A=64.0"):
+            train(train_ds, test_ds, cfg)
 
     def test_learning_reduces_error(self):
         train_ds, test_ds, cfg = small_problem()
         sub = subsample_labels(train_ds, 4, seed=0)
-        report, _, _ = train(sub, test_ds, cfg.replace(epochs=5))
-        assert report.final_error < report.test_errors[0]
+        report, _, _ = train(sub, test_ds, replace(cfg, epochs=5))
+        assert report.test_errors[-1] < report.test_errors[0]
         assert report.n_labeled == 16
 
 
@@ -170,14 +180,14 @@ class TestCompareTruncation:
     def test_single_full_setting_reduces_to_train(self):
         train_ds, test_ds, cfg = small_problem()
         results = compare_truncation(train_ds, test_ds, cfg, [6])
-        direct, _, _ = train(train_ds, test_ds, cfg.replace(C_prime=6))
+        direct, _, _ = train(train_ds, test_ds, replace(cfg, C_prime=6))
         assert results[6][0].to_json() == direct.to_json()
 
     def test_epoch_zero_free_energy_ordering(self):
         # At shared initial weights, the full-support free energy is the
         # data log-likelihood and dominates every truncated value.
         train_ds, test_ds, cfg = small_problem()
-        results = compare_truncation(train_ds, test_ds, cfg.replace(epochs=0), [1, 2, 6])
+        results = compare_truncation(train_ds, test_ds, replace(cfg, epochs=0), [1, 2, 6])
         f0 = {cp: r.trace.entries[0][1] for cp, (r, _, _) in results.items()}
         assert f0[6] >= f0[2] >= f0[1]
 
@@ -187,7 +197,7 @@ class TestExportWeightGrid:
         W = BottomWeights(np.full((1, 4), 2.0), 8.0)
         R = TopWeights(np.array([[1.0], [1.0]]))  # one column, both classes equal
         out = tmp_path / "grid.pgm"
-        export_weight_grid(W, R, 1, 1, 2, out)
+        export_weight_grid(W, R, 1, 1, out)
         data = out.read_bytes()
         assert data.startswith(b"P5\n4 2\n255\n")
         canvas = np.frombuffer(data[len(b"P5\n4 2\n255\n"):], dtype=np.uint8).reshape(2, 4)
@@ -210,7 +220,7 @@ class TestExportWeightGrid:
             [0.2, 0.3, 0.1, 0.4],
         ]))
         out = tmp_path / "grid.pgm"
-        export_weight_grid(W, R, 2, 2, 2, out)
+        export_weight_grid(W, R, 2, 2, out)
         expected_canvas = np.array([
             [255, 0, 0, 255, 0, 0, 255, 0, 0],
             [0, 0, 0, 0, 0, 0, 0, 0, 255],
@@ -224,12 +234,13 @@ class TestExportWeightGrid:
         W = BottomWeights(np.full((2, 4), 2.0), 8.0)
         R = TopWeights(np.full((2, 2), 0.5))
         with pytest.raises(DataError, match="capacity"):
-            export_weight_grid(W, R, 2, 2, 2, tmp_path / "x.pgm")
-        with pytest.raises(DataError, match="side"):
-            export_weight_grid(W, R, 1, 2, 3, tmp_path / "x.pgm")
+            export_weight_grid(W, R, 2, 2, tmp_path / "x.pgm")
+        with pytest.raises(DataError, match="D=3 is not a perfect square"):
+            export_weight_grid(BottomWeights(np.full((2, 3), 4.0), 12.0), R, 1, 2,
+                               tmp_path / "x.pgm")
         tall_R = TopWeights(np.full((5, 2), 0.5))
         with pytest.raises(DataError, match="does not fit"):
-            export_weight_grid(W, tall_R, 1, 2, 2, tmp_path / "x.pgm")
+            export_weight_grid(W, tall_R, 1, 2, tmp_path / "x.pgm")
 
 
 class TestAggregate:
@@ -256,13 +267,13 @@ class TestAggregate:
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         train_ds, test_ds, cfg = small_problem()
-        report, W, R = train(train_ds, test_ds, cfg.replace(epochs=1))
+        report, W, R = train(train_ds, test_ds, replace(cfg, epochs=1))
         save_run(tmp_path / "run", report, W, R)
         W2, R2, cfg2 = load_weights(tmp_path / "run")
         assert np.array_equal(W.W, W2.W) and np.array_equal(R.R, R2.R)
-        assert cfg2 == cfg.replace(epochs=1)
+        assert cfg2 == replace(cfg, epochs=1)
         doc = json.loads((tmp_path / "run" / "report.json").read_text())
-        assert doc["final_error"] == report.final_error
+        assert doc["final_error"] == report.test_errors[-1]
         fe = (tmp_path / "run" / "free_energy.csv").read_text().splitlines()
         assert fe[0] == "epoch,free_energy"
         te = (tmp_path / "run" / "test_error.csv").read_text().splitlines()
@@ -279,7 +290,7 @@ class TestSaveLoad:
 
     def test_top_shape_checked_against_config(self, tmp_path):
         train_ds, test_ds, cfg = small_problem()
-        report, W, R = train(train_ds, test_ds, cfg.replace(epochs=0))
+        report, W, R = train(train_ds, test_ds, replace(cfg, epochs=0))
         save_run(tmp_path / "run", report, W, R)
         np.save(tmp_path / "run" / "R.npy", np.full((cfg.K + 1, cfg.C), 1.0 / cfg.C))
         with pytest.raises(DataError, match=r"R\.npy has shape \(5, 6\), config.json implies \(4, 6\)"):
