@@ -118,6 +118,8 @@ def train(
     for name, ds in (("training", train_ds), ("test", test_ds)):
         if ds.D != cfg.D:
             raise ConfigError(f"config D={cfg.D} but {name} data has D={ds.D}")
+        if ds.K != cfg.K:
+            raise ConfigError(f"config K={cfg.K} but {name} data has K={ds.K}")
         if ds.A != cfg.A:
             raise ConfigError(f"config A={cfg.A} but {name} data was normalized to A={ds.A}")
     if cfg.C > train_ds.N:
@@ -140,11 +142,11 @@ def train(
     record_trace(0)
     gate_stats, timings = [], []
     for epoch in range(1, cfg.epochs + 1):
-        stats: EpochStats = online_epoch(train_ds, W, R, cfg, rng)
         try:
+            stats: EpochStats = online_epoch(train_ds, W, R, cfg, rng)
             W.validate()
             R.validate()
-        except ConfigError as e:
+        except (ConfigError, FloatingPointError) as e:
             raise FloatingPointError(f"epoch {epoch}: {e}") from e
         gate_stats.append(stats.gate_counts())
         timings.append(stats.timings())

@@ -29,6 +29,7 @@ from .inference import integrate, select_truncation, truncated_posterior
 
 MONOTONE_RSLACK = 1e-8
 _L1_BLOCK = 64  # rows per block of init_from_data's distance pass
+_INTEGRATE_BLOCK = 16  # samples per integrate GEMM of online_epoch below C'=C
 
 
 @dataclass
@@ -296,42 +297,66 @@ def online_epoch(
     layer, and update the top layer only for labeled points or unlabeled
     points whose best-versus-second-best margin clears ``cfg.theta_bvsb``.
     Mutates W and R in place and reports gate statistics.
+
+    Integration runs in blocks of B = min(_INTEGRATE_BLOCK, C // C')
+    consecutive points of the shuffle: one GEMM against the current log W
+    gives every point of the block its activations, and for the j-th point
+    only the rows that points 0..j-1 of the block wrote are recomputed by
+    matvec.  Each activation is exact up to rounding.  At C'=C, B is 1 and
+    the one-row GEMM equals the per-point matvec bit for bit.  A non-finite
+    activation in a block's GEMM raises FloatingPointError.
     """
     Y = ds.Y
     labels = ds.labels
     w = W.W
     logw = np.log(w)
     c_prime = cfg.C_prime
+    block = min(_INTEGRATE_BLOCK, w.shape[0] // c_prime)
+    written = np.zeros(w.shape[0], dtype=bool)  # rows written since the block's GEMM
+    order = rng.permutation(ds.N)
     stats = EpochStats()
     perf = time.perf_counter
-    for i in rng.permutation(ds.N):
-        y = Y[i]
+    for lo in range(0, ds.N, block):
         t0 = perf()
-        I = logw @ y
-        t1 = perf()
-        support = select_truncation(I, c_prime)
-        t2 = perf()
-        probs = truncated_posterior(I, support)
-        label = int(labels[i])
-        t = class_activation(support, probs, R, None if label == UNLABELED else label)
-        t3 = perf()
-        update_bottom(W, support, probs, y, cfg.eps_W)
-        if support.size == w.shape[0]:
-            np.log(w, out=logw)
-        else:
-            logw[support] = np.log(w[support])
-        stats.bottom_writes += support.size * w.shape[1]
-        if label != UNLABELED:
-            update_top(R, t, support, probs, cfg.eps_R)
-            stats.labeled_updates += 1
-        elif bvsb(t) > cfg.theta_bvsb:
-            update_top(R, t, support, probs, cfg.eps_R)
-            stats.unlabeled_passed += 1
-        else:
-            stats.unlabeled_skipped += 1
-        t4 = perf()
-        stats.t_integrate += t1 - t0
-        stats.t_select += t2 - t1
-        stats.t_posterior += t3 - t2
-        stats.t_update += t4 - t3
+        idx = order[lo : lo + block]
+        I_block = Y[idx] @ logw.T
+        if not np.isfinite(I_block).all():
+            bad = lo + int(np.flatnonzero(~np.isfinite(I_block).all(axis=1))[0])
+            raise FloatingPointError(f"non-finite activation at epoch sample {bad}")
+        written.fill(False)
+        stats.t_integrate += perf() - t0
+        for j, i in enumerate(idx.tolist()):
+            t0 = perf()
+            y = Y[i]
+            I = I_block[j]
+            if j:
+                stale = np.flatnonzero(written)
+                I[stale] = logw[stale] @ y
+            t1 = perf()
+            support = select_truncation(I, c_prime)
+            t2 = perf()
+            probs = truncated_posterior(I, support)
+            label = int(labels[i])
+            t = class_activation(support, probs, R, None if label == UNLABELED else label)
+            t3 = perf()
+            update_bottom(W, support, probs, y, cfg.eps_W)
+            if support.size == w.shape[0]:
+                np.log(w, out=logw)
+            else:
+                logw[support] = np.log(w[support])
+                written[support] = True
+            stats.bottom_writes += support.size * w.shape[1]
+            if label != UNLABELED:
+                update_top(R, t, support, probs, cfg.eps_R)
+                stats.labeled_updates += 1
+            elif bvsb(t) > cfg.theta_bvsb:
+                update_top(R, t, support, probs, cfg.eps_R)
+                stats.unlabeled_passed += 1
+            else:
+                stats.unlabeled_skipped += 1
+            t4 = perf()
+            stats.t_integrate += t1 - t0
+            stats.t_select += t2 - t1
+            stats.t_posterior += t3 - t2
+            stats.t_update += t4 - t3
     return stats

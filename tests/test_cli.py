@@ -333,6 +333,18 @@ class TestExitCodes:
         assert f"epoch 1: {layer} row 0 sums to" in capsys.readouterr().err
         assert not (workspace / "x").exists()
 
+    def test_non_finite_weight_in_epoch_is_numeric_failure(self, workspace, monkeypatch, capsys):
+        real_epoch = harness.online_epoch
+
+        def poisoned_epoch(ds, W, R, cfg, rng):
+            W.W[0, 0] = np.inf
+            return real_epoch(ds, W, R, cfg, rng)
+
+        monkeypatch.setattr(harness, "online_epoch", poisoned_epoch)
+        assert main(train_args(workspace, workspace / "x")) == 3
+        assert "epoch 1: non-finite activation at epoch sample 0" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
     def test_missing_file_is_data_error(self, workspace):
         args = train_args(workspace, workspace / "x")
         args[args.index("--images") + 1] = str(workspace / "nope")

@@ -161,6 +161,14 @@ class TestTrain:
         with pytest.raises(ConfigError, match=f"{which} data was normalized to A=64.0"):
             train(train_ds, test_ds, cfg)
 
+    @pytest.mark.parametrize("which", ["training", "test"])
+    def test_data_of_other_class_count_rejected_naming_the_set(self, which):
+        train_ds, test_ds, cfg = small_problem()
+        other = preprocess(generate_mixture(5, 8, 240, seed=0)[0], 32.0, K=5)
+        train_ds, test_ds = (other, test_ds) if which == "training" else (train_ds, other)
+        with pytest.raises(ConfigError, match=f"config K=4 but {which} data has K=5"):
+            train(train_ds, test_ds, cfg)
+
     def test_learning_reduces_error(self):
         train_ds, test_ds, cfg = small_problem()
         sub = subsample_labels(train_ds, 4, seed=0)

@@ -27,7 +27,9 @@ from truncmix import (
     update_bottom,
     update_top,
 )
+from truncmix import learning
 from truncmix.data import Dataset
+from truncmix.inference import select_truncation
 from truncmix.learning import FreeEnergyTrace, init_from_data
 
 from conftest import (lgamma_sums, log_joint, random_observations, random_weights,
@@ -595,24 +597,49 @@ class TestOnlineEpoch:
         W.validate()
         R.validate()
 
+    def test_non_finite_weight_names_the_sample(self):
+        ds, cfg, W, R = online_setup()
+        W.W[1, 2] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite activation at epoch sample 0"):
+            online_epoch(ds, W, R, cfg, np.random.default_rng(0))
 
-def reference_online_epoch(ds, W, R, cfg, rng):
+
+def reference_online_epoch(ds, W, R, cfg, rng, blocked=True):
     """``online_epoch`` written with the plain formulas: a stable-sort top-C'
     with ties to the smaller index, a ``take_along_axis`` softmax, normalized
     support columns of R, a double gather/scatter bottom step, and a dense
-    ``np.outer`` top step.  Returns the gate counts and the number of samples
-    whose C'-th and (C'+1)-th largest activations tie."""
+    ``np.outer`` top step.
+
+    Integration is blocked as in ``online_epoch``: one GEMM per 16 (at most
+    C // C') consecutive points against log W at the block's start, then
+    ``logw[d] @ y`` for the rows d that the block's earlier points wrote.
+    ``blocked=False`` integrates every point by its own ``logw @ y``.
+    Returns the gate counts, the number of samples whose C'-th and
+    (C'+1)-th largest activations tie, and every sample's support."""
     w, r = W.W, R.R
     logw = np.log(w)
     counts = {"labeled_updates": 0, "unlabeled_passed": 0, "unlabeled_skipped": 0}
     ties = 0
-    for i in rng.permutation(ds.N):
+    supports, written = [], []
+    block = min(16, cfg.C // cfg.C_prime)
+    order = rng.permutation(ds.N)
+    for n, i in enumerate(order):
         y = ds.Y[i]
-        I = logw @ y
-        order = np.argsort(-I, kind="stable")
-        if cfg.C_prime < cfg.C and I[order[cfg.C_prime - 1]] == I[order[cfg.C_prime]]:
+        if not blocked:
+            I = logw @ y
+        else:
+            if n % block == 0:
+                snapshot = ds.Y[order[n : n + block]] @ logw.T
+                written = []
+            I = snapshot[n % block].copy()
+            if written:
+                d = np.unique(np.concatenate(written))
+                I[d] = logw[d] @ y
+        ranked = np.argsort(-I, kind="stable")
+        if cfg.C_prime < cfg.C and I[ranked[cfg.C_prime - 1]] == I[ranked[cfg.C_prime]]:
             ties += 1
-        support = np.sort(order[: cfg.C_prime])
+        support = np.sort(ranked[: cfg.C_prime])
+        supports.append(support)
         picked = np.take_along_axis(I, support, axis=-1)
         probs = np.exp(picked - picked.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
@@ -629,6 +656,7 @@ def reference_online_epoch(ds, W, R, cfg, rng):
         w[support] *= (1.0 - es)[:, None]
         w[support] += es[:, None] * y
         logw[support] = np.log(w[support])
+        written.append(support)
         top2 = np.sort(t)[-2:]
         if label != -1 or top2[1] - top2[0] > cfg.theta_bvsb:
             et = cfg.eps_R * t
@@ -637,7 +665,7 @@ def reference_online_epoch(ds, W, R, cfg, rng):
             counts["labeled_updates" if label != -1 else "unlabeled_passed"] += 1
         else:
             counts["unlabeled_skipped"] += 1
-    return counts, ties
+    return counts, ties, supports
 
 
 class TestOnlineEpochOracle:
@@ -668,10 +696,52 @@ class TestOnlineEpochOracle:
         W_ref, R_ref = copy_weights(W, R)
         for epoch in range(3):
             stats = online_epoch(ds, W, R, cfg, np.random.default_rng(epoch))
-            counts, ties = reference_online_epoch(ds, W_ref, R_ref, cfg,
-                                                  np.random.default_rng(epoch))
+            counts, ties, _ = reference_online_epoch(ds, W_ref, R_ref, cfg,
+                                                     np.random.default_rng(epoch))
             assert stats.gate_counts() == {**counts, "bottom_writes": ds.N * c_prime * 8}
             assert np.array_equal(W.W, W_ref.W) and np.array_equal(R.R, R_ref.R)
             if epoch == 0:
                 assert counts["unlabeled_passed"] and counts["unlabeled_skipped"]
                 assert ties > 0 or c_prime == cfg.C
+
+    @pytest.mark.parametrize("c_prime", [1, 3, 12])
+    def test_blocked_integrate_matches_per_point_matvec(self, c_prime, monkeypatch):
+        # Blocking changes rounding only: on a draw without ties every support
+        # and gate decision equals the per-point matvec's.  239 points leave a
+        # partial last block at B=12 (C'=1) and B=4 (C'=3); at C'=C, B=1.
+        # The blocked reference still matches bit for bit.
+        raw, _ = generate_mixture(4, 8, 239, seed=5)
+        ds = preprocess(raw, 32.0, K=4)
+        labels = np.where(np.arange(ds.N) % 3 == 0, ds.labels, -1)
+        ds = Dataset(ds.Y, labels, 4, 32.0)
+        cfg = ModelConfig(K=4, C=12, C_prime=c_prime, A=32.0, D=8,
+                          eps_W=0.05, eps_R=0.05, theta_bvsb=0.7, epochs=1, seed=0)
+        W = BottomWeights(ds.Y[:12].copy(), 32.0)
+        R0 = np.random.default_rng(5).random((4, 12)) ** 4
+        R = TopWeights(R0 / R0.sum(axis=1, keepdims=True))
+        W_ref, R_ref = copy_weights(W, R)
+        W_blk, R_blk = copy_weights(W, R)
+        seen = []
+
+        def recording_select(I, cp):
+            support = select_truncation(I, cp)
+            seen.append(support.copy())
+            return support
+
+        monkeypatch.setattr(learning, "select_truncation", recording_select)
+        for epoch in range(2):
+            seen.clear()
+            stats = online_epoch(ds, W, R, cfg, np.random.default_rng(epoch))
+            counts, ties, supports = reference_online_epoch(
+                ds, W_ref, R_ref, cfg, np.random.default_rng(epoch), blocked=False)
+            reference_online_epoch(ds, W_blk, R_blk, cfg, np.random.default_rng(epoch))
+            assert np.array_equal(W.W, W_blk.W) and np.array_equal(R.R, R_blk.R)
+            assert ties == 0
+            assert stats.gate_counts() == {**counts, "bottom_writes": ds.N * c_prime * 8}
+            assert all(np.array_equal(a, b) for a, b in zip(seen, supports, strict=True))
+            if c_prime == cfg.C:
+                assert np.array_equal(W.W, W_ref.W) and np.array_equal(R.R, R_ref.R)
+            else:
+                np.testing.assert_allclose(W.W, W_ref.W, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(R.R, R_ref.R, rtol=1e-12, atol=0.0)
+        assert counts["unlabeled_passed"] and counts["unlabeled_skipped"]
