@@ -1,5 +1,12 @@
 """Semi-supervised Poisson mixture classification with truncated variational EM."""
 
+import os
+
+# A BLAS GEMM rounds differently at each thread count, so pin one thread for
+# repeatable seeded runs; OpenBLAS reads these at numpy's first import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .core import (
     BottomWeights,
     ConfigError,

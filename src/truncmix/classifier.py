@@ -17,9 +17,9 @@ from .core import TopWeights
 def normalized_columns(R: np.ndarray, support=None) -> np.ndarray:
     """Columns of the K x C matrix R rescaled to sum to one over classes.
 
-    A column summing to zero gets the uniform 1/K fallback; that cannot
-    happen with uniform initialization and multiplicative updates, but the
-    fallback keeps the function total.
+    A column summing to zero gets the uniform 1/K fallback.  Such columns
+    occur at eps_R = 1, where a labeled update resets its class row to the
+    posterior: once every row was reset, columns outside those supports are 0.
     """
     cols = R if support is None else R[:, np.asarray(support, dtype=np.intp)]
     sums = cols.sum(axis=0)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -143,16 +144,19 @@ def cmd_synth(args) -> int:
 
 
 def _load_report(path) -> dict:
-    """A run report with a seed and a numeric final_error; anything else is
-    a DataError that names ``path``."""
+    """A run report with a seed and a finite numeric final_error; anything
+    else is a DataError that names ``path``."""
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as e:  # invalid JSON or not UTF-8
         raise DataError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict) or "seed" not in doc:
         raise DataError(f"{path}: not a run report")
-    if type(doc.get("final_error")) not in (int, float):
+    value = doc.get("final_error")
+    if type(value) not in (int, float):
         raise DataError(f"{path}: final_error is missing or not a number")
+    if type(value) is float and not math.isfinite(value):  # json.loads takes NaN, Infinity
+        raise DataError(f"{path}: final_error is {value}, not finite")
     return doc
 
 

@@ -127,7 +127,7 @@ class BottomWeights:
         if not np.allclose(sums, self.A, rtol=W_ROW_RTOL, atol=0.0):
             worst = int(np.argmax(np.abs(sums - self.A)))
             raise ConfigError(
-                f"W row {worst} sums to {sums[worst]!r}, expected {self.A!r}"
+                f"W row {worst} sums to {float(sums[worst])!r}, expected {float(self.A)!r}"
             )
 
     @property
@@ -157,7 +157,7 @@ class TopWeights:
         sums = self.R.sum(axis=1)
         if not np.all(np.abs(sums - 1.0) <= R_ROW_TOL):
             worst = int(np.argmax(np.abs(sums - 1.0)))
-            raise ConfigError(f"R row {worst} sums to {sums[worst]!r}, expected 1")
+            raise ConfigError(f"R row {worst} sums to {float(sums[worst])!r}, expected 1")
 
     @property
     def K(self) -> int:

@@ -7,7 +7,7 @@ meaning unlabeled.  Raw intensities are normalized to mass A at preprocess
 time; any positive rescaling of the raw data is absorbed by that step.
 """
 
-import struct
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,44 +85,28 @@ class Dataset:
         return int(np.sum(self.labels != UNLABELED))
 
 
-def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
-    if offset + 4 > len(buf):
-        raise DataError(f"truncated IDX file: {path}")
-    return struct.unpack_from(">I", buf, offset)[0]
-
-
-def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into an (N, rows*cols) uint8 matrix."""
+def _read_idx(path, magic: int) -> np.ndarray:
+    """Parse an IDX byte file into (n, prod(dims)) uint8; the magic's low byte is the rank."""
     with open(path, "rb") as f:
         buf = f.read()
-    magic = _read_be_u32(buf, 0, path)
-    if magic != IMAGE_MAGIC:
-        raise DataError(f"bad magic {magic:#010x} in {path}, expected {IMAGE_MAGIC:#010x}")
-    n = _read_be_u32(buf, 4, path)
-    rows = _read_be_u32(buf, 8, path)
-    cols = _read_be_u32(buf, 12, path)
-    if len(buf) != 16 + n * rows * cols:
+    found = int.from_bytes(buf[:4], "big")
+    if len(buf) >= 4 and found != magic:
+        raise DataError(f"bad magic {found:#010x} in {path}, expected {magic:#010x}")
+    ndim = magic & 0xFF
+    header = 4 + 4 * ndim
+    if len(buf) < header:
         raise DataError(f"truncated IDX file: {path}")
-    return np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(n, rows * cols)
-
-
-def load_idx_labels(path) -> np.ndarray:
-    """Parse an IDX label file into an (N,) int64 vector."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    magic = _read_be_u32(buf, 0, path)
-    if magic != LABEL_MAGIC:
-        raise DataError(f"bad magic {magic:#010x} in {path}, expected {LABEL_MAGIC:#010x}")
-    n = _read_be_u32(buf, 4, path)
-    if len(buf) != 8 + n:
+    n, *dims = np.frombuffer(buf, dtype=">u4", count=ndim, offset=4).tolist()
+    size = math.prod(dims)
+    if len(buf) != header + n * size:
         raise DataError(f"truncated IDX file: {path}")
-    return np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
+    return np.frombuffer(buf, dtype=np.uint8, offset=header).reshape(n, size)
 
 
 def load_idx(images_path, labels_path) -> RawDataset:
     """Load an IDX image/label pair; counts must agree across the files."""
-    X = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
+    X = _read_idx(images_path, IMAGE_MAGIC)
+    labels = _read_idx(labels_path, LABEL_MAGIC).astype(np.int64).ravel()
     if X.shape[0] != labels.shape[0]:
         raise DataError(
             f"image/label count mismatch: {X.shape[0]} images vs {labels.shape[0]} labels"
@@ -130,25 +114,25 @@ def load_idx(images_path, labels_path) -> RawDataset:
     return RawDataset(X, labels)
 
 
+def _write_idx(path, magic: int, items, dims):
+    """Write ``items``, values in [0, 255], as an IDX byte file of shape (len(items), *dims)."""
+    items = np.asarray(items)
+    if np.any(items < 0) or np.any(items > 255):
+        raise DataError(f"IDX values must lie in [0, 255], writing {path}")
+    with open(path, "wb") as f:
+        f.write(np.array([magic, len(items), *dims], dtype=">u4").tobytes())
+        f.write(np.ascontiguousarray(items, dtype=np.uint8).tobytes())
+
+
 def write_idx_images(path, X, rows: int, cols: int):
     """Write an (N, rows*cols) array of values in [0, 255] as an IDX image file."""
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[1] != rows * cols:
+    if np.ndim(X) != 2 or np.shape(X)[1] != rows * cols:
         raise DataError("images must be (N, rows*cols)")
-    if np.any(X < 0) or np.any(X > 255):
-        raise DataError("IDX image values must lie in [0, 255]")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, X.shape[0], rows, cols))
-        f.write(np.ascontiguousarray(X, dtype=np.uint8).tobytes())
+    _write_idx(path, IMAGE_MAGIC, X, (rows, cols))
 
 
 def write_idx_labels(path, labels):
-    labels = np.asarray(labels)
-    if np.any(labels < 0) or np.any(labels > 255):
-        raise DataError("IDX label values must lie in [0, 255]")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
-        f.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
+    _write_idx(path, LABEL_MAGIC, labels, ())
 
 
 def load_csv(path) -> RawDataset:

@@ -182,7 +182,7 @@ def compare_truncation(
     """Train once per truncation size with identical seed and initial weights.
 
     Returns {c_prime: (report, W, R)}.  All runs share the same init by
-    construction; this is asserted through the per-run init hashes.
+    design; this is asserted through the per-run init hashes.
     """
     values = [int(cp) for cp in c_prime_list]
     repeated = sorted({cp for cp in values if values.count(cp) > 1})
@@ -289,7 +289,15 @@ def load_weights(weights_dir) -> tuple[BottomWeights, TopWeights, ModelConfig]:
         R = np.load(d / "R.npy")
     except FileNotFoundError as e:
         raise DataError(f"not a weights directory: {weights_dir} ({e})") from e
-    for name, arr, want in (("W.npy", W, (cfg.C, cfg.D)), ("R.npy", R, (cfg.K, cfg.C))):
+    layers = []
+    for name, arr, want, build in (
+        ("W.npy", W, (cfg.C, cfg.D), lambda a: BottomWeights(a, cfg.A)),
+        ("R.npy", R, (cfg.K, cfg.C), TopWeights),
+    ):
         if arr.shape != want:
             raise DataError(f"{d / name} has shape {arr.shape}, config.json implies {want}")
-    return BottomWeights(W, cfg.A), TopWeights(R), cfg
+        try:
+            layers.append(build(arr))
+        except ConfigError as e:  # the values, not the config, are at fault
+            raise DataError(f"{d / name}: {e}") from e
+    return *layers, cfg

@@ -47,8 +47,7 @@ class FreeEnergyTrace:
         return np.array([v for _, v in self.entries], dtype=np.float64)
 
     def assert_monotone(self):
-        v = self.values()
-        for a, b, (it, _) in zip(v[:-1], v[1:], self.entries[1:]):
+        for (_, a), (it, b) in zip(self.entries, self.entries[1:]):
             if b < a - MONOTONE_RSLACK * abs(a):
                 raise MonotonicityError(
                     f"free energy fell from {a!r} to {b!r} at trace index {it}"
@@ -104,11 +103,7 @@ def update_top(
         r[k, support] += et[k] * probs
         return R
     r *= (1.0 - et)[:, None]
-    bump = np.outer(et, probs)
-    if support.size == r.shape[1] and np.array_equal(support, np.arange(support.size)):
-        r += bump
-    else:
-        r[:, support] += bump
+    r[:, support] += np.outer(et, probs)
     return R
 
 

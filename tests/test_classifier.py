@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from truncmix import TopWeights, bvsb, class_activation
+from truncmix import TopWeights, bvsb, class_activation, update_top
 from truncmix.classifier import normalized_columns
 
 
@@ -64,6 +64,17 @@ class TestClassActivation:
         np.testing.assert_allclose(t, [0.5, 0.5], rtol=1e-15)
         cols = normalized_columns(R.R)
         np.testing.assert_allclose(cols[:, 1], 0.5)
+
+    def test_zero_columns_from_labeled_updates_at_full_rate(self):
+        # At eps_R = 1 a labeled step sets its class row to the posterior, so
+        # once both classes were labeled the never-supported columns are zero.
+        R = TopWeights(np.full((2, 6), 1.0 / 6))
+        update_top(R, np.array([1.0, 0.0]), np.array([0, 1]), np.array([0.7, 0.3]), eps_R=1.0)
+        update_top(R, np.array([0.0, 1.0]), np.array([1, 2]), np.array([0.4, 0.6]), eps_R=1.0)
+        assert not R.R[:, 3:].any()
+        for c in range(3, 6):
+            t = class_activation(*posterior([c], [1.0]), R)
+            np.testing.assert_array_equal(t, [0.5, 0.5])
 
     def test_bad_label_rejected(self):
         R = TopWeights(np.full((3, 4), 0.25))

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import truncmix
 from truncmix import harness
 from truncmix.cli import main
 from truncmix.core import MonotonicityError
@@ -136,6 +139,7 @@ class TestCompareAndTools:
         ("no_seed", "not a run report"),
         ("no_final_error", "final_error is missing or not a number"),
         ("text_final_error", "final_error is missing or not a number"),
+        ("nan_final_error", "final_error is nan, not finite"),
     ])
     def test_aggregate_malformed_report_is_data_error(self, workspace, capsys, case, message):
         assert main(train_args(workspace, workspace / "a")) == 0
@@ -146,6 +150,8 @@ class TestCompareAndTools:
             del doc["final_error"]
         elif case == "text_final_error":
             doc["final_error"] = "low"
+        elif case == "nan_final_error":
+            doc["final_error"] = float("nan")
         text = {"not_json": '{"seed": 0,', "json_list": "[0.1, 0.2]"}.get(case, json.dumps(doc))
         bad = workspace / "bad.json"
         bad.write_text(text)
@@ -246,6 +252,24 @@ class TestExitCodes:
         ]) == 2
         err = capsys.readouterr().err
         assert "W.npy has shape (6, 8), config.json implies (5, 8)" in err
+
+    @pytest.mark.parametrize("name,message", [
+        ("W.npy", "W entries must be strictly positive"),
+        ("R.npy", "R entries must be nonnegative"),
+    ])
+    def test_corrupted_weight_values_are_data_error(self, workspace, capsys, name, message):
+        run = workspace / "run"
+        assert main(train_args(workspace, run)) == 0
+        arr = np.load(run / name)
+        arr[0, 0] = -1.0
+        np.save(run / name, arr)
+        capsys.readouterr()
+        assert main([
+            "eval", "--weights", str(run),
+            "--test-images", str(workspace / "te" / "images-idx3-ubyte"),
+            "--test-labels", str(workspace / "te" / "labels-idx1-ubyte"),
+        ]) == 2
+        assert f"data error: {run / name}: {message}" in capsys.readouterr().err
 
     def test_eval_on_data_of_other_dimension_is_data_error(self, workspace, square_run, capsys):
         assert main(train_args(workspace, workspace / "run")) == 0
@@ -364,3 +388,31 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert "usage" in proc.stderr
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="BLAS has one core either way")
+def test_seeded_run_independent_of_blas_thread_environment(tmp_path):
+    # A multi-threaded GEMM rounds differently from a single-threaded one;
+    # the package pins BLAS to one thread unless the environment says otherwise.
+    assert main([
+        "synth", "--clusters", "10", "--dim", "784", "--n", "800",
+        "--seed", "7", "--out", str(tmp_path / "d"),
+    ]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "K": 10, "C": 400, "C_prime": 15, "A": 900.0, "D": 784,
+        "eps_W": 0.1, "eps_R": 0.0025, "theta_bvsb": 0.6, "epochs": 1, "seed": 7,
+    }))
+    src = str(Path(truncmix.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    images, labels = (str(tmp_path / "d" / f) for f in ("images-idx3-ubyte", "labels-idx1-ubyte"))
+    cmd = [sys.executable, "-m", "truncmix.cli", "train", "--config", str(tmp_path / "cfg.json"),
+           "--images", images, "--labels", labels, "--test-images", images, "--test-labels", labels]
+    outputs = []
+    for i, env in enumerate((base, dict(base, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))):
+        out = tmp_path / f"run{i}"
+        proc = subprocess.run([*cmd, "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / f).read_bytes() for f in ("W.npy", "report.json")])
+    assert outputs[0] == outputs[1]

@@ -123,6 +123,14 @@ class TestWeightContainers:
         with pytest.raises(ConfigError, match="row 0"):
             TopWeights(np.array([[0.5, 0.6]]))
 
+    def test_row_sum_messages_print_plain_numbers(self):
+        with pytest.raises(ConfigError) as e:
+            BottomWeights(np.full((1, 4), 2.25), 10.0)
+        assert str(e.value) == "W row 0 sums to 9.0, expected 10.0"
+        with pytest.raises(ConfigError) as e:
+            TopWeights(np.array([[0.5, 0.75]]))
+        assert str(e.value) == "R row 0 sums to 1.25, expected 1"
+
 
 class TestInitWeights:
     def setup_method(self):

@@ -8,8 +8,6 @@ from truncmix import DataError, generate_mixture, load_csv, load_idx, preprocess
 from truncmix.data import (
     Dataset,
     UNLABELED,
-    load_idx_images,
-    load_idx_labels,
     write_idx_images,
     write_idx_labels,
 )
@@ -45,20 +43,34 @@ class TestIdxLoading:
         img, lab = write_golden_idx(tmp_path, [[1]], [0], rows=1, cols=1)
         data = bytearray(img.read_bytes())
         data[3] = 0x99
-        img.write_bytes(bytes(data))
+        bad = tmp_path / "bad"
+        bad.write_bytes(bytes(data))
         with pytest.raises(DataError, match="bad magic"):
-            load_idx_images(img)
+            load_idx(bad, lab)
         with pytest.raises(DataError, match="bad magic"):
-            load_idx_labels(img)
+            load_idx(img, bad)
 
     def test_truncated_file(self, tmp_path):
         img, lab = write_golden_idx(tmp_path, [[1, 2, 3, 4]], [0], rows=2, cols=2)
-        img.write_bytes(img.read_bytes()[:-2])
+        short_img, short_lab = tmp_path / "short_img", tmp_path / "short_lab"
+        short_img.write_bytes(img.read_bytes()[:-2])
         with pytest.raises(DataError, match="truncated"):
-            load_idx_images(img)
-        lab.write_bytes(lab.read_bytes()[:4])
+            load_idx(short_img, lab)
+        short_lab.write_bytes(lab.read_bytes()[:4])
         with pytest.raises(DataError, match="truncated"):
-            load_idx_labels(lab)
+            load_idx(img, short_lab)
+        empty = tmp_path / "empty"
+        empty.write_bytes(b"")
+        for pair in ((empty, lab), (img, empty)):
+            with pytest.raises(DataError, match="truncated"):
+                load_idx(*pair)
+
+    def test_swapped_paths_report_bad_magic(self, tmp_path):
+        # The 9-byte label file is shorter than an image header: the magic
+        # must be compared before the header length is required.
+        img, lab = write_golden_idx(tmp_path, [[1]], [0], rows=1, cols=1)
+        with pytest.raises(DataError, match=r"bad magic 0x00000801 .* expected 0x00000803"):
+            load_idx(lab, img)
 
     def test_count_mismatch(self, tmp_path):
         img, _ = write_golden_idx(tmp_path, [[1], [2]], [0, 1], rows=1, cols=1)
@@ -81,6 +93,9 @@ class TestIdxLoading:
     def test_writer_rejects_out_of_range(self, tmp_path):
         with pytest.raises(DataError, match="0, 255"):
             write_idx_images(tmp_path / "i", np.array([[300]]), 1, 1)
+        with pytest.raises(DataError, match="0, 255"):
+            write_idx_labels(tmp_path / "l", np.array([3, -1]))
+        assert not (tmp_path / "i").exists() and not (tmp_path / "l").exists()
 
 
 class TestCsv:

@@ -184,6 +184,14 @@ class TestUpdateTop:
         update_top(R, np.array([1.0, 0.3, 0.0]), self.support, self.probs, eps_R=0.9)
         np.testing.assert_allclose(R.R, before, rtol=0.0, atol=1e-16)
 
+    def test_dense_step_at_full_support_equals_formula(self):
+        t = np.array([0.5, 0.3, 0.2])
+        probs = np.random.default_rng(3).dirichlet(np.ones(8))
+        before = self.R.R.copy()
+        update_top(self.R, t, np.arange(8), probs, eps_R=0.7)
+        et = 0.7 * t
+        assert np.array_equal(self.R.R, before * (1.0 - et)[:, None] + np.outer(et, probs))
+
     def test_rate_precondition(self):
         with pytest.raises(ValueError, match="eps_R"):
             update_top(
@@ -475,6 +483,14 @@ class TestTvEm:
         trace.append(3, -101.0)
         with pytest.raises(MonotonicityError, match="trace index 3"):
             trace.assert_monotone()
+
+    def test_monotonicity_message_prints_plain_numbers(self):
+        trace = FreeEnergyTrace()
+        trace.append(1, -10.0)
+        trace.append(2, -11.5)
+        with pytest.raises(MonotonicityError) as e:
+            trace.assert_monotone()
+        assert str(e.value) == "free energy fell from -10.0 to -11.5 at trace index 2"
 
 
 class TestInitFromData:
