@@ -155,7 +155,11 @@ def _load_report(path) -> dict:
     value = doc.get("final_error")
     if type(value) not in (int, float):
         raise DataError(f"{path}: final_error is missing or not a number")
-    if type(value) is float and not math.isfinite(value):  # json.loads takes NaN, Infinity
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range, such as 10**400
+        raise DataError(f"{path}: final_error is an integer too large for a float") from None
+    if not finite:  # json.loads takes NaN and Infinity
         raise DataError(f"{path}: final_error is {value}, not finite")
     return doc
 

@@ -283,21 +283,24 @@ def save_run(out_dir, report: RunReport, W: BottomWeights, R: TopWeights):
 def load_weights(weights_dir) -> tuple[BottomWeights, TopWeights, ModelConfig]:
     """Load the weight arrays and config snapshot written by ``save_run``."""
     d = Path(weights_dir)
+    layers = []
     try:
         cfg = ModelConfig.from_json((d / "config.json").read_text())
-        W = np.load(d / "W.npy")
-        R = np.load(d / "R.npy")
+        for name, want, build in (
+            ("W.npy", (cfg.C, cfg.D), lambda a: BottomWeights(a, cfg.A)),
+            ("R.npy", (cfg.K, cfg.C), TopWeights),
+        ):
+            with open(d / name, "rb") as f:
+                try:  # .npy only: no pickle, no .npz archive
+                    arr = np.lib.format.read_array(f)
+                except ValueError as e:
+                    raise DataError(f"{d / name}: not a numeric .npy file ({e})") from e
+            if arr.shape != want:
+                raise DataError(f"{d / name} has shape {arr.shape}, config.json implies {want}")
+            try:
+                layers.append(build(arr))
+            except ValueError as e:  # the values, not the config, are at fault
+                raise DataError(f"{d / name}: {e}") from e
     except FileNotFoundError as e:
         raise DataError(f"not a weights directory: {weights_dir} ({e})") from e
-    layers = []
-    for name, arr, want, build in (
-        ("W.npy", W, (cfg.C, cfg.D), lambda a: BottomWeights(a, cfg.A)),
-        ("R.npy", R, (cfg.K, cfg.C), TopWeights),
-    ):
-        if arr.shape != want:
-            raise DataError(f"{d / name} has shape {arr.shape}, config.json implies {want}")
-        try:
-            layers.append(build(arr))
-        except ConfigError as e:  # the values, not the config, are at fault
-            raise DataError(f"{d / name}: {e}") from e
     return *layers, cfg

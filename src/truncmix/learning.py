@@ -28,7 +28,7 @@ from .data import Dataset, UNLABELED
 from .inference import integrate, select_truncation, truncated_posterior
 
 MONOTONE_RSLACK = 1e-8
-_L1_BLOCK = 64  # rows per block of init_from_data's distance pass
+_REFRESH = 16  # chosen rows per bound refresh of init_from_data
 _INTEGRATE_BLOCK = 16  # samples per integrate GEMM of online_epoch below C'=C
 
 
@@ -186,23 +186,32 @@ def init_from_data(Y, n_clusters: int, A: float, rng: np.random.Generator) -> Bo
     normalized observations, so they are positive and sum to A.  With
     well-separated data this covers every mixture component, which a
     uniform random choice of rows cannot guarantee.
+
+    The distances are refreshed lazily.  ``bound[n]`` is point n's L1
+    distance to the nearest of the first ``seen[n]`` chosen rows, so it never
+    lies below the distance to all of them.  The point with the largest
+    bound is refreshed against the next chosen rows until its bound is
+    current; then it is the farthest point.  Bounds only fall and ``min`` is
+    exact, so a tie goes to the smaller index, as ``np.argmax`` over the
+    exact distances gives it: the rows are bit-identical to an eager loop.
     """
-    if n_clusters > Y.shape[0]:
-        raise ValueError("need at least one observation per cluster")
-    N = Y.shape[0]
-    chosen = [int(rng.integers(0, N))]
-    dist = np.full(N, np.inf)  # L1 distance to the nearest chosen row
-    buf = np.empty((min(N, _L1_BLOCK), Y.shape[1]))
-    while len(chosen) < n_clusters:
-        row = Y[chosen[-1]]
-        for lo in range(0, N, _L1_BLOCK):
-            b = buf[: min(N - lo, _L1_BLOCK)]
-            np.subtract(Y[lo : lo + len(b)], row, out=b)
-            np.abs(b, out=b)
-            near = dist[lo : lo + len(b)]
-            np.minimum(near, b.sum(axis=1), out=near)
-        chosen.append(int(np.argmax(dist)))
-    return BottomWeights(Y[chosen].copy(), A)
+    N, D = Y.shape
+    if not 0 < n_clusters <= N:
+        raise ValueError(f"need 1 to N={N} clusters, one observation each, got {n_clusters}")
+    W = np.empty((n_clusters, D))
+    W[0] = Y[rng.integers(0, N)]
+    bound = np.full(N, np.inf)
+    seen = np.zeros(N, dtype=np.intp)
+    buf = np.empty((_REFRESH, D))
+    for k in range(1, n_clusters):
+        while seen[n := int(np.argmax(bound))] < k:
+            lo = seen[n]
+            b = buf[: min(k - lo, _REFRESH)]
+            np.abs(np.subtract(W[lo : lo + len(b)], Y[n], out=b), out=b)
+            bound[n] = min(bound[n], b.sum(axis=1).min())
+            seen[n] = lo + len(b)
+        W[k] = Y[n]
+    return BottomWeights(W, A)
 
 
 def tv_em_iteration(

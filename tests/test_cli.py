@@ -140,6 +140,7 @@ class TestCompareAndTools:
         ("no_final_error", "final_error is missing or not a number"),
         ("text_final_error", "final_error is missing or not a number"),
         ("nan_final_error", "final_error is nan, not finite"),
+        ("huge_int_final_error", "final_error is an integer too large for a float"),
     ])
     def test_aggregate_malformed_report_is_data_error(self, workspace, capsys, case, message):
         assert main(train_args(workspace, workspace / "a")) == 0
@@ -152,6 +153,8 @@ class TestCompareAndTools:
             doc["final_error"] = "low"
         elif case == "nan_final_error":
             doc["final_error"] = float("nan")
+        elif case == "huge_int_final_error":
+            doc["final_error"] = 10**400
         text = {"not_json": '{"seed": 0,', "json_list": "[0.1, 0.2]"}.get(case, json.dumps(doc))
         bad = workspace / "bad.json"
         bad.write_text(text)
@@ -270,6 +273,28 @@ class TestExitCodes:
             "--test-labels", str(workspace / "te" / "labels-idx1-ubyte"),
         ]) == 2
         assert f"data error: {run / name}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,message", [
+        ("bytes", "not a numeric .npy file"),
+        ("text", "could not convert string to float"),
+    ])
+    @pytest.mark.parametrize("name", ["W.npy", "R.npy"])
+    def test_non_numeric_weight_file_is_data_error(self, workspace, capsys, name, content, message):
+        run = workspace / "run"
+        assert main(train_args(workspace, run)) == 0
+        if content == "bytes":
+            (run / name).write_bytes(b"garbage")
+        else:  # a .npy of strings with the right shape
+            np.save(run / name, np.full(np.load(run / name).shape, "abc"))
+        capsys.readouterr()
+        assert main([
+            "eval", "--weights", str(run),
+            "--test-images", str(workspace / "te" / "images-idx3-ubyte"),
+            "--test-labels", str(workspace / "te" / "labels-idx1-ubyte"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {run / name}: {message}" in err
+        assert err.count("\n") == 1
 
     def test_eval_on_data_of_other_dimension_is_data_error(self, workspace, square_run, capsys):
         assert main(train_args(workspace, workspace / "run")) == 0

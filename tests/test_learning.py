@@ -7,6 +7,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from truncmix import (
@@ -493,19 +495,45 @@ class TestTvEm:
         assert str(e.value) == "free energy fell from -10.0 to -11.5 at trace index 2"
 
 
+def eager_farthest_point(Y, clusters, rng):
+    """Reference farthest-point loop: all N distances updated at every step."""
+    chosen = [int(rng.integers(0, len(Y)))]
+    dist = np.abs(Y - Y[chosen[0]]).sum(axis=1)
+    for _ in range(clusters - 1):
+        chosen.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, np.abs(Y - Y[chosen[-1]]).sum(axis=1))
+    return Y[chosen]
+
+
 class TestInitFromData:
     @pytest.mark.parametrize("n,clusters", [(150, 7), (64, 64), (5, 1)])
     def test_matches_unblocked_farthest_point_loop(self, n, clusters):
-        # 150 rows cover two full 64-row blocks and a partial one.
+        # 64 clusters refresh bounds across four 16-row chunks.
         Y = random_observations(np.random.default_rng(n), n, 9, 40.0)
-        rng = np.random.default_rng(3)
-        chosen = [int(rng.integers(0, n))]
-        dist = np.abs(Y - Y[chosen[0]]).sum(axis=1)
-        for _ in range(clusters - 1):
-            chosen.append(int(np.argmax(dist)))
-            dist = np.minimum(dist, np.abs(Y - Y[chosen[-1]]).sum(axis=1))
         W = init_from_data(Y, clusters, 40.0, np.random.default_rng(3))
-        assert np.array_equal(W.W, Y[chosen])
+        assert np.array_equal(W.W, eager_farthest_point(Y, clusters, np.random.default_rng(3)))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_eager_loop_with_duplicate_rows_and_tied_distances(self, data):
+        # Rows of 1 + (counts of m units over D columns) are small integers
+        # summing to A = D + m: duplicates and equal distances are common.
+        N = data.draw(st.integers(1, 40), label="N")
+        D = data.draw(st.integers(1, 5), label="D")
+        m = data.draw(st.integers(0, 6), label="m")
+        units = data.draw(arrays(np.int64, (N, m), elements=st.integers(0, D - 1)), label="units")
+        Y = 1.0 + np.stack([np.bincount(row, minlength=D) for row in units]).astype(np.float64)
+        clusters = data.draw(st.integers(1, N), label="clusters")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        W = init_from_data(Y, clusters, float(D + m), np.random.default_rng(seed))
+        assert np.array_equal(W.W, eager_farthest_point(Y, clusters, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("clusters", [0, 6])
+    def test_rejects_cluster_count_outside_one_to_n(self, clusters):
+        Y = random_observations(np.random.default_rng(0), 5, 4, 20.0)
+        message = f"need 1 to N=5 clusters, one observation each, got {clusters}"
+        with pytest.raises(ValueError, match=message):
+            init_from_data(Y, clusters, 20.0, np.random.default_rng(0))
 
 
 class TestFreeEnergyTrace:
