@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import ConfigError, DataError, OBS_SUM_RTOL
-from .inference import normalize_input
+from .inference import _ROW_BLOCK, normalize_input
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -77,8 +77,19 @@ class Dataset:
 
     @cached_property
     def lgamma_sums(self) -> np.ndarray:
-        """sum_d lgamma(y_d + 1) per observation; constant across training."""
-        return gammaln(self.Y + 1.0).sum(axis=1)
+        """sum_d lgamma(y_d + 1) per observation; constant across training.
+
+        Computed ``_ROW_BLOCK`` rows at a time in one scratch block; each
+        row's sum is the same as in one pass over all of Y.
+        """
+        out = np.empty(self.N)
+        buf = np.empty((min(self.N, _ROW_BLOCK), self.D))
+        for lo in range(0, self.N, _ROW_BLOCK):
+            rows = self.Y[lo : lo + _ROW_BLOCK]
+            b = buf[: len(rows)]
+            gammaln(np.add(rows, 1.0, out=b), out=b)
+            out[lo : lo + len(rows)] = b.sum(axis=1)
+        return out
 
     @property
     def n_labeled(self) -> int:

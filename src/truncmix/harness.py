@@ -9,6 +9,7 @@ out of the report document and written separately.
 import hashlib
 import json
 import math
+import resource
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -262,13 +263,18 @@ def aggregate(report_dicts) -> dict:
 
 
 def save_run(out_dir, report: RunReport, W: BottomWeights, R: TopWeights):
-    """Write report.json, timings.json, CSV traces, and the weight arrays."""
+    """Write report.json, timings.json, CSV traces, and the weight arrays.
+
+    timings.json holds the wall-clock fields: the per-epoch phase seconds
+    and the process's peak resident set size so far, ``peak_rss_mb``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json())
-    (out / "timings.json").write_text(
-        json.dumps({"per_epoch": report.timings}, sort_keys=True, indent=2) + "\n"
-    )
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    (out / "timings.json").write_text(json.dumps(
+        {"per_epoch": report.timings, "peak_rss_mb": peak_rss_mb}, sort_keys=True, indent=2
+    ) + "\n")
     for name, rows in (("free_energy", report.trace.entries),
                        ("test_error", enumerate(report.test_errors))):
         with open(out / f"{name}.csv", "w") as f:

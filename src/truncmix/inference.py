@@ -19,7 +19,7 @@ import numpy as np
 from .core import BottomWeights, DataError
 
 
-_SELECT_BLOCK = 256  # rows per block of a batch select: bounds its scratch memory
+_ROW_BLOCK = 256  # row block of the batch passes over the data: bounds their scratch memory
 
 
 def _reject_rows(bad: np.ndarray, what: str):
@@ -38,17 +38,21 @@ def normalize_input(raw, A: float) -> np.ndarray:
 
     y_d = (A - D) * raw_d / sum(raw) + 1, applied along the last axis.  The
     output sums to A and every component is >= 1, which keeps Poisson rates
-    learned from such data strictly positive.
+    learned from such data strictly positive.  ``raw`` is copied once into
+    the float64 output, which is then checked and rescaled in place.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    D = raw.shape[-1]
+    y = np.array(raw, dtype=np.float64)
+    D = y.shape[-1]
     if A <= D:
         raise DataError("A must exceed D")
-    _reject_rows(~np.isfinite(raw), "raw input has non-finite components")
-    _reject_rows(raw < 0.0, "raw input has negative components")
-    total = raw.sum(axis=-1, keepdims=True)
+    _reject_rows(~np.isfinite(y), "raw input has non-finite components")
+    _reject_rows(y < 0.0, "raw input has negative components")
+    total = y.sum(axis=-1, keepdims=True)
     _reject_rows(total <= 0.0, "degenerate input: zero total mass")
-    return (A - D) * raw / total + 1.0
+    y *= A - D
+    y /= total
+    y += 1.0
+    return y
 
 
 def integrate(W: BottomWeights, y) -> np.ndarray:
@@ -58,7 +62,9 @@ def integrate(W: BottomWeights, y) -> np.ndarray:
     """
     with np.errstate(divide="ignore"):
         I = np.asarray(y, dtype=np.float64) @ np.log(W.W).T
-    if not np.all(np.isfinite(I)):
+    # Every entry is finite exactly when the max and the min are (a NaN
+    # propagates to both), so no (N, C) boolean array is needed.
+    if I.size and not (np.isfinite(I.max()) and np.isfinite(I.min())):
         raise DataError("non-finite log activation (W must be positive, y finite)")
     return I
 
@@ -73,7 +79,7 @@ def select_truncation(I, c_prime: int) -> np.ndarray:
     outside its top set equal to the threshold, the sets are unique and are
     returned sorted; otherwise a tie rule fills the slots left above the
     threshold with its smallest-index equals.  A 2-D batch is selected in
-    blocks of ``_SELECT_BLOCK`` rows and returned as one compact array.
+    blocks of ``_ROW_BLOCK`` rows and returned as one compact array.
     """
     I = np.asarray(I)
     C = I.shape[-1]
@@ -84,9 +90,9 @@ def select_truncation(I, c_prime: int) -> np.ndarray:
         if I.ndim == 1:
             return idx
         return np.broadcast_to(idx, I.shape).copy()
-    if I.ndim == 2 and len(I) > _SELECT_BLOCK:
-        return np.concatenate([select_truncation(I[i:i + _SELECT_BLOCK], c_prime)
-                               for i in range(0, len(I), _SELECT_BLOCK)])
+    if I.ndim == 2 and len(I) > _ROW_BLOCK:
+        return np.concatenate([select_truncation(I[i:i + _ROW_BLOCK], c_prime)
+                               for i in range(0, len(I), _ROW_BLOCK)])
     top = np.argpartition(I, C - c_prime, axis=-1)[..., C - c_prime:]
     if I.ndim == 1:
         thresh = I[top[0]]

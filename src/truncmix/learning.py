@@ -25,7 +25,7 @@ from scipy.special import logsumexp
 from .classifier import bvsb, class_activation
 from .core import BottomWeights, ModelConfig, MonotonicityError, TopWeights
 from .data import Dataset, UNLABELED
-from .inference import integrate, select_truncation, truncated_posterior
+from .inference import _ROW_BLOCK, integrate, select_truncation, truncated_posterior
 
 MONOTONE_RSLACK = 1e-8
 _REFRESH = 16  # chosen rows per bound refresh of init_from_data
@@ -55,14 +55,17 @@ class FreeEnergyTrace:
 
 
 def update_bottom(
-    W: BottomWeights, support: np.ndarray, probs: np.ndarray, y: np.ndarray, eps_W: float
+    W: BottomWeights, logw: np.ndarray, support: np.ndarray, probs: np.ndarray, y: np.ndarray,
+    eps_W: float,
 ) -> BottomWeights:
-    """One Hebbian step on the bottom layer, in place.
+    """One Hebbian step on the bottom layer, in place, with its ``log W`` refresh.
 
     W_cd <- (1 - eps*s_c) W_cd + eps*s_c * y_d for the support rows only,
     where ``probs`` holds s on ``support`` (distinct indices); rows outside
     the support are untouched.  Row sums are conserved because both y and
-    every W row carry the same mass A.
+    every W row carry the same mass A.  ``logw`` holds log(W) and gets the
+    logs of the written rows; at full support it is the scratch for the
+    additive term before the log overwrites it.
     """
     if eps_W * probs.max() > 1.0:
         raise ValueError("eps_W * max(s) must not exceed 1")
@@ -70,12 +73,14 @@ def update_bottom(
     es = eps_W * probs
     if support.size == w.shape[0] and np.array_equal(support, np.arange(support.size)):
         w *= (1.0 - es)[:, None]
-        w += es[:, None] * y
+        w += np.multiply(es[:, None], y, out=logw)
+        np.log(w, out=logw)
     else:
         rows = w.take(support, axis=0)
         rows *= (1.0 - es)[:, None]
         rows += es[:, None] * y
         w[support] = rows
+        logw[support] = np.log(rows, out=rows)
     return W
 
 
@@ -108,16 +113,30 @@ def update_top(
 
 
 def _free_energy_at(I, W: BottomWeights, sets, lgamma_sums) -> float:
-    """Truncated free energy from the activations ``I = integrate(W, Y)``."""
+    """Truncated free energy from the activations ``I = integrate(W, Y)``.
+
+    The support joints are formed in blocks of ``_ROW_BLOCK * C // C'``
+    points, so a block holds at most ``_ROW_BLOCK * C`` joints, as a select
+    block does; only the per-point log-sum-exp vector spans all N, and it is
+    summed once.  At small C' the blocks are few, so the fixed per-call cost
+    of scipy's ``logsumexp`` stays off the pass.
+    """
     # Joints differ from activations only by terms constant across clusters
     # (row sums all equal A, lgamma term depends on the point alone).
-    lj_picked = (
-        np.take_along_axis(I, sets, axis=1)
-        - W.W.sum(axis=1)[sets]
-        - lgamma_sums[:, None]
-        - np.log(W.C)
-    )
-    return float(logsumexp(lj_picked, axis=1).sum())
+    row_sums = W.W.sum(axis=1)
+    per_point = np.empty(len(sets))
+    step = _ROW_BLOCK * W.C // sets.shape[1]
+    for lo in range(0, len(sets), step):
+        hi = lo + step
+        s = sets[lo:hi]
+        lj_picked = (
+            np.take_along_axis(I[lo:hi], s, axis=1)
+            - row_sums[s]
+            - lgamma_sums[lo:hi, None]
+            - np.log(W.C)
+        )
+        per_point[lo:hi] = logsumexp(lj_picked, axis=1)
+    return float(per_point.sum())
 
 
 def free_energy(Y, W: BottomWeights, sets, lgamma_sums) -> float:
@@ -173,9 +192,11 @@ def batch_m_step(
     S = csr_array((probs.ravel(), supports.ravel(), indptr), shape=(N, C))
     s_sum = np.bincount(supports.ravel(), weights=probs.ravel(), minlength=C)
     alive = s_sum > 0.0
-    W_new = prev_W.W.copy()
-    W_new[alive] = (S.T @ Y)[alive] / s_sum[alive, None]
-    return BottomWeights(W_new, A), int(np.sum(~alive))
+    W_new = S.T @ Y
+    np.divide(W_new, s_sum[:, None], out=W_new, where=alive[:, None])
+    dead = np.flatnonzero(~alive)
+    W_new[dead] = prev_W.W[dead]
+    return BottomWeights(W_new, A), int(dead.size)
 
 
 def init_from_data(Y, n_clusters: int, A: float, rng: np.random.Generator) -> BottomWeights:
@@ -343,12 +364,8 @@ def online_epoch(
             label = int(labels[i])
             t = class_activation(support, probs, R, None if label == UNLABELED else label)
             t3 = perf()
-            update_bottom(W, support, probs, y, cfg.eps_W)
-            if support.size == w.shape[0]:
-                np.log(w, out=logw)
-            else:
-                logw[support] = np.log(w[support])
-                written[support] = True
+            update_bottom(W, logw, support, probs, y, cfg.eps_W)
+            written[support] = True
             stats.bottom_writes += support.size * w.shape[1]
             if label != UNLABELED:
                 update_top(R, t, support, probs, cfg.eps_R)

@@ -145,7 +145,7 @@ def test_criterion_05_conservation():
         y = random_observations(rng, 1, D, A)[0]
         t = rng.dirichlet(np.ones(K))
         eps = float(rng.uniform(1e-4, 1.0))
-        tm.update_bottom(W, sup, probs, y, eps)
+        tm.update_bottom(W, np.log(W.W), sup, probs, y, eps)
         tm.update_top(R, t, sup, probs, eps)
     w_dev = float(np.max(np.abs(W.W.sum(axis=1) - A))) / A
     r_dev = float(np.max(np.abs(R.R.sum(axis=1) - 1.0)))
@@ -291,7 +291,8 @@ def test_criterion_09_complexity():
         before = W.W.copy()
         footprint = np.zeros(W.W.shape, dtype=bool)
         footprint[sup] = True
-        tm.update_bottom(W, sup, probs, random_observations(rng, 1, 30, 60.0)[0], 0.5)
+        tm.update_bottom(W, np.log(W.W), sup, probs,
+                         random_observations(rng, 1, 30, 60.0)[0], 0.5)
         exact = exact and int(footprint.sum()) == size * 30
         exact = exact and np.array_equal(W.W[~footprint], before[~footprint])
     ratio = times[15] / times[400]

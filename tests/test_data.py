@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from truncmix.data import (
     write_idx_images,
     write_idx_labels,
 )
+from truncmix.inference import _ROW_BLOCK
 
 from conftest import write_csv
 
@@ -147,11 +149,21 @@ class TestPreprocess:
             preprocess(raw, 9.0, K=2)  # label 2 out of range
 
     def test_lgamma_cache_matches_direct(self):
-        raw, _ = generate_mixture(3, 6, 20, seed=2)
-        ds = preprocess(raw, 24.0, K=3)
-        np.testing.assert_allclose(
-            ds.lgamma_sums, gammaln(ds.Y + 1.0).sum(axis=1), rtol=1e-15
-        )
+        # 513 rows: the last 256-row block holds one row.  Bit for bit.
+        raw, _ = generate_mixture(3, 150, 513, seed=2)
+        ds = preprocess(raw, 600.0, K=3)
+        assert np.array_equal(ds.lgamma_sums, gammaln(ds.Y + 1.0).sum(axis=1))
+
+    def test_lgamma_peak_is_output_plus_two_blocks(self):
+        raw, _ = generate_mixture(3, 64, 4000, seed=4)
+        ds = preprocess(raw, 256.0, K=3)
+        tracemalloc.start()
+        try:
+            out = ds.lgamma_sums
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * _ROW_BLOCK * ds.D * 8
 
     def test_examples_view(self):
         raw, _ = generate_mixture(3, 6, 10, seed=3)

@@ -1,4 +1,5 @@
 import json
+import resource
 from dataclasses import replace
 
 import numpy as np
@@ -295,6 +296,19 @@ class TestSaveLoad:
         for line, (epoch, err) in zip(te[1:], enumerate(report.test_errors)):
             e_str, v_str = line.split(",")
             assert int(e_str) == epoch and float(v_str) == err
+
+    def test_timings_hold_phases_and_peak_rss(self, tmp_path):
+        train_ds, test_ds, cfg = small_problem()
+        report, W, R = train(train_ds, test_ds, replace(cfg, epochs=2))
+        save_run(tmp_path / "run", report, W, R)
+        timings = json.loads((tmp_path / "run" / "timings.json").read_text())
+        assert set(timings) == {"per_epoch", "peak_rss_mb"}
+        assert timings["per_epoch"] == report.timings
+        # The process's peak so far, in ru_maxrss KiB / 1024: it cannot
+        # exceed the peak read after the save.
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        assert 0.0 < timings["peak_rss_mb"] <= after
+        assert "peak_rss_mb" not in (tmp_path / "run" / "report.json").read_text()
 
     def test_top_shape_checked_against_config(self, tmp_path):
         train_ds, test_ds, cfg = small_problem()

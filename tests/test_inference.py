@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ class TestNormalizeInput:
         assert y.dtype == np.float64
         np.testing.assert_array_equal(y, expected)
         np.testing.assert_array_equal(raw, before)
+
+    def test_uint8_peak_stays_below_one_and_a_half_outputs(self):
+        # One float64 copy of raw is the output; the checks add boolean
+        # arrays at one byte per entry.  Three float64 temporaries would not fit.
+        raw = np.random.default_rng(17).integers(0, 256, size=(2000, 784)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            y = normalize_input(raw, 900.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * y.nbytes
 
     def test_zero_mass_rejected(self):
         with pytest.raises(DataError, match="zero total mass"):
@@ -144,6 +157,20 @@ class TestIntegrate:
         W.W[0, 0] = 0.0  # mutated in place past its positivity invariant
         with pytest.raises(DataError, match="non-finite"):
             integrate(W, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad,I_bad", [
+        ([np.nan, 1.0], np.nan),
+        ([np.inf, 1.0], np.inf),     # log W_c0 = log 2 > 0 in every row
+        ([1.0, np.inf], -np.inf),    # log W_c1 = log 0.5 < 0 in every row
+    ])
+    def test_one_non_finite_activation_in_a_batch_rejected(self, bad, I_bad):
+        W = BottomWeights(np.array([[2.0, 0.5], [2.0, 0.5]]), 2.5)
+        Y = np.array([[1.5, 1.0], bad, [1.0, 1.5]])
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal((Y @ np.log(W.W).T)[1], [I_bad, I_bad], equal_nan=True)
+        with pytest.raises(DataError, match="non-finite"):
+            integrate(W, Y)
+        assert np.all(np.isfinite(integrate(W, Y[[0, 2]])))
 
 
 class TestSelectTruncation:

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.special import logsumexp
 
 from truncmix import (
     BottomWeights,
@@ -96,7 +98,7 @@ class TestUpdateBottom:
     def test_rows_outside_support_untouched(self):
         before = self.W.W.copy()
         s = np.array([1, 3]), np.array([0.25, 0.75])
-        update_bottom(self.W, *s, self.y, eps_W=0.5)
+        update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=0.5)
         untouched = [0, 2, 4, 5]
         assert np.array_equal(self.W.W[untouched], before[untouched])
         assert not np.array_equal(self.W.W[[1, 3]], before[[1, 3]])
@@ -109,31 +111,32 @@ class TestUpdateBottom:
         mask[support] = True
         assert mask.sum() == support.size * self.W.D
         before = self.W.W.copy()
-        update_bottom(self.W, support, np.array([0.5, 0.5]), self.y, eps_W=0.3)
+        update_bottom(self.W, np.log(self.W.W), support, np.array([0.5, 0.5]), self.y,
+                      eps_W=0.3)
         assert np.array_equal(self.W.W[~mask], before[~mask])
 
     def test_fixed_point_when_row_equals_input(self):
         self.W.W[2] = self.y
         before = self.W.W[2].copy()
         s = np.array([2]), np.array([1.0])
-        update_bottom(self.W, *s, self.y, eps_W=0.7)
+        update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=0.7)
         np.testing.assert_allclose(self.W.W[2], before, rtol=1e-14)
 
     def test_row_sums_conserved(self):
         s = np.array([0, 1, 2]), np.array([0.2, 0.3, 0.5])
-        update_bottom(self.W, *s, self.y, eps_W=0.9)
+        update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=0.9)
         np.testing.assert_allclose(self.W.W.sum(axis=1), 15.0, rtol=1e-12)
 
     def test_positivity_preserved_at_full_rate(self):
         s = np.array([1]), np.array([1.0])
-        update_bottom(self.W, *s, self.y, eps_W=1.0)
+        update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=1.0)
         assert np.all(self.W.W > 0.0)
         np.testing.assert_allclose(self.W.W[1], self.y, rtol=1e-14)
 
     def test_rate_precondition(self):
         s = np.array([1]), np.array([1.0])
         with pytest.raises(ValueError, match="eps_W"):
-            update_bottom(self.W, *s, self.y, eps_W=1.0 + 1e-9)
+            update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=1.0 + 1e-9)
 
     def test_full_support_fast_path_matches_fancy_path(self):
         rng = np.random.default_rng(1)
@@ -141,13 +144,23 @@ class TestUpdateBottom:
         wb = Wa.W.copy()
         y = random_observations(rng, 1, 4, 10.0)[0]
         probs = rng.dirichlet(np.ones(5))
-        update_bottom(Wa, np.arange(5), probs, y, 0.4)
+        update_bottom(Wa, np.log(Wa.W), np.arange(5), probs, y, 0.4)
         # Same support presented in an order that defeats the fast path.
         es = 0.4 * probs
         rows = np.array([4, 2, 0, 1, 3])
         wb[rows] *= (1.0 - es[rows])[:, None]
         wb[rows] += es[rows][:, None] * y
         np.testing.assert_array_equal(Wa.W, wb)
+
+    @pytest.mark.parametrize("support", [[1, 3], [0, 1, 2, 3, 4, 5]])
+    def test_refreshes_log_w_bit_for_bit(self, support):
+        # The partial path logs the rows it wrote; the full path uses log W
+        # as scratch for the additive term before logging every row.
+        support = np.array(support)
+        probs = np.random.default_rng(3).dirichlet(np.ones(support.size))
+        logw = np.log(self.W.W)
+        update_bottom(self.W, logw, support, probs, self.y, eps_W=0.6)
+        assert np.array_equal(logw, np.log(self.W.W))
 
 
 class TestUpdateTop:
@@ -240,6 +253,33 @@ class TestFreeEnergy:
             f = free_energy(Y, W, batch_e_step(Y, W, cp), lg)
             assert f <= ll + 1e-9 * abs(ll)
         assert free_energy(Y, W, batch_e_step(Y, W, 8), lg) == pytest.approx(ll, rel=1e-14)
+
+    @pytest.mark.parametrize("c_prime", [1, 3, 11, 12])
+    def test_blocked_equals_unblocked_formula(self, c_prime):
+        # A block holds 256 * C // C' of the 513 points: one block at C' <= 3,
+        # 279 + 234 points at C'=11, and 256 + 256 + 1 at C'=C.
+        rng = np.random.default_rng(18)
+        W = random_weights(rng, 12, 9, 20.0)
+        Y = random_observations(rng, 513, 9, 20.0)
+        sets, lg = batch_e_step(Y, W, c_prime), lgamma_sums(Y)
+        lj = (np.take_along_axis(integrate(W, Y), sets, axis=1) - W.W.sum(axis=1)[sets]
+              - lg[:, None] - np.log(W.C))
+        assert free_energy(Y, W, sets, lg) == float(logsumexp(lj, axis=1).sum())
+
+    def test_full_sets_peak_is_one_activation_matrix_plus_blocks(self):
+        # The unblocked pass peaked at about seven (N, C) arrays, I included.
+        rng = np.random.default_rng(19)
+        N, C, D = 8000, 100, 8
+        W = random_weights(rng, C, D, 20.0)
+        Y = random_observations(rng, N, D, 20.0)
+        full, lg = np.tile(np.arange(C), (N, 1)), lgamma_sums(Y)
+        tracemalloc.start()
+        try:
+            free_energy(Y, W, full, lg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * N * C * 8
 
 
 class TestBatchESet:
@@ -348,6 +388,26 @@ class TestBatchMStep:
         message = re.escape(str(sup_shape)) + ".*" + re.escape(str(probs_shape))
         with pytest.raises(ValueError, match=message):
             batch_m_step(Y, (sup, probs), 8.0, W)
+
+    def test_equals_unblocked_formula_with_a_dead_cluster(self):
+        # Cluster 5 is in no support; 513 points as in the free-energy test.
+        rng = np.random.default_rng(20)
+        N, C, cp, D = 513, 8, 3, 6
+        W = random_weights(rng, C, D, 14.0)
+        Y = random_observations(rng, N, D, 14.0)
+        sup = np.sort(np.argsort(rng.random((N, C - 1)), axis=1)[:, :cp], axis=1)
+        sup[sup >= 5] += 1
+        probs = rng.dirichlet(np.ones(cp), size=N)
+        before = W.W.copy()
+        W_new, dead = batch_m_step(Y, (sup, probs), 14.0, W)
+        S = csr_array((probs.ravel(), sup.ravel(), np.arange(N + 1) * cp), shape=(N, C))
+        s_sum = np.bincount(sup.ravel(), weights=probs.ravel(), minlength=C)
+        alive = s_sum > 0.0
+        want = before.copy()
+        want[alive] = (S.T @ Y)[alive] / s_sum[alive, None]
+        assert dead == 1 and not alive[5]
+        assert np.array_equal(W_new.W, want)
+        assert np.array_equal(W.W, before)
 
     def test_memory_scales_with_support_not_clusters(self):
         # A dense N x C responsibility matrix alone would be N*C*8 bytes.

@@ -36,7 +36,7 @@ def test_span_selftest():
     selftest.check()
 
 
-def test_tvem_rep_runs_on_tiny_draw():
+def run_tiny_tvem_rep(targets):
     raw, _ = generate_mixture(10, 16, 900, seed=3)
     train, test = (
         preprocess(RawDataset(raw.X[rows], raw.labels[rows]), 900.0, 10)
@@ -44,9 +44,22 @@ def test_tvem_rep_runs_on_tiny_draw():
     )
     W0 = init_from_data(train.Y, workloads.C, 900.0, np.random.default_rng(0))
     gate = workloads.Gate()
-    rep = workloads.tvem_rep(workloads.WORKLOADS["tvem"], train, test, W0,
-                             workloads.BOUNDARY, gate)
+    rep = workloads.tvem_rep(workloads.WORKLOADS["tvem"], train, test, W0, targets, gate)
     assert rep["ok"], gate.reasons
+    assert gate.failed == 0, gate.reasons
+    return rep, gate
+
+
+def test_tvem_rep_runs_on_tiny_draw():
+    run_tiny_tvem_rep(workloads.BOUNDARY)
+
+
+def test_traced_tvem_rep_reconciles_on_tiny_draw():
+    # The traced rep also calls the per-call work callbacks (integrate's
+    # flop count takes exactly (W, y)), so an extra argument at a traced
+    # call site fails here.
+    rep, gate = run_tiny_tvem_rep(workloads.TRACED)
+    workloads.reconcile(workloads.WORKLOADS["tvem"], rep, gate)
     assert gate.failed == 0, gate.reasons
 
 
