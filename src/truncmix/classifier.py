@@ -14,14 +14,14 @@ import numpy as np
 from .core import TopWeights
 
 
-def normalized_columns(R: np.ndarray, support=None) -> np.ndarray:
+def normalized_columns(R: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
     """Columns of the K x C matrix R rescaled to sum to one over classes.
 
     A column summing to zero gets the uniform 1/K fallback.  Such columns
     occur at eps_R = 1, where a labeled update resets its class row to the
     posterior: once every row was reset, columns outside those supports are 0.
     """
-    cols = R if support is None else R[:, np.asarray(support, dtype=np.intp)]
+    cols = R if support is None else R[:, support]
     sums = cols.sum(axis=0)
     if sums.all():
         return cols / sums
@@ -47,9 +47,8 @@ def class_activation(support, probs, R: TopWeights, label: int | None = None) ->
     return normalized_columns(R.R, support) @ probs
 
 
-def bvsb(t) -> float:
+def bvsb(t: np.ndarray) -> float:
     """Best-versus-second-best margin: max(t) minus the runner-up entry."""
-    t = np.asarray(t, dtype=np.float64)
     if t.shape[-1] < 2:
         raise ValueError("BvSB undefined for single class")
     part = np.partition(t, t.shape[-1] - 2)

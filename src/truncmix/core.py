@@ -8,8 +8,8 @@ plain numpy plus validation; the math lives in `inference`, `learning` and
 """
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
-from numbers import Real
 
 import numpy as np
 
@@ -55,32 +55,28 @@ class ModelConfig:
 
     def __post_init__(self):
         """Raise ConfigError naming the first violated invariant, so every
-        instance, however it was built, is a valid configuration."""
-        def _int(name, value, minimum):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer")
-            if value < minimum:
+        instance, however it was built, is a valid configuration that
+        ``to_json`` can write.  Integer fields take an ``int``, real fields an
+        ``int`` or a ``float``; a ``bool`` is neither."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = (int,) if f.type is int else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if f.type is int else "a real number"
+                raise ConfigError(f"{f.name} must be {what}")
+        for name, minimum in (("K", 2), ("C", 1), ("C_prime", 1), ("D", 1), ("epochs", 0),
+                              ("seed", -(2**63))):
+            if getattr(self, name) < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}")
-
-        for name in ("A", "eps_W", "eps_R", "theta_bvsb"):
-            value = getattr(self, name)
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a real number")
-        _int("K", self.K, 2)
-        _int("C", self.C, 1)
-        _int("C_prime", self.C_prime, 1)
         if self.C_prime > self.C:
             raise ConfigError("C_prime must not exceed C")
-        _int("D", self.D, 1)
-        if not np.isfinite(self.A) or self.A <= self.D:
-            raise ConfigError("A must exceed D")
+        if not self.D < self.A <= sys.float_info.max:
+            raise ConfigError("A must exceed D and be finite")
         for name, eps in (("eps_W", self.eps_W), ("eps_R", self.eps_R)):
             if not (0.0 < eps <= 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1]")
         if not (0.0 <= self.theta_bvsb <= 1.0):
             raise ConfigError("theta_bvsb must lie in [0, 1]")
-        _int("epochs", self.epochs, 0)
-        _int("seed", self.seed, -(2**63))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

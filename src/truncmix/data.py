@@ -150,11 +150,15 @@ def load_csv(path) -> RawDataset:
     """Load ``label,p0,...,p{D-1}`` rows; label -1 marks unlabeled examples.
 
     Labels must be integers; the first offending data row (counted from 0
-    after the header) is named in the DataError.
+    after the header) is named in the DataError.  A ragged row or a
+    non-numeric field is a DataError naming the file.
     """
     with open(path, "r") as f:
         header = f.readline().strip()
-        body = np.loadtxt(f, delimiter=",", ndmin=2)
+        try:
+            body = np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError as e:
+            raise DataError(f"malformed CSV {path}: {e}") from e
     names = header.split(",")
     if body.size == 0:
         raise DataError(f"empty CSV: {path}")

@@ -11,7 +11,7 @@ import json
 import math
 import resource
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .classifier import normalized_columns
 from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights, init_weights
 from .data import Dataset, UNLABELED
 from .inference import integrate, select_truncation, softmax_inplace, truncated_posterior
-from .learning import EpochStats, FreeEnergyTrace, batch_e_step, free_energy, online_epoch
+from .learning import FreeEnergyTrace, batch_e_step, free_energy, online_epoch
 
 _CHUNK = 16384
 
@@ -39,7 +39,7 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": json.loads(self.config.to_json()),
+            "config": asdict(self.config),
             "seed": self.config.seed,
             "n_labeled": self.n_labeled,
             "init_hash": self.init_hash,
@@ -55,8 +55,8 @@ class RunReport:
 
 def weights_hash(W: BottomWeights, R: TopWeights) -> str:
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(W.W).tobytes())
-    h.update(np.ascontiguousarray(R.R).tobytes())
+    h.update(W.W.tobytes())
+    h.update(R.R.tobytes())
     return h.hexdigest()
 
 
@@ -144,20 +144,19 @@ def train(
     gate_stats, timings = [], []
     for epoch in range(1, cfg.epochs + 1):
         try:
-            stats: EpochStats = online_epoch(train_ds, W, R, cfg, rng)
+            gates, phases = online_epoch(train_ds, W, R, cfg, rng)
             W.validate()
             R.validate()
         except (ConfigError, FloatingPointError) as e:
             raise FloatingPointError(f"epoch {epoch}: {e}") from e
-        gate_stats.append(stats.gate_counts())
-        timings.append(stats.timings())
+        gate_stats.append(gates)
+        timings.append(phases)
         test_errors.append(evaluate(test_ds, W, R, cfg.C_prime))
         record_trace(epoch)
         if verbose:
-            took = sum(stats.timings().values())
             print(
                 f"epoch {epoch}/{cfg.epochs}  test_error={test_errors[-1]:.4f}"
-                f"  gated={stats.unlabeled_skipped}  [{took:.1f}s]",
+                f"  gated={gates['unlabeled_skipped']}  [{sum(phases.values()):.1f}s]",
                 file=sys.stderr,
             )
 
@@ -177,7 +176,7 @@ def compare_truncation(
     train_ds: Dataset,
     test_ds: Dataset,
     cfg: ModelConfig,
-    c_prime_list,
+    c_prime_list: list[int],
     trace_every: int = 1,
 ) -> dict:
     """Train once per truncation size with identical seed and initial weights.
@@ -185,15 +184,14 @@ def compare_truncation(
     Returns {c_prime: (report, W, R)}.  All runs share the same init by
     design; this is asserted through the per-run init hashes.
     """
-    values = [int(cp) for cp in c_prime_list]
-    repeated = sorted({cp for cp in values if values.count(cp) > 1})
+    repeated = sorted({cp for cp in c_prime_list if c_prime_list.count(cp) > 1})
     if repeated:
         raise ConfigError(f"C' values listed more than once: {', '.join(map(str, repeated))}")
-    outside = sorted({cp for cp in values if not 1 <= cp <= cfg.C})
+    outside = sorted({cp for cp in c_prime_list if not 1 <= cp <= cfg.C})
     if outside:
         raise ConfigError(f"C' values out of range [1, {cfg.C}]: {', '.join(map(str, outside))}")
     results = {}
-    for cp in values:
+    for cp in c_prime_list:
         results[cp] = train(train_ds, test_ds, replace(cfg, C_prime=cp), trace_every=trace_every)
     hashes = {r[0].init_hash for r in results.values()}
     if len(hashes) > 1:
@@ -291,7 +289,10 @@ def load_weights(weights_dir) -> tuple[BottomWeights, TopWeights, ModelConfig]:
     d = Path(weights_dir)
     layers = []
     try:
-        cfg = ModelConfig.from_json((d / "config.json").read_text())
+        try:
+            cfg = ModelConfig.from_json((d / "config.json").read_text())
+        except ConfigError as e:
+            raise DataError(f"{d / 'config.json'}: {e}") from e
         for name, want, build in (
             ("W.npy", (cfg.C, cfg.D), lambda a: BottomWeights(a, cfg.A)),
             ("R.npy", (cfg.K, cfg.C), TopWeights),

@@ -55,13 +55,13 @@ def normalize_input(raw, A: float) -> np.ndarray:
     return y
 
 
-def integrate(W: BottomWeights, y) -> np.ndarray:
+def integrate(W: BottomWeights, y: np.ndarray) -> np.ndarray:
     """Log-domain input integration: I_c = sum_d log(W_cd) * y_d.
 
     ``y`` may be a single D-vector or an (N, D) batch; returns (C,) or (N, C).
     """
     with np.errstate(divide="ignore"):
-        I = np.asarray(y, dtype=np.float64) @ np.log(W.W).T
+        I = y @ np.log(W.W).T
     # Every entry is finite exactly when the max and the min are (a NaN
     # propagates to both), so no (N, C) boolean array is needed.
     if I.size and not (np.isfinite(I.max()) and np.isfinite(I.min())):
@@ -69,7 +69,7 @@ def integrate(W: BottomWeights, y) -> np.ndarray:
     return I
 
 
-def select_truncation(I, c_prime: int) -> np.ndarray:
+def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
     """Indices of the ``c_prime`` largest entries along the last axis.
 
     Ties go to the smaller index and the indices are ascending, so the
@@ -81,7 +81,6 @@ def select_truncation(I, c_prime: int) -> np.ndarray:
     threshold with its smallest-index equals.  A 2-D batch is selected in
     blocks of ``_ROW_BLOCK`` rows and returned as one compact array.
     """
-    I = np.asarray(I)
     C = I.shape[-1]
     if not 1 <= c_prime <= C:
         raise ValueError(f"c_prime must lie in [1, {C}], got {c_prime}")
@@ -113,7 +112,7 @@ def select_truncation(I, c_prime: int) -> np.ndarray:
     return idx.reshape(I.shape[:-1] + (c_prime,))
 
 
-def truncated_posterior(I, sets) -> np.ndarray:
+def truncated_posterior(I: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """Softmax of ``I`` restricted to ``sets``, in the log domain.
 
     ``sets`` indexes the last axis of ``I``: a 1-D support for one
@@ -122,8 +121,6 @@ def truncated_posterior(I, sets) -> np.ndarray:
     aligned with ``sets``; entries may underflow to 0.0 when activation gaps
     within a support exceed the float64 exponent range.
     """
-    I = np.asarray(I, dtype=np.float64)
-    sets = np.asarray(sets, dtype=np.intp)
     if sets.min() < 0 or sets.max() >= I.shape[-1]:
         raise ValueError("support indices out of range")
     if I.ndim == sets.ndim == 1:

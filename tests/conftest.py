@@ -76,7 +76,7 @@ def write_csv(path, X, labels):
 def worst_relative_decrease(trace) -> float:
     """Largest per-step drop of a FreeEnergyTrace, normalized by |previous
     value|; 0 if none."""
-    v = trace.values()
+    v = np.array([v for _, v in trace.entries], dtype=np.float64)
     if v.size < 2:
         return 0.0
     drops = (v[:-1] - v[1:]) / np.abs(v[:-1])

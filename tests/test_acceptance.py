@@ -276,9 +276,9 @@ def test_criterion_09_complexity():
                              eps_W=0.001, eps_R=0.001, theta_bvsb=0.6,
                              epochs=1, seed=0)
         W, R = tm.init_weights(cfg, ds.Y, np.random.default_rng(0))
-        stats = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
-        times[cp] = stats.t_update
-        assert stats.bottom_writes == ds.N * cp * 784
+        gates, phases = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
+        times[cp] = phases["update"]
+        assert gates["bottom_writes"] == ds.N * cp * 784
 
     # Independent write-count instrumentation: the entries an update may
     # touch are exactly support x D, verified against a boolean footprint.
@@ -321,14 +321,14 @@ def test_criterion_10_gate_behavior():
                          theta_bvsb=1.0, epochs=1, seed=0)
     W, R = tm.init_weights(cfg, ds.Y, np.random.default_rng(0))
     before = R.R.copy()
-    stats = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
-    labeled_ok = stats.labeled_updates == ds.N and not np.array_equal(R.R, before)
+    gates, _ = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
+    labeled_ok = gates["labeled_updates"] == ds.N and not np.array_equal(R.R, before)
 
     unlabeled = Dataset(ds.Y, np.full(ds.N, -1, dtype=np.int64), 4, 32.0)
     W2, R2 = tm.init_weights(cfg, ds.Y, np.random.default_rng(0))
-    stats2 = online_epoch(unlabeled, W2, R2, cfg, np.random.default_rng(0))
-    blocked_ok = stats2.unlabeled_passed == 0 and np.all(R2.R == 1.0 / 6)
+    gates2, _ = online_epoch(unlabeled, W2, R2, cfg, np.random.default_rng(0))
+    blocked_ok = gates2["unlabeled_passed"] == 0 and np.all(R2.R == 1.0 / 6)
 
     check(10, gate_ok and labeled_ok and blocked_ok,
           f"one-hot passes any theta<1, uniform never passes theta>0, labeled "
-          f"updates applied at theta=1 ({stats.labeled_updates}/{ds.N})")
+          f"updates applied at theta=1 ({gates['labeled_updates']}/{ds.N})")

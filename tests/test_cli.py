@@ -296,6 +296,41 @@ class TestExitCodes:
         assert f"data error: {run / name}: {message}" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "config is not valid JSON"),
+        ("[]", "config JSON must be an object"),
+        ('{"K": 4}', "missing config keys"),
+        (json.dumps({**CFG, "A": 4.0}), "A must exceed D"),
+    ], ids=["not-json", "not-object", "missing-keys", "broken-rule"])
+    def test_bad_weights_config_is_data_error(self, workspace, capsys, text, message):
+        run = workspace / "run"
+        assert main(train_args(workspace, run)) == 0
+        (run / "config.json").write_text(text)
+        capsys.readouterr()
+        assert main([
+            "eval", "--weights", str(run),
+            "--test-images", str(workspace / "te" / "images-idx3-ubyte"),
+            "--test-labels", str(workspace / "te" / "labels-idx1-ubyte"),
+        ]) == 2
+        assert f"data error: {run / 'config.json'}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,message", [
+        ("1,0.5,2\n2,3\n", "the number of columns changed from 3 to 2"),
+        ("1,0.5,2\n2,x,3\n", "could not convert string 'x'"),
+    ], ids=["ragged", "non-numeric"])
+    def test_malformed_csv_is_data_error(self, workspace, capsys, body, message):
+        csv = workspace / "bad.csv"
+        csv.write_text("label,p0,p1\n" + body)
+        args = train_args(workspace, workspace / "x")
+        i = args.index("--labels")
+        del args[i : i + 2]
+        args[args.index("--images") + 1] = str(csv)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"data error: malformed CSV {csv}: {message}" in err
+        assert err.count("\n") == 1
+        assert not (workspace / "x").exists()
+
     def test_eval_on_data_of_other_dimension_is_data_error(self, workspace, square_run, capsys):
         assert main(train_args(workspace, workspace / "run")) == 0
         capsys.readouterr()

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,10 @@ class TestValidateConfig:
     ("eps_W", True, "eps_W must be a real number"),
     ("eps_R", [0.1], "eps_R must be a real number"),
     ("theta_bvsb", None, "theta_bvsb must be a real number"),
+    ("seed", 3.0, "seed must be an integer"),
+    ("epochs", False, "epochs must be an integer"),
+    ("A", float("inf"), "A must exceed D"),
+    pytest.param("A", 10**400, "A must exceed D and be finite", id="A-int-beyond-float"),
 ])
 def test_invalid_value_rejected_on_every_construction_path(build, field, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -80,6 +85,28 @@ def test_invalid_value_rejected_on_every_construction_path(build, field, value, 
         else:
             doc = {**json.loads(make_config().to_json()), field: value}
             ModelConfig.from_json(json.dumps(doc))
+
+
+# JSON cannot carry these, so only the direct and replace paths can build them.
+@pytest.mark.parametrize("build", ["direct", "replace"])
+@pytest.mark.parametrize("field,value,message", [
+    ("seed", np.int64(3), "seed must be an integer"),
+    ("C", np.int32(400), "C must be an integer"),
+    ("A", np.float32(900.0), "A must be a real number"),
+    ("eps_W", Fraction(1, 100), "eps_W must be a real number"),
+])
+def test_non_builtin_number_rejected(build, field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        if build == "direct":
+            make_config(**{field: value})
+        else:
+            replace(make_config(), **{field: value})
+
+
+def test_int_reals_and_float_subclasses_construct_and_write():
+    # An int is a real number, and np.float64 is a float; both round-trip.
+    cfg = make_config(A=900, theta_bvsb=np.float64(0.5), eps_R=1)
+    assert ModelConfig.from_json(cfg.to_json()) == cfg
 
 
 class TestConfigJson:

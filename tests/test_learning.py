@@ -651,16 +651,16 @@ def online_setup(seed=0, n=200, labeled="all"):
 class TestOnlineEpoch:
     def test_all_labeled_bypasses_gate(self):
         ds, cfg, W, R = online_setup()
-        stats = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
-        assert stats.labeled_updates == ds.N
-        assert stats.unlabeled_passed == 0 and stats.unlabeled_skipped == 0
+        gates, _ = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
+        assert gates["labeled_updates"] == ds.N
+        assert gates["unlabeled_passed"] == 0 and gates["unlabeled_skipped"] == 0
 
     def test_threshold_one_blocks_all_unlabeled(self):
         ds, cfg, W, R = online_setup(labeled="none")
         cfg = replace(cfg, theta_bvsb=1.0)
-        stats = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
-        assert stats.unlabeled_passed == 0
-        assert stats.unlabeled_skipped == ds.N
+        gates, _ = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
+        assert gates["unlabeled_passed"] == 0
+        assert gates["unlabeled_skipped"] == ds.N
 
     def test_gate_passes_confident_class_posterior(self):
         # One unlabeled point whose support column yields t = (0.9, 0.1):
@@ -671,17 +671,17 @@ class TestOnlineEpoch:
         ds = Dataset(y[None, :], np.array([-1]), 2, 12.0)
         cfg = ModelConfig(K=2, C=2, C_prime=1, A=12.0, D=4, eps_W=0.01, eps_R=0.01,
                           theta_bvsb=0.6, epochs=1, seed=0)
-        stats = online_epoch(ds, *copy_weights(W, R), cfg, np.random.default_rng(0))
-        assert stats.unlabeled_passed == 1
-        stats = online_epoch(
+        gates, _ = online_epoch(ds, *copy_weights(W, R), cfg, np.random.default_rng(0))
+        assert gates["unlabeled_passed"] == 1
+        gates, _ = online_epoch(
             ds, *copy_weights(W, R), replace(cfg, theta_bvsb=0.85), np.random.default_rng(0)
         )
-        assert stats.unlabeled_skipped == 1
+        assert gates["unlabeled_skipped"] == 1
 
     def test_bottom_write_count(self):
         ds, cfg, W, R = online_setup()
-        stats = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
-        assert stats.bottom_writes == ds.N * cfg.C_prime * cfg.D
+        gates, _ = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
+        assert gates["bottom_writes"] == ds.N * cfg.C_prime * cfg.D
 
     def test_deterministic_given_seed(self):
         ds, cfg, W1, R1 = online_setup(seed=3)
@@ -799,10 +799,10 @@ class TestOnlineEpochOracle:
         ds, cfg, W, R = self.make_state(c_prime)
         W_ref, R_ref = copy_weights(W, R)
         for epoch in range(3):
-            stats = online_epoch(ds, W, R, cfg, np.random.default_rng(epoch))
+            gates, _ = online_epoch(ds, W, R, cfg, np.random.default_rng(epoch))
             counts, ties, _ = reference_online_epoch(ds, W_ref, R_ref, cfg,
                                                      np.random.default_rng(epoch))
-            assert stats.gate_counts() == {**counts, "bottom_writes": ds.N * c_prime * 8}
+            assert gates == {**counts, "bottom_writes": ds.N * c_prime * 8}
             assert np.array_equal(W.W, W_ref.W) and np.array_equal(R.R, R_ref.R)
             if epoch == 0:
                 assert counts["unlabeled_passed"] and counts["unlabeled_skipped"]
@@ -835,13 +835,13 @@ class TestOnlineEpochOracle:
         monkeypatch.setattr(learning, "select_truncation", recording_select)
         for epoch in range(2):
             seen.clear()
-            stats = online_epoch(ds, W, R, cfg, np.random.default_rng(epoch))
+            gates, _ = online_epoch(ds, W, R, cfg, np.random.default_rng(epoch))
             counts, ties, supports = reference_online_epoch(
                 ds, W_ref, R_ref, cfg, np.random.default_rng(epoch), blocked=False)
             reference_online_epoch(ds, W_blk, R_blk, cfg, np.random.default_rng(epoch))
             assert np.array_equal(W.W, W_blk.W) and np.array_equal(R.R, R_blk.R)
             assert ties == 0
-            assert stats.gate_counts() == {**counts, "bottom_writes": ds.N * c_prime * 8}
+            assert gates == {**counts, "bottom_writes": ds.N * c_prime * 8}
             assert all(np.array_equal(a, b) for a, b in zip(seen, supports, strict=True))
             if c_prime == cfg.C:
                 assert np.array_equal(W.W, W_ref.W) and np.array_equal(R.R, R_ref.R)
