@@ -14,20 +14,20 @@ import numpy as np
 from .core import TopWeights
 
 
-def normalized_columns(R: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
-    """Columns of the K x C matrix R rescaled to sum to one over classes.
+def normalized_columns(cols: np.ndarray) -> np.ndarray:
+    """Columns of the top layer R (all C, or a support's) rescaled to sum to
+    one over the K classes.
 
     A column summing to zero gets the uniform 1/K fallback.  Such columns
     occur at eps_R = 1, where a labeled update resets its class row to the
     posterior: once every row was reset, columns outside those supports are 0.
     """
-    cols = R if support is None else R[:, support]
     sums = cols.sum(axis=0)
     if sums.all():
         return cols / sums
     zero = sums == 0.0
     cols = cols.copy()
-    cols[:, zero] = 1.0 / R.shape[0]
+    cols[:, zero] = 1.0 / cols.shape[0]
     sums = np.where(zero, 1.0, sums)
     return cols / sums
 
@@ -44,7 +44,7 @@ def class_activation(support, probs, R: TopWeights, label: int | None = None) ->
         t = np.zeros(K)
         t[label] = 1.0
         return t
-    return normalized_columns(R.R, support) @ probs
+    return normalized_columns(R.R[:, support]) @ probs
 
 
 def bvsb(t: np.ndarray) -> float:

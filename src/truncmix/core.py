@@ -51,7 +51,7 @@ class ModelConfig:
     eps_R: float      # top-layer learning rate, in (0, 1]
     theta_bvsb: float  # self-labeling confidence threshold, in [0, 1]
     epochs: int       # online passes over the training set
-    seed: int         # RNG seed
+    seed: int         # RNG seed, >= 0
 
     def __post_init__(self):
         """Raise ConfigError naming the first violated invariant, so every
@@ -65,7 +65,7 @@ class ModelConfig:
                 what = "an integer" if f.type is int else "a real number"
                 raise ConfigError(f"{f.name} must be {what}")
         for name, minimum in (("K", 2), ("C", 1), ("C_prime", 1), ("D", 1), ("epochs", 0),
-                              ("seed", -(2**63))):
+                              ("seed", 0)):
             if getattr(self, name) < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}")
         if self.C_prime > self.C:

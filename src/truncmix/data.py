@@ -218,6 +218,8 @@ def generate_mixture(
     """
     if n_clusters < 1 or dim < n_clusters:
         raise DataError("need dim >= n_clusters >= 1")
+    if n < 0 or seed < 0:
+        raise DataError(f"need n >= 0 and seed >= 0, got n={n}, seed={seed}")
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.8, 1.2, size=(n_clusters, dim))
     blocks = np.array_split(np.arange(dim), n_clusters)

@@ -79,16 +79,14 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
     outside its top set equal to the threshold, the sets are unique and are
     returned sorted; otherwise a tie rule fills the slots left above the
     threshold with its smallest-index equals.  A 2-D batch is selected in
-    blocks of ``_ROW_BLOCK`` rows and returned as one compact array.
+    blocks of ``_ROW_BLOCK`` rows and returned as one compact array.  At
+    c_prime == C the result is a read-only broadcast of ``arange(C)``.
     """
     C = I.shape[-1]
     if not 1 <= c_prime <= C:
         raise ValueError(f"c_prime must lie in [1, {C}], got {c_prime}")
     if c_prime == C:
-        idx = np.arange(C)
-        if I.ndim == 1:
-            return idx
-        return np.broadcast_to(idx, I.shape).copy()
+        return np.broadcast_to(np.arange(C), I.shape)
     if I.ndim == 2 and len(I) > _ROW_BLOCK:
         return np.concatenate([select_truncation(I[i:i + _ROW_BLOCK], c_prime)
                                for i in range(0, len(I), _ROW_BLOCK)])

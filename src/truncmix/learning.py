@@ -157,14 +157,12 @@ def batch_e_step(Y, W: BottomWeights, c_prime: int) -> np.ndarray:
     return select_truncation(I, c_prime)
 
 
-def batch_m_step(
-    Y, posteriors, A: float, prev_W: BottomWeights
-) -> tuple[BottomWeights, int]:
+def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, int]:
     """Closed-form bottom-layer M-step from truncated posteriors.
 
-    W_cd = sum_n s_c y_d / sum_n s_c.  Rows that received zero total
-    responsibility keep their previous values; their count is returned as a
-    diagnostic.  ``posteriors`` is a (supports, probs) pair of (N, C')
+    W_cd = sum_n s_c y_d / sum_n s_c, with the mass A of ``prev_W``.  Rows
+    that received zero total responsibility keep their ``prev_W`` values;
+    their count is returned as a diagnostic.  ``posteriors`` is a (supports, probs) pair of (N, C')
     matrices with support indices in [0, C).
 
     S.T @ Y runs over a point-major sparse S, so the M-step costs O(N*C'*D),
@@ -190,7 +188,7 @@ def batch_m_step(
     np.divide(W_new, s_sum[:, None], out=W_new, where=alive[:, None])
     dead = np.flatnonzero(~alive)
     W_new[dead] = prev_W.W[dead]
-    return BottomWeights(W_new, A), int(dead.size)
+    return BottomWeights(W_new, prev_W.A), int(dead.size)
 
 
 def init_from_data(Y, n_clusters: int, A: float, rng: np.random.Generator) -> BottomWeights:
@@ -240,7 +238,7 @@ def tv_em_iteration(
     """
     sets = select_truncation(I, c_prime)
     f_e = _free_energy_at(I, W, sets, lgamma_sums)
-    W_new, dead = batch_m_step(Y, (sets, truncated_posterior(I, sets)), W.A, W)
+    W_new, dead = batch_m_step(Y, (sets, truncated_posterior(I, sets)), W)
     I_new = integrate(W_new, Y)
     f_m = _free_energy_at(I_new, W_new, sets, lgamma_sums)
     return W_new, I_new, f_e, f_m, dead

@@ -54,7 +54,7 @@ class TestClassActivation:
         s = posterior(sup, p)
         # A scaled column breaks R's row sums, so it goes through the
         # column normalization that class_activation applies.
-        t_scaled = normalized_columns(scaled, sup) @ p
+        t_scaled = normalized_columns(scaled[:, sup]) @ p
         np.testing.assert_allclose(class_activation(*s, R), t_scaled, rtol=0.0, atol=1e-12)
         assert np.argmax(class_activation(*s, R)) == np.argmax(t_scaled)
 

@@ -227,6 +227,39 @@ class TestExitCodes:
         assert "trace_every must be >= 0, got -1" in capsys.readouterr().err
         assert not (workspace / "x").exists()
 
+    @pytest.mark.parametrize("command,where", [
+        ("train", "config"), ("train", "flag"), ("compare", "config"), ("compare", "flag"),
+    ])
+    def test_negative_seed_is_usage_error(self, workspace, capsys, command, where):
+        # numpy's default_rng rejects a negative seed with a traceback.
+        extra = ()
+        if where == "config":
+            (workspace / "cfg.json").write_text(json.dumps({**CFG, "seed": -1}))
+        else:
+            extra = ("--seed", "-1")
+        args = train_args(workspace, workspace / "x", extra)
+        args[0] = command
+        if command == "compare":
+            args[1:1] = ["--cprime-list", "1,C"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "truncmix: config error: seed must be >= 0\n"
+        assert not (workspace / "x").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n", "-5", "got n=-5, seed=0"),
+        ("--seed", "-1", "got n=40, seed=-1"),
+    ])
+    def test_negative_synth_count_or_seed_is_data_error(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        opts = {"--n": "40", "--seed": "0", flag: value}
+        args = ["synth", "--clusters", "2", "--dim", "4", "--out", str(tmp_path / "s")]
+        assert main(args + [x for item in opts.items() for x in item]) == 2
+        err = capsys.readouterr().err
+        assert err == f"truncmix: data error: need n >= 0 and seed >= 0, {message}\n"
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("rows,cols", [("0", "3"), ("2", "0")])
     def test_empty_weight_grid_is_usage_error(self, workspace, square_run, capsys, rows, cols):
         out = workspace / "grid.pgm"

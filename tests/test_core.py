@@ -72,6 +72,7 @@ class TestValidateConfig:
     ("eps_R", [0.1], "eps_R must be a real number"),
     ("theta_bvsb", None, "theta_bvsb must be a real number"),
     ("seed", 3.0, "seed must be an integer"),
+    ("seed", -1, "seed must be >= 0"),
     ("epochs", False, "epochs must be an integer"),
     ("A", float("inf"), "A must exceed D"),
     pytest.param("A", 10**400, "A must exceed D and be finite", id="A-int-beyond-float"),

@@ -232,3 +232,7 @@ class TestGenerateMixture:
     def test_bad_arguments(self):
         with pytest.raises(DataError):
             generate_mixture(10, 4, 10, seed=0)
+        with pytest.raises(DataError, match="n=-5"):
+            generate_mixture(2, 4, -5, seed=0)
+        with pytest.raises(DataError, match="seed=-1"):
+            generate_mixture(2, 4, 10, seed=-1)

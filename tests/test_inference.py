@@ -277,7 +277,14 @@ class TestSelectTruncation:
         for batch in (I, tied):
             sets = select_truncation(batch, c_prime)
             assert sets.shape == (N, c_prime)
-            assert sets.base is None or sets.base.size == sets.size
+            if c_prime == 48:
+                # C'=C: one read-only arange(C) row, viewed N times.
+                assert not sets.flags.writeable
+                assert sets.strides[0] == 0
+                assert sets.base.size == 48
+                assert np.array_equal(sets, np.tile(np.arange(48), (N, 1)))
+            else:
+                assert sets.base is None or sets.base.size == sets.size
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -266,8 +266,11 @@ class TestFreeEnergy:
               - lg[:, None] - np.log(W.C))
         assert free_energy(Y, W, sets, lg) == float(logsumexp(lj, axis=1).sum())
 
-    def test_full_sets_peak_is_one_activation_matrix_plus_blocks(self):
+    @pytest.mark.parametrize("sets_from", ["given", "e_step"])
+    def test_full_sets_peak_is_one_activation_matrix_plus_blocks(self, sets_from):
         # The unblocked pass peaked at about seven (N, C) arrays, I included.
+        # The E-step's sets at C'=C are a view of one arange(C) row; an
+        # N-fold copy of it took the trace pass to 2.2 arrays.
         rng = np.random.default_rng(19)
         N, C, D = 8000, 100, 8
         W = random_weights(rng, C, D, 20.0)
@@ -275,7 +278,7 @@ class TestFreeEnergy:
         full, lg = np.tile(np.arange(C), (N, 1)), lgamma_sums(Y)
         tracemalloc.start()
         try:
-            free_energy(Y, W, full, lg)
+            free_energy(Y, W, full if sets_from == "given" else batch_e_step(Y, W, C), lg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -324,7 +327,7 @@ class TestBatchMStep:
         W = random_weights(rng, 4, 5, 12.0)
         y = random_observations(rng, 1, 5, 12.0)
         posteriors = (np.array([[2]]), np.array([[1.0]]))
-        W_new, dead = batch_m_step(y, posteriors, 12.0, W)
+        W_new, dead = batch_m_step(y, posteriors, W)
         np.testing.assert_array_equal(W_new.W[2], y[0])
         assert dead == 3
         np.testing.assert_array_equal(W_new.W[[0, 1, 3]], W.W[[0, 1, 3]])
@@ -335,7 +338,7 @@ class TestBatchMStep:
         Y = random_observations(rng, 20, 4, 9.0)
         sup = np.tile(np.arange(3), (20, 1))
         probs = np.full((20, 3), 1.0 / 3)
-        W_new, dead = batch_m_step(Y, (sup, probs), 9.0, W)
+        W_new, dead = batch_m_step(Y, (sup, probs), W)
         assert dead == 0
         for c in range(3):
             np.testing.assert_allclose(W_new.W[c], Y.mean(axis=0), rtol=1e-12)
@@ -348,7 +351,7 @@ class TestBatchMStep:
             Y = random_observations(rng, N, D, 11.0)
             sup = np.stack([np.sort(rng.choice(C, size=cp, replace=False)) for _ in range(N)])
             probs = rng.dirichlet(np.ones(cp), size=N)
-            W_new, _ = batch_m_step(Y, (sup, probs), 11.0, W)
+            W_new, _ = batch_m_step(Y, (sup, probs), W)
             dense = np.zeros((N, C))
             np.put_along_axis(dense, sup, probs, axis=1)
             alive = dense.sum(axis=0) > 0
@@ -362,7 +365,7 @@ class TestBatchMStep:
         Y = random_observations(rng, 2, 3, 8.0)
         bad = (np.array([[0, 1], [1, 2]]), np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValueError, match="sum to 1"):
-            batch_m_step(Y, bad, 8.0, W)
+            batch_m_step(Y, bad, W)
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_rejects_support_index_out_of_range(self, index):
@@ -371,7 +374,7 @@ class TestBatchMStep:
         Y = random_observations(rng, 2, 3, 8.0)
         bad = (np.array([[0, 1], [1, index]]), np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match="support indices out of range"):
-            batch_m_step(Y, bad, 8.0, W)
+            batch_m_step(Y, bad, W)
 
     @pytest.mark.parametrize("sup_shape,probs_shape", [
         ((2, 2), (2, 1)),  # probs would broadcast across the support
@@ -387,7 +390,7 @@ class TestBatchMStep:
         probs = np.full(probs_shape, 1.0 / probs_shape[1])
         message = re.escape(str(sup_shape)) + ".*" + re.escape(str(probs_shape))
         with pytest.raises(ValueError, match=message):
-            batch_m_step(Y, (sup, probs), 8.0, W)
+            batch_m_step(Y, (sup, probs), W)
 
     def test_equals_unblocked_formula_with_a_dead_cluster(self):
         # Cluster 5 is in no support; 513 points as in the free-energy test.
@@ -399,7 +402,7 @@ class TestBatchMStep:
         sup[sup >= 5] += 1
         probs = rng.dirichlet(np.ones(cp), size=N)
         before = W.W.copy()
-        W_new, dead = batch_m_step(Y, (sup, probs), 14.0, W)
+        W_new, dead = batch_m_step(Y, (sup, probs), W)
         S = csr_array((probs.ravel(), sup.ravel(), np.arange(N + 1) * cp), shape=(N, C))
         s_sum = np.bincount(sup.ravel(), weights=probs.ravel(), minlength=C)
         alive = s_sum > 0.0
@@ -419,7 +422,7 @@ class TestBatchMStep:
         probs = rng.dirichlet(np.ones(cp), size=N)
         tracemalloc.start()
         try:
-            batch_m_step(Y, (sup, probs), 40.0, W)
+            batch_m_step(Y, (sup, probs), W)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -63,13 +63,14 @@ def test_traced_tvem_rep_reconciles_on_tiny_draw():
     assert gate.failed == 0, gate.reasons
 
 
-def test_traced_online_rep_reconciles_on_tiny_draw(tmp_path, monkeypatch):
+@pytest.mark.parametrize("c_prime", [15, workloads.C])
+def test_traced_online_rep_reconciles_on_tiny_draw(tmp_path, monkeypatch, c_prime):
     for module in (gen, workloads):
         monkeypatch.setattr(module, "N_TRAIN", 600)
         monkeypatch.setattr(module, "N_TEST", 200)
     inputs = tmp_path / "inputs"
     gen.make_inputs(3, inputs)
-    wl = workloads.Workload(c_prime=15, epochs=1, labels_per_class=10)
+    wl = workloads.Workload(c_prime=c_prime, epochs=1, labels_per_class=10)
     gate = workloads.Gate()
     rep = workloads.online_rep(wl, 0, inputs, tmp_path / "run", workloads.TRACED, gate)
     assert rep["ok"], gate.reasons
