@@ -61,17 +61,17 @@ def _load_config(args) -> ModelConfig:
     return cfg
 
 
-def _prepare(args):
-    cfg = _load_config(args)
+def _load_data(args, cfg: ModelConfig):
     train_ds = _load_dataset(args.images, args.labels, cfg.A, cfg.K)
     test_ds = _load_dataset(args.test_images, args.test_labels, cfg.A, cfg.K)
     if args.labels_per_class is not None:
         train_ds = subsample_labels(train_ds, args.labels_per_class, cfg.seed)
-    return cfg, train_ds, test_ds
+    return train_ds, test_ds
 
 
 def cmd_train(args) -> int:
-    cfg, train_ds, test_ds = _prepare(args)
+    cfg = _load_config(args)
+    train_ds, test_ds = _load_data(args, cfg)
     report, W, R = train(train_ds, test_ds, cfg, trace_every=args.trace_every, verbose=True)
     save_run(args.out, report, W, R)
     print(f"final test error: {report.test_errors[-1]:.4f} ({cfg.epochs} epochs, seed {cfg.seed})")
@@ -88,7 +88,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg, train_ds, test_ds = _prepare(args)
+    cfg = _load_config(args)
     values = []
     for token in args.cprime_list.split(","):
         token = token.strip()
@@ -103,16 +103,18 @@ def cmd_compare(args) -> int:
                 raise ConfigError(f"bad --cprime-list entry {token!r}") from None
     if not values:
         raise ConfigError("--cprime-list is empty")
+    train_ds, test_ds = _load_data(args, cfg)
     results = compare_truncation(train_ds, test_ds, cfg, values, trace_every=args.trace_every)
+    out = Path(args.out)
+    # A summary from an earlier compare must not outlive a save that fails.
+    (out / "compare.json").unlink(missing_ok=True)
     summary = {}
     for cp, (report, W, R) in results.items():
-        save_run(Path(args.out) / f"cprime_{cp}", report, W, R)
+        save_run(out / f"cprime_{cp}", report, W, R)
         summary[str(cp)] = {
             "final_error": report.test_errors[-1],
             "final_free_energy": report.trace.entries[-1][1] if report.trace.entries else None,
         }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "compare.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.out}/compare.json ({len(results)} settings)")
     return EXIT_OK

@@ -265,9 +265,12 @@ def save_run(out_dir, report: RunReport, W: BottomWeights, R: TopWeights):
 
     timings.json holds the wall-clock fields: the per-epoch phase seconds
     and the process's peak resident set size so far, ``peak_rss_mb``.
+    An earlier run's config.json goes first and the new one is written last,
+    so an interrupted save over an old run leaves no loadable mix of the two.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").unlink(missing_ok=True)
     (out / "report.json").write_text(report.to_json())
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     (out / "timings.json").write_text(json.dumps(

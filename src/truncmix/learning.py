@@ -288,61 +288,54 @@ def online_epoch(
     update), as ``report.json`` and ``timings.json`` record them.
 
     Integration runs in blocks of B = min(_INTEGRATE_BLOCK, C // C')
-    consecutive points of the shuffle: one GEMM against the current log W
-    gives every point of the block its activations, and for the j-th point
-    only the rows that points 0..j-1 of the block wrote are recomputed by
-    matvec.  Each activation is exact up to rounding.  At C'=C, B is 1 and
-    the one-row GEMM equals the per-point matvec bit for bit.  A non-finite
-    activation in a block's GEMM raises FloatingPointError.
+    consecutive points of the shuffle: at a block's first point one GEMM
+    against the current log W gives every point of the block its
+    activations, and each point recomputes by matvec only the rows that the
+    block's earlier points wrote.  Each activation is exact up to rounding.
+    At C'=C, B is 1 and the one-row GEMM equals the per-point matvec bit for
+    bit.  Every point's activations are checked after the recompute, and a
+    non-finite one raises FloatingPointError.
     """
     Y = ds.Y
-    labels = ds.labels
-    w = W.W
-    logw = np.log(w)
+    logw = np.log(W.W)
     c_prime = cfg.C_prime
-    block = min(_INTEGRATE_BLOCK, w.shape[0] // c_prime)
-    written = np.zeros(w.shape[0], dtype=bool)  # rows written since the block's GEMM
+    block = min(_INTEGRATE_BLOCK, W.C // c_prime)
+    written = np.zeros(W.C, dtype=bool)  # rows written since the block's GEMM
     order = rng.permutation(ds.N)
     gates = dict.fromkeys(("labeled_updates", "unlabeled_passed", "unlabeled_skipped"), 0)
     phases = dict.fromkeys(("integrate", "select", "posterior", "update"), 0.0)
     perf = time.perf_counter
-    for lo in range(0, ds.N, block):
+    for n, (i, label) in enumerate(zip(order.tolist(), ds.labels[order].tolist())):
         t0 = perf()
-        idx = order[lo : lo + block]
-        I_block = Y[idx] @ logw.T
-        if not np.isfinite(I_block).all():
-            bad = lo + int(np.flatnonzero(~np.isfinite(I_block).all(axis=1))[0])
-            raise FloatingPointError(f"non-finite activation at epoch sample {bad}")
-        written.fill(False)
-        phases["integrate"] += perf() - t0
-        for j, i in enumerate(idx.tolist()):
-            t0 = perf()
-            y = Y[i]
-            I = I_block[j]
-            if j:
-                stale = np.flatnonzero(written)
-                I[stale] = logw[stale] @ y
-            t1 = perf()
-            support = select_truncation(I, c_prime)
-            t2 = perf()
-            probs = truncated_posterior(I, support)
-            label = int(labels[i])
-            t = class_activation(support, probs, R, None if label == UNLABELED else label)
-            t3 = perf()
-            update_bottom(W, logw, support, probs, y, cfg.eps_W)
-            written[support] = True
-            if label != UNLABELED:
-                update_top(R, t, support, probs, cfg.eps_R)
-                gates["labeled_updates"] += 1
-            elif bvsb(t) > cfg.theta_bvsb:
-                update_top(R, t, support, probs, cfg.eps_R)
-                gates["unlabeled_passed"] += 1
-            else:
-                gates["unlabeled_skipped"] += 1
-            t4 = perf()
-            phases["integrate"] += t1 - t0
-            phases["select"] += t2 - t1
-            phases["posterior"] += t3 - t2
-            phases["update"] += t4 - t3
-    gates["bottom_writes"] = ds.N * c_prime * w.shape[1]  # matrix entries the bottom updates wrote
+        y = Y[i]
+        if n % block == 0:
+            I_block = Y[order[n : n + block]] @ logw.T
+            written.fill(False)
+        I = I_block[n % block]
+        stale = np.flatnonzero(written)
+        I[stale] = logw[stale] @ y
+        if not np.isfinite(I).all():
+            raise FloatingPointError(f"non-finite activation at epoch sample {n}")
+        t1 = perf()
+        support = select_truncation(I, c_prime)
+        t2 = perf()
+        probs = truncated_posterior(I, support)
+        t = class_activation(support, probs, R, None if label == UNLABELED else label)
+        t3 = perf()
+        update_bottom(W, logw, support, probs, y, cfg.eps_W)
+        written[support] = True
+        if label != UNLABELED:
+            update_top(R, t, support, probs, cfg.eps_R)
+            gates["labeled_updates"] += 1
+        elif bvsb(t) > cfg.theta_bvsb:
+            update_top(R, t, support, probs, cfg.eps_R)
+            gates["unlabeled_passed"] += 1
+        else:
+            gates["unlabeled_skipped"] += 1
+        t4 = perf()
+        phases["integrate"] += t1 - t0
+        phases["select"] += t2 - t1
+        phases["posterior"] += t3 - t2
+        phases["update"] += t4 - t3
+    gates["bottom_writes"] = ds.N * c_prime * W.D  # matrix entries the bottom updates wrote
     return gates, phases

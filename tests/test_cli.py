@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import truncmix
-from truncmix import harness
+from truncmix import cli, harness
 from truncmix.cli import main
-from truncmix.core import MonotonicityError
+from truncmix.core import DataError, MonotonicityError
+from truncmix.harness import load_weights, save_run
 from truncmix.data import write_idx_images, write_idx_labels
 
 
@@ -112,6 +113,33 @@ class TestCompareAndTools:
             for cp in (1, 2, 6)
         }
         assert len(hashes) == 1
+
+    def test_bad_cprime_entry_is_usage_error_before_data_is_read(self, workspace, capsys):
+        args = train_args(workspace, workspace / "cmp")
+        args[0] = "compare"
+        args[args.index("--images") + 1] = str(workspace / "nope")
+        assert main(args[:1] + ["--cprime-list", "2,x"] + args[1:]) == 1
+        assert "bad --cprime-list entry 'x'" in capsys.readouterr().err
+        assert not (workspace / "cmp").exists()
+
+    def test_failed_save_leaves_no_stale_compare_summary(self, workspace, monkeypatch):
+        args = train_args(workspace, workspace / "cmp")
+        args = args[:1] + ["--cprime-list", "1,2"] + args[1:]
+        args[0] = "compare"
+        assert main(args) == 0
+        assert (workspace / "cmp" / "compare.json").exists()
+        saved = []
+
+        def second_save_fails(out_dir, *rest):
+            if saved:
+                raise OSError("No space left on device")
+            saved.append(out_dir)
+            save_run(out_dir, *rest)
+
+        monkeypatch.setattr(cli, "save_run", second_save_fails)
+        assert main(args) == 2
+        assert saved == [workspace / "cmp" / "cprime_1"]
+        assert not (workspace / "cmp" / "compare.json").exists()
 
     def test_export_weights(self, workspace, square_run):
         assert main([
@@ -461,6 +489,34 @@ class TestExitCodes:
         assert main(train_args(workspace, workspace / "x")) == 3
         assert "epoch 1: non-finite activation at epoch sample 0" in capsys.readouterr().err
         assert not (workspace / "x").exists()
+
+    def test_interrupted_save_over_old_run_is_data_error(self, workspace, monkeypatch, capsys):
+        # Run A (C'=2, seed 1) is overwritten by run B (C'=6, seed 2) whose
+        # config.json write fails: B's weights must not load with A's config.
+        run = workspace / "run"
+        assert main(train_args(workspace, run, ("--seed", "1"))) == 0
+        (workspace / "cfg6.json").write_text(json.dumps({**CFG, "C_prime": 6}))
+        args = train_args(workspace, run, ("--seed", "2"))
+        args[args.index("--config") + 1] = str(workspace / "cfg6.json")
+        write_text = Path.write_text
+
+        def config_write_fails(path, *rest, **kwargs):
+            if path.name == "config.json":
+                raise OSError("No space left on device")
+            return write_text(path, *rest, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", config_write_fails)
+        assert main(args) == 2
+        monkeypatch.undo()
+        with pytest.raises(DataError, match="not a weights directory"):
+            load_weights(run)
+        capsys.readouterr()
+        assert main([
+            "eval", "--weights", str(run),
+            "--test-images", str(workspace / "te" / "images-idx3-ubyte"),
+            "--test-labels", str(workspace / "te" / "labels-idx1-ubyte"),
+        ]) == 2
+        assert "not a weights directory" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, workspace):
         args = train_args(workspace, workspace / "x")

@@ -710,6 +710,24 @@ class TestOnlineEpoch:
         with pytest.raises(FloatingPointError, match="non-finite activation at epoch sample 0"):
             online_epoch(ds, W, R, cfg, np.random.default_rng(0))
 
+    def test_non_finite_recomputed_row_names_the_sample(self, monkeypatch):
+        # B = min(16, C // C') = 3: sample 0's update poisons a row of log W
+        # that sample 1 recomputes from inside the same block.
+        ds, cfg, W, R = online_setup()
+        update_bottom = learning.update_bottom
+        calls = []
+
+        def poisoning_update(W, logw, support, *args):
+            update_bottom(W, logw, support, *args)
+            if not calls:
+                logw[support[0], 0] = np.inf
+            calls.append(support)
+
+        monkeypatch.setattr(learning, "update_bottom", poisoning_update)
+        with pytest.raises(FloatingPointError, match="non-finite activation at epoch sample 1$"):
+            online_epoch(ds, W, R, cfg, np.random.default_rng(0))
+        assert len(calls) == 1
+
 
 def reference_online_epoch(ds, W, R, cfg, rng, blocked=True):
     """``online_epoch`` written with the plain formulas: a stable-sort top-C'

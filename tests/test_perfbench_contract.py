@@ -63,14 +63,16 @@ def test_traced_tvem_rep_reconciles_on_tiny_draw():
     assert gate.failed == 0, gate.reasons
 
 
+@pytest.mark.parametrize("labels_per_class", [10, None])
 @pytest.mark.parametrize("c_prime", [15, workloads.C])
-def test_traced_online_rep_reconciles_on_tiny_draw(tmp_path, monkeypatch, c_prime):
+def test_traced_online_rep_reconciles_on_tiny_draw(tmp_path, monkeypatch, c_prime,
+                                                    labels_per_class):
     for module in (gen, workloads):
         monkeypatch.setattr(module, "N_TRAIN", 600)
         monkeypatch.setattr(module, "N_TEST", 200)
     inputs = tmp_path / "inputs"
     gen.make_inputs(3, inputs)
-    wl = workloads.Workload(c_prime=c_prime, epochs=1, labels_per_class=10)
+    wl = workloads.Workload(c_prime=c_prime, epochs=1, labels_per_class=labels_per_class)
     gate = workloads.Gate()
     rep = workloads.online_rep(wl, 0, inputs, tmp_path / "run", workloads.TRACED, gate)
     assert rep["ok"], gate.reasons
