@@ -25,11 +25,7 @@ def normalized_columns(cols: np.ndarray) -> np.ndarray:
     sums = cols.sum(axis=0)
     if sums.all():
         return cols / sums
-    zero = sums == 0.0
-    cols = cols.copy()
-    cols[:, zero] = 1.0 / cols.shape[0]
-    sums = np.where(zero, 1.0, sums)
-    return cols / sums
+    return np.divide(cols, sums, out=np.full(cols.shape, 1.0 / cols.shape[0]), where=sums != 0.0)
 
 
 def class_activation(support, probs, R: TopWeights, label: int | None = None) -> np.ndarray:

@@ -23,10 +23,12 @@ from .data import (
 )
 from .harness import (
     aggregate,
+    check_c_prime_list,
     compare_truncation,
     evaluate,
     export_weight_grid,
     load_weights,
+    replace_together,
     save_run,
     train,
 )
@@ -90,19 +92,14 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     values = []
-    for token in args.cprime_list.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token.upper() == "C":
-            values.append(cfg.C)
-        else:
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise ConfigError(f"bad --cprime-list entry {token!r}") from None
+    for token in filter(None, map(str.strip, args.cprime_list.split(","))):
+        try:
+            values.append(cfg.C if token.upper() == "C" else int(token))
+        except ValueError:
+            raise ConfigError(f"bad --cprime-list entry {token!r}") from None
     if not values:
         raise ConfigError("--cprime-list is empty")
+    check_c_prime_list(values, cfg.C)
     train_ds, test_ds = _load_data(args, cfg)
     results = compare_truncation(train_ds, test_ds, cfg, values, trace_every=args.trace_every)
     out = Path(args.out)
@@ -131,8 +128,6 @@ def cmd_synth(args) -> int:
     raw, true_W = generate_mixture(args.clusters, args.dim, args.n, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_idx_images(out / "images-idx3-ubyte", raw.X, 1, args.dim)
-    write_idx_labels(out / "labels-idx1-ubyte", raw.labels)
     truth = {
         "clusters": args.clusters,
         "dim": args.dim,
@@ -140,7 +135,11 @@ def cmd_synth(args) -> int:
         "seed": args.seed,
         "true_W": [[float(v) for v in row] for row in true_W],
     }
-    (out / "truth.json").write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n")
+    with replace_together(out / "images-idx3-ubyte", out / "labels-idx1-ubyte",
+                          out / "truth.json") as (images, labels, truth_json):
+        write_idx_images(images, raw.X, 1, args.dim)
+        write_idx_labels(labels, raw.labels)
+        truth_json.write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.n} samples from {args.clusters} clusters to {args.out}")
     return EXIT_OK
 
@@ -171,7 +170,8 @@ def cmd_aggregate(args) -> int:
     summary = aggregate(reports)
     text = json.dumps(summary, sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with replace_together(args.out) as (out,):
+            out.write_text(text + "\n")
     print(text)
     return EXIT_OK
 

@@ -18,7 +18,6 @@ import numpy as np
 # long online-update sequences and get a looser one.
 W_ROW_RTOL = 1e-6
 R_ROW_TOL = 1e-9
-OBS_SUM_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -162,21 +161,3 @@ class TopWeights:
     @property
     def C(self) -> int:
         return self.R.shape[1]
-
-
-def init_weights(
-    cfg: ModelConfig, Y: np.ndarray, rng: np.random.Generator
-) -> tuple[BottomWeights, TopWeights]:
-    """Starting weights for online training: C distinct rows of the
-    normalized data ``Y`` as the bottom layer, a uniform 1/C top layer.
-
-    Pure function of (cfg, Y, rng state).
-    """
-    # Seed each template with a distinct observation: normalized rows already
-    # sum to A and are >= 1.  Starting all rows at the (noisy) data mean
-    # instead leaves the templates nearly interchangeable, and under
-    # truncated winner-take-most updates roughly half of them never enter a
-    # support again -- measurably worse final error at equal budget.
-    W = BottomWeights(Y[rng.choice(Y.shape[0], size=cfg.C, replace=False)], cfg.A)
-    R = TopWeights(np.full((cfg.K, cfg.C), 1.0 / cfg.C))
-    return W, R

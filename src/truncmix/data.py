@@ -14,13 +14,14 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .core import ConfigError, DataError, OBS_SUM_RTOL
-from .inference import _ROW_BLOCK, normalize_input
+from .core import ConfigError, DataError
+from .inference import _ROW_BLOCK
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
 UNLABELED = -1
+OBS_SUM_RTOL = 1e-9  # row-sum tolerance of normalized observations
 
 
 @dataclass
@@ -172,6 +173,39 @@ def load_csv(path) -> RawDataset:
         i = int(bad[0])
         raise DataError(f"non-integer label {float(labels[i])!r} at data row {i} of {path}")
     return RawDataset(body[:, 1:], labels.astype(np.int64))
+
+
+def _reject_rows(bad: np.ndarray, what: str):
+    """Raise DataError if any entry of ``bad`` is set, naming the first
+    offending row of a batch."""
+    if not np.any(bad):
+        return
+    if bad.ndim == 1:
+        raise DataError(what)
+    first = int(np.nonzero(bad.any(axis=-1).ravel())[0][0])
+    raise DataError(f"{what} at index {first}")
+
+
+def normalize_input(raw, A: float) -> np.ndarray:
+    """Rescale nonnegative raw intensities to a fixed mass A.
+
+    y_d = (A - D) * raw_d / sum(raw) + 1, applied along the last axis.  The
+    output sums to A and every component is >= 1, which keeps Poisson rates
+    learned from such data strictly positive.  ``raw`` is copied once into
+    the float64 output, which is then checked and rescaled in place.
+    """
+    y = np.array(raw, dtype=np.float64)
+    D = y.shape[-1]
+    if A <= D:
+        raise DataError("A must exceed D")
+    _reject_rows(~np.isfinite(y), "raw input has non-finite components")
+    _reject_rows(y < 0.0, "raw input has negative components")
+    total = y.sum(axis=-1, keepdims=True)
+    _reject_rows(total <= 0.0, "degenerate input: zero total mass")
+    y *= A - D
+    y /= total
+    y += 1.0
+    return y
 
 
 def preprocess(raw: RawDataset, A: float, K: int) -> Dataset:

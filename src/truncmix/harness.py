@@ -11,16 +11,17 @@ import json
 import math
 import resource
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .classifier import normalized_columns
-from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights, init_weights
+from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import integrate, select_truncation, softmax_inplace, truncated_posterior
-from .learning import FreeEnergyTrace, batch_e_step, free_energy, online_epoch
+from .learning import FreeEnergyTrace, batch_e_step, free_energy, init_weights, online_epoch
 
 _CHUNK = 16384
 
@@ -51,13 +52,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def weights_hash(W: BottomWeights, R: TopWeights) -> str:
-    h = hashlib.sha256()
-    h.update(W.W.tobytes())
-    h.update(R.R.tobytes())
-    return h.hexdigest()
 
 
 def predict_batch(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarray:
@@ -127,7 +121,7 @@ def train(
         raise ConfigError("need at least one training observation per cluster")
     rng = np.random.default_rng(cfg.seed)
     W, R = init_weights(cfg, train_ds.Y, rng)
-    init_hash = weights_hash(W, R)
+    init_hash = hashlib.sha256(W.W.tobytes() + R.R.tobytes()).hexdigest()
 
     trace = FreeEnergyTrace()
     lgam = train_ds.lgamma_sums
@@ -172,6 +166,16 @@ def train(
     return report, W, R
 
 
+def check_c_prime_list(c_prime_list: list[int], C: int):
+    """Raise ConfigError naming every repeated C' value, then every one outside [1, C]."""
+    repeated = sorted({cp for cp in c_prime_list if c_prime_list.count(cp) > 1})
+    if repeated:
+        raise ConfigError(f"C' values listed more than once: {', '.join(map(str, repeated))}")
+    outside = sorted({cp for cp in c_prime_list if not 1 <= cp <= C})
+    if outside:
+        raise ConfigError(f"C' values out of range [1, {C}]: {', '.join(map(str, outside))}")
+
+
 def compare_truncation(
     train_ds: Dataset,
     test_ds: Dataset,
@@ -184,12 +188,7 @@ def compare_truncation(
     Returns {c_prime: (report, W, R)}.  All runs share the same init by
     design; this is asserted through the per-run init hashes.
     """
-    repeated = sorted({cp for cp in c_prime_list if c_prime_list.count(cp) > 1})
-    if repeated:
-        raise ConfigError(f"C' values listed more than once: {', '.join(map(str, repeated))}")
-    outside = sorted({cp for cp in c_prime_list if not 1 <= cp <= cfg.C})
-    if outside:
-        raise ConfigError(f"C' values out of range [1, {cfg.C}]: {', '.join(map(str, outside))}")
+    check_c_prime_list(c_prime_list, cfg.C)
     results = {}
     for cp in c_prime_list:
         results[cp] = train(train_ds, test_ds, replace(cfg, C_prime=cp), trace_every=trace_every)
@@ -205,6 +204,20 @@ def _scale_panel(values: np.ndarray) -> np.ndarray:
         return np.full(values.shape, 127, dtype=np.uint8)
     scaled = np.rint((values - values.min()) / span * 255.0)
     return scaled.astype(np.uint8)
+
+
+@contextmanager
+def replace_together(*paths):
+    """Yield a temporary sibling for each of ``paths`` and move each onto its path once
+    the block has written them all; if the block raises, the old files stay whole."""
+    tmps = [p.with_name(f".{p.name}.tmp") for p in map(Path, paths)]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            tmp.replace(path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def export_weight_grid(W: BottomWeights, R: TopWeights, rows: int, cols: int, path):
@@ -238,7 +251,7 @@ def export_weight_grid(W: BottomWeights, R: TopWeights, rows: int, cols: int, pa
             W.W[p].reshape(side, side)
         )
         canvas[top : top + K, left + side + 1] = _scale_panel(R.R[:, p])
-    with open(path, "wb") as f:
+    with replace_together(path) as (tmp,), open(tmp, "wb") as f:
         f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         f.write(canvas.tobytes())
 

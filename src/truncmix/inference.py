@@ -22,39 +22,6 @@ from .core import BottomWeights, DataError
 _ROW_BLOCK = 256  # row block of the batch passes over the data: bounds their scratch memory
 
 
-def _reject_rows(bad: np.ndarray, what: str):
-    """Raise DataError if any entry of ``bad`` is set, naming the first
-    offending row of a batch."""
-    if not np.any(bad):
-        return
-    if bad.ndim == 1:
-        raise DataError(what)
-    first = int(np.nonzero(bad.any(axis=-1).ravel())[0][0])
-    raise DataError(f"{what} at index {first}")
-
-
-def normalize_input(raw, A: float) -> np.ndarray:
-    """Rescale nonnegative raw intensities to a fixed mass A.
-
-    y_d = (A - D) * raw_d / sum(raw) + 1, applied along the last axis.  The
-    output sums to A and every component is >= 1, which keeps Poisson rates
-    learned from such data strictly positive.  ``raw`` is copied once into
-    the float64 output, which is then checked and rescaled in place.
-    """
-    y = np.array(raw, dtype=np.float64)
-    D = y.shape[-1]
-    if A <= D:
-        raise DataError("A must exceed D")
-    _reject_rows(~np.isfinite(y), "raw input has non-finite components")
-    _reject_rows(y < 0.0, "raw input has negative components")
-    total = y.sum(axis=-1, keepdims=True)
-    _reject_rows(total <= 0.0, "degenerate input: zero total mass")
-    y *= A - D
-    y /= total
-    y += 1.0
-    return y
-
-
 def integrate(W: BottomWeights, y: np.ndarray) -> np.ndarray:
     """Log-domain input integration: I_c = sum_d log(W_cd) * y_d.
 
@@ -77,10 +44,10 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
     (c_prime,).  One ``argpartition`` gives each row's top set and its
     threshold (the c_prime-th largest value).  When no row has an entry
     outside its top set equal to the threshold, the sets are unique and are
-    returned sorted; otherwise a tie rule fills the slots left above the
-    threshold with its smallest-index equals.  A 2-D batch is selected in
-    blocks of ``_ROW_BLOCK`` rows and returned as one compact array.  At
-    c_prime == C the result is a read-only broadcast of ``arange(C)``.
+    returned sorted; otherwise the first c_prime of a stable descending sort
+    are.  A 2-D batch is selected in blocks of ``_ROW_BLOCK`` rows and
+    returned as one compact array.  At c_prime == C the result is a
+    read-only broadcast of ``arange(C)``.
     """
     C = I.shape[-1]
     if not 1 <= c_prime <= C:
@@ -100,14 +67,8 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
         thresh = np.take_along_axis(I, top[..., :1], axis=-1)
         if np.all(np.count_nonzero(I >= thresh, axis=-1) == c_prime):
             return np.sort(top, axis=-1)
-    above = I > thresh
-    at = I == thresh
-    need = c_prime - above.sum(axis=-1, keepdims=True)
-    keep = above | (at & (np.cumsum(at, axis=-1) <= need))
-    # Flat positions mod C: a compact array, unlike np.nonzero's last row,
-    # which is a view of its (ndim, n*c_prime) index buffer.
-    idx = np.flatnonzero(keep) % C
-    return idx.reshape(I.shape[:-1] + (c_prime,))
+    # A stable sort of -I puts larger values first and equal ones in index order.
+    return np.sort(np.argsort(-I, axis=-1, kind="stable")[..., :c_prime], axis=-1)
 
 
 def truncated_posterior(I: np.ndarray, sets: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-import truncmix as tm
+from truncmix.core import BottomWeights
+from truncmix.data import normalize_input
 
 MNIST_FILES = (
     "train-images-idx3-ubyte",
@@ -34,14 +35,14 @@ def mnist_path() -> Path:
     return d
 
 
-def random_weights(rng, C, D, A) -> tm.BottomWeights:
+def random_weights(rng, C, D, A) -> BottomWeights:
     W = rng.uniform(0.2, 3.0, size=(C, D))
     W *= A / W.sum(axis=1, keepdims=True)
-    return tm.BottomWeights(W, A)
+    return BottomWeights(W, A)
 
 
 def random_observations(rng, N, D, A) -> np.ndarray:
-    return tm.normalize_input(rng.uniform(0.0, 10.0, size=(N, D)), A)
+    return normalize_input(rng.uniform(0.0, 10.0, size=(N, D)), A)
 
 
 def lgamma_sums(Y) -> np.ndarray:

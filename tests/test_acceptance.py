@@ -20,9 +20,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-import truncmix as tm
-from truncmix.data import Dataset
-from truncmix.learning import init_from_data, online_epoch
+from truncmix.classifier import bvsb
+from truncmix.core import ModelConfig, TopWeights
+from truncmix.data import Dataset, generate_mixture, preprocess
+from truncmix.inference import integrate, select_truncation, truncated_posterior
+from truncmix.learning import (free_energy, init_from_data, init_weights, online_epoch, run_tv_em,
+                               update_bottom, update_top)
 
 from conftest import (lgamma_sums, log_joint, random_observations, random_weights,
                       worst_relative_decrease)
@@ -44,11 +47,11 @@ def test_criterion_01_monotonicity():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(10):
-        raw, _ = tm.generate_mixture(8, 16, 500, seed=seed)
-        ds = tm.preprocess(raw, 128.0, K=8)
+        raw, _ = generate_mixture(8, 16, 500, seed=seed)
+        ds = preprocess(raw, 128.0, K=8)
         for cp in (1, 3, 8):
             W0 = init_from_data(ds.Y, 8, 128.0, np.random.default_rng(seed))
-            _, trace = tm.run_tv_em(ds.Y, W0, cp, 50, ds.lgamma_sums)
+            _, trace = run_tv_em(ds.Y, W0, cp, 50, ds.lgamma_sums)
             worst = max(worst, worst_relative_decrease(trace))
     took = time.perf_counter() - t0
     check(1, worst <= 1e-8 and took < 10.0,
@@ -66,14 +69,14 @@ def test_criterion_02_truncation_disabled_equivalence():
     C, D, N = 16, 8, 100
     W = random_weights(rng, C, D, 16.0)
     Y = random_observations(rng, N, D, 16.0)
-    I = tm.integrate(W, Y)
+    I = integrate(W, Y)
     max_abs = 0.0
     for n in range(N):
-        ours = tm.truncated_posterior(I[n], np.arange(C))
+        ours = truncated_posterior(I[n], np.arange(C))
         exact = mp_dense_posterior(W.W, Y[n], C)
         max_abs = max(max_abs, float(np.max(np.abs(ours - exact))))
     full_sets = np.tile(np.arange(C), (N, 1))
-    f = tm.free_energy(Y, W, full_sets, lgamma_sums(Y))
+    f = free_energy(Y, W, full_sets, lgamma_sums(Y))
     ll_oracle = mp_free_energy(Y, W.W, full_sets, C)
     f_diff = abs(f - ll_oracle)
     took = time.perf_counter() - t0
@@ -99,7 +102,7 @@ def test_criterion_03_criterion_equivalence():
             W.W[1] = W.W[0]  # exact duplicate rows force ties on both sides
             W.W[3] = W.W[2]
         y = random_observations(rng, 1, D, A)[0]
-        I = tm.integrate(W, y)
+        I = integrate(W, y)
         lj = np.array([log_joint(W.W[c], y, C) for c in range(C)])
         a = np.argsort(-I, kind="stable")
         b = np.argsort(-lj, kind="stable")
@@ -122,7 +125,7 @@ def test_criterion_04_selection_oracle():
         if i % 3 == 0:
             I = np.round(I * 4.0) / 4.0  # quantize to create duplicate values
         oracle = np.sort(np.argsort(-I, kind="stable")[:15])
-        ok = ok and np.array_equal(tm.select_truncation(I, 15), oracle)
+        ok = ok and np.array_equal(select_truncation(I, 15), oracle)
     took = time.perf_counter() - t0
     check(4, ok and took < 1.0,
           f"1000 random C=256 vectors (incl. duplicated values), C'=15 ({took:.2f}s)")
@@ -137,7 +140,7 @@ def test_criterion_05_conservation():
     rng = np.random.default_rng(3)
     C, D, K, A = 32, 24, 6, 64.0
     W = random_weights(rng, C, D, A)
-    R = tm.TopWeights(rng.dirichlet(np.ones(C), size=K))
+    R = TopWeights(rng.dirichlet(np.ones(C), size=K))
     for _ in range(10_000):
         size = int(rng.integers(1, C + 1))
         sup = np.sort(rng.choice(C, size=size, replace=False))
@@ -145,8 +148,8 @@ def test_criterion_05_conservation():
         y = random_observations(rng, 1, D, A)[0]
         t = rng.dirichlet(np.ones(K))
         eps = float(rng.uniform(1e-4, 1.0))
-        tm.update_bottom(W, np.log(W.W), sup, probs, y, eps)
-        tm.update_top(R, t, sup, probs, eps)
+        update_bottom(W, np.log(W.W), sup, probs, y, eps)
+        update_top(R, t, sup, probs, eps)
     w_dev = float(np.max(np.abs(W.W.sum(axis=1) - A))) / A
     r_dev = float(np.max(np.abs(R.R.sum(axis=1) - 1.0)))
     positive = bool(np.all(W.W > 0.0))
@@ -165,10 +168,10 @@ def test_criterion_06_parameter_recovery():
     A, D, C = 128.0, 16, 8
     passes, rels = 0, []
     for seed in range(10):
-        raw, true_W = tm.generate_mixture(C, D, 2000, seed=seed)
-        ds = tm.preprocess(raw, A, K=C)
+        raw, true_W = generate_mixture(C, D, 2000, seed=seed)
+        ds = preprocess(raw, A, K=C)
         W0 = init_from_data(ds.Y, C, A, np.random.default_rng(seed))
-        W, _ = tm.run_tv_em(ds.Y, W0, 3, 50, ds.lgamma_sums)
+        W, _ = run_tv_em(ds.Y, W0, 3, 50, ds.lgamma_sums)
         # The fit sees mass-normalized data, so map the generating rows
         # through the same normalization before comparing.
         mapped = (A - D) * true_W / true_W.sum(axis=1, keepdims=True) + 1.0
@@ -268,14 +271,14 @@ def test_criterion_08_truncation_benefit_trend(mnist_runs):
 
 def test_criterion_09_complexity():
     rng = np.random.default_rng(4)
-    raw, _ = tm.generate_mixture(10, 784, 2000, seed=5)
-    ds = tm.preprocess(raw, 900.0, K=10)
+    raw, _ = generate_mixture(10, 784, 2000, seed=5)
+    ds = preprocess(raw, 900.0, K=10)
     times = {}
     for cp in (15, 400):
-        cfg = tm.ModelConfig(K=10, C=400, C_prime=cp, A=900.0, D=784,
+        cfg = ModelConfig(K=10, C=400, C_prime=cp, A=900.0, D=784,
                              eps_W=0.001, eps_R=0.001, theta_bvsb=0.6,
                              epochs=1, seed=0)
-        W, R = tm.init_weights(cfg, ds.Y, np.random.default_rng(0))
+        W, R = init_weights(cfg, ds.Y, np.random.default_rng(0))
         gates, phases = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
         times[cp] = phases["update"]
         assert gates["bottom_writes"] == ds.N * cp * 784
@@ -291,7 +294,7 @@ def test_criterion_09_complexity():
         before = W.W.copy()
         footprint = np.zeros(W.W.shape, dtype=bool)
         footprint[sup] = True
-        tm.update_bottom(W, np.log(W.W), sup, probs,
+        update_bottom(W, np.log(W.W), sup, probs,
                          random_observations(rng, 1, 30, 60.0)[0], 0.5)
         exact = exact and int(footprint.sum()) == size * 30
         exact = exact and np.array_equal(W.W[~footprint], before[~footprint])
@@ -310,22 +313,22 @@ def test_criterion_10_gate_behavior():
     one_hot = np.zeros(10)
     one_hot[3] = 1.0
     uniform = np.full(10, 0.1)
-    gate_ok = all(tm.bvsb(one_hot) > theta for theta in (0.0, 0.5, 0.99)) and all(
-        not (tm.bvsb(uniform) > theta) for theta in (0.01, 0.5, 1.0)
+    gate_ok = all(bvsb(one_hot) > theta for theta in (0.0, 0.5, 0.99)) and all(
+        not (bvsb(uniform) > theta) for theta in (0.01, 0.5, 1.0)
     )
 
     # Labeled points always update the top layer, even at threshold 1.
-    raw, _ = tm.generate_mixture(4, 8, 120, seed=7)
-    ds = tm.preprocess(raw, 32.0, K=4)
-    cfg = tm.ModelConfig(K=4, C=6, C_prime=2, A=32.0, D=8, eps_W=0.01, eps_R=0.01,
+    raw, _ = generate_mixture(4, 8, 120, seed=7)
+    ds = preprocess(raw, 32.0, K=4)
+    cfg = ModelConfig(K=4, C=6, C_prime=2, A=32.0, D=8, eps_W=0.01, eps_R=0.01,
                          theta_bvsb=1.0, epochs=1, seed=0)
-    W, R = tm.init_weights(cfg, ds.Y, np.random.default_rng(0))
+    W, R = init_weights(cfg, ds.Y, np.random.default_rng(0))
     before = R.R.copy()
     gates, _ = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
     labeled_ok = gates["labeled_updates"] == ds.N and not np.array_equal(R.R, before)
 
     unlabeled = Dataset(ds.Y, np.full(ds.N, -1, dtype=np.int64), 4, 32.0)
-    W2, R2 = tm.init_weights(cfg, ds.Y, np.random.default_rng(0))
+    W2, R2 = init_weights(cfg, ds.Y, np.random.default_rng(0))
     gates2, _ = online_epoch(unlabeled, W2, R2, cfg, np.random.default_rng(0))
     blocked_ok = gates2["unlabeled_passed"] == 0 and np.all(R2.R == 1.0 / 6)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from truncmix import TopWeights, bvsb, class_activation, update_top
-from truncmix.classifier import normalized_columns
+from truncmix.classifier import bvsb, class_activation, normalized_columns
+from truncmix.core import TopWeights
+from truncmix.learning import update_top
 
 
 def posterior(support, probs):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from truncmix import cli, harness
 from truncmix.cli import main
 from truncmix.core import DataError, MonotonicityError
 from truncmix.harness import load_weights, save_run
-from truncmix.data import write_idx_images, write_idx_labels
+from truncmix.data import load_idx, write_idx_images, write_idx_labels
 
 
 CFG = {
@@ -122,6 +123,14 @@ class TestCompareAndTools:
         assert "bad --cprime-list entry 'x'" in capsys.readouterr().err
         assert not (workspace / "cmp").exists()
 
+    def test_out_of_range_cprime_is_usage_error_before_data_is_read(self, workspace, capsys):
+        args = train_args(workspace, workspace / "cmp")
+        args[0] = "compare"
+        args[args.index("--images") + 1] = str(workspace / "nope")
+        assert main(args[:1] + ["--cprime-list", "2,9"] + args[1:]) == 1
+        assert "C' values out of range [1, 6]: 9" in capsys.readouterr().err
+        assert not (workspace / "cmp").exists()
+
     def test_failed_save_leaves_no_stale_compare_summary(self, workspace, monkeypatch):
         args = train_args(workspace, workspace / "cmp")
         args = args[:1] + ["--cprime-list", "1,2"] + args[1:]
@@ -160,6 +169,59 @@ class TestCompareAndTools:
         summary = json.loads((workspace / "agg.json").read_text())
         assert summary["n_runs"] == 2
         assert "mean_final_error" in capsys.readouterr().out
+
+    def test_failed_synth_leaves_old_pair_whole(self, workspace, monkeypatch):
+        out = workspace / "tr"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        old = load_idx(out / "images-idx3-ubyte", out / "labels-idx1-ubyte")
+
+        def labels_write_fails(path, labels):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "write_idx_labels", labels_write_fails)
+        assert main(["synth", "--clusters", "4", "--dim", "8", "--n", "200",
+                     "--seed", "5", "--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        raw = load_idx(out / "images-idx3-ubyte", out / "labels-idx1-ubyte")
+        np.testing.assert_array_equal(raw.X, old.X)
+        np.testing.assert_array_equal(raw.labels, old.labels)
+
+    def test_failed_export_leaves_old_grid_whole(self, workspace, square_run, monkeypatch):
+        grid = workspace / "grid.pgm"
+        args = ["export-weights", "--weights", str(square_run), "--out", str(grid)]
+        assert main(args + ["--rows", "2", "--cols", "3"]) == 0
+        before = grid.read_bytes()
+
+        class HeaderOnlyFile(io.FileIO):  # every write after the first fails
+            def write(self, b):
+                if self.tell():
+                    raise OSError("No space left on device")
+                return super().write(b)
+
+        def failing_open(path, mode="r"):
+            return (HeaderOnlyFile if "w" in mode else open)(path, mode)
+
+        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+        assert main(args + ["--rows", "1", "--cols", "2"]) == 2
+        assert grid.read_bytes() == before
+        assert not list(workspace.glob(".*.tmp"))
+
+    def test_failed_aggregate_write_leaves_old_summary_whole(self, workspace, monkeypatch):
+        assert main(train_args(workspace, workspace / "a")) == 0
+        report, agg = str(workspace / "a" / "report.json"), workspace / "agg.json"
+        assert main(["aggregate", report, "--out", str(agg)]) == 0
+        before = agg.read_bytes()
+        write_text = Path.write_text
+
+        def half_write(path, text, *rest, **kwargs):
+            write_text(path, text[: len(text) // 2], *rest, **kwargs)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        assert main(["aggregate", report, report, "--out", str(agg)]) == 2
+        monkeypatch.undo()
+        assert agg.read_bytes() == before
+        assert not list(workspace.glob(".*.tmp"))
 
     @pytest.mark.parametrize("case,message", [
         ("not_json", "not valid JSON"),

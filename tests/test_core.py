@@ -5,13 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from truncmix import (
-    BottomWeights,
-    ConfigError,
-    ModelConfig,
-    TopWeights,
-    init_weights,
-)
+from truncmix.core import BottomWeights, ConfigError, ModelConfig, TopWeights
+from truncmix.learning import init_weights
 
 
 def make_config(**overrides) -> ModelConfig:
@@ -165,7 +160,7 @@ class TestInitWeights:
         self.cfg = make_config(C=20, D=16, A=32.0)
         rng = np.random.default_rng(7)
         raw = rng.uniform(0.0, 4.0, size=(100, 16))
-        from truncmix import normalize_input
+        from truncmix.data import normalize_input
         self.Y = normalize_input(raw, 32.0)
 
     def test_rows_sum_to_mass(self):

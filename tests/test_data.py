@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from truncmix import DataError, generate_mixture, load_csv, load_idx, preprocess, subsample_labels
+from truncmix.core import DataError
 from truncmix.data import (
     Dataset,
     UNLABELED,
+    generate_mixture,
+    load_csv,
+    load_idx,
+    preprocess,
+    subsample_labels,
     write_idx_images,
     write_idx_labels,
 )

@@ -5,26 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from truncmix import (
-    BottomWeights,
-    ConfigError,
-    DataError,
-    ModelConfig,
-    TopWeights,
+from truncmix.classifier import class_activation, normalized_columns
+from truncmix.core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
+from truncmix.data import Dataset, generate_mixture, preprocess, subsample_labels
+from truncmix.harness import (
     aggregate,
     compare_truncation,
     evaluate,
     export_weight_grid,
-    generate_mixture,
-    class_activation,
+    load_weights,
     predict_batch,
-    preprocess,
-    subsample_labels,
+    save_run,
     train,
 )
-from truncmix.classifier import normalized_columns
-from truncmix.data import Dataset
-from truncmix.harness import load_weights, save_run
 from truncmix.inference import select_truncation, truncated_posterior, integrate
 
 from conftest import random_observations, random_weights

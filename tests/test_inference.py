@@ -7,15 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 
-from truncmix import (
-    BottomWeights,
-    DataError,
-    integrate,
-    normalize_input,
-    select_truncation,
-    truncated_posterior,
-)
-from truncmix.inference import softmax_inplace
+from truncmix.core import BottomWeights, DataError
+from truncmix.data import normalize_input
+from truncmix.inference import integrate, select_truncation, softmax_inplace, truncated_posterior
 from truncmix.learning import free_energy
 
 from conftest import lgamma_sums, log_joint, random_observations, random_weights
@@ -206,6 +200,14 @@ class TestSelectTruncation:
             assert np.all(np.diff(sets, axis=1) > 0)
             for n in range(I.shape[0]):
                 np.testing.assert_array_equal(sets[n], sort_oracle_top_k(I[n], k))
+        # Signed zeros tie: -0.0 == 0.0, so the smaller index wins either way.
+        I = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
+        np.testing.assert_array_equal(select_truncation(I, 2), [0, 2])
+        np.testing.assert_array_equal(select_truncation(I, 3), [0, 1, 2])
+        for k in range(1, 7):
+            np.testing.assert_array_equal(select_truncation(I, k), sort_oracle_top_k(I, k))
+            np.testing.assert_array_equal(select_truncation(np.stack([I, -I]), k),
+                                          [sort_oracle_top_k(I, k), sort_oracle_top_k(-I, k)])
 
     def test_always_contains_argmax(self):
         rng = np.random.default_rng(7)

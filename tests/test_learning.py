@@ -13,28 +13,23 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
-from truncmix import (
-    BottomWeights,
-    ModelConfig,
-    MonotonicityError,
-    TopWeights,
+from truncmix import learning
+from truncmix.core import BottomWeights, ModelConfig, MonotonicityError, TopWeights
+from truncmix.data import Dataset, generate_mixture, preprocess
+from truncmix.inference import integrate, select_truncation
+from truncmix.learning import (
+    FreeEnergyTrace,
     batch_e_step,
     batch_m_step,
     free_energy,
-    generate_mixture,
+    init_from_data,
     init_weights,
-    integrate,
     online_epoch,
-    preprocess,
     run_tv_em,
     tv_em_iteration,
     update_bottom,
     update_top,
 )
-from truncmix import learning
-from truncmix.data import Dataset
-from truncmix.inference import select_truncation
-from truncmix.learning import FreeEnergyTrace, init_from_data
 
 from conftest import (lgamma_sums, log_joint, random_observations, random_weights,
                       worst_relative_decrease)
