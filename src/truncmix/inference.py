@@ -11,7 +11,8 @@ linear activation I_c = sum_d log(W_cd) * y_d.  Truncated inference keeps the
 C' largest activations and renormalizes the posterior on that support.
 
 All functions here operate on the last axis, so a single call handles one
-observation or a whole batch.  All but ``softmax_inplace`` are pure.
+observation or a whole batch.  All but the two ``*_inplace`` functions are
+pure.
 """
 
 import numpy as np
@@ -47,13 +48,15 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
     returned sorted; otherwise the first c_prime of a stable descending sort
     are.  A 2-D batch is selected in blocks of ``_ROW_BLOCK`` rows and
     returned as one compact array.  At c_prime == C the result is a
-    read-only broadcast of ``arange(C)``.
+    read-only ``arange(C)``, broadcast to a batch's shape.
     """
     C = I.shape[-1]
     if not 1 <= c_prime <= C:
         raise ValueError(f"c_prime must lie in [1, {C}], got {c_prime}")
     if c_prime == C:
-        return np.broadcast_to(np.arange(C), I.shape)
+        full = np.arange(C)
+        full.flags.writeable = False
+        return full if I.ndim == 1 else np.broadcast_to(full, I.shape)
     if I.ndim == 2 and len(I) > _ROW_BLOCK:
         return np.concatenate([select_truncation(I[i:i + _ROW_BLOCK], c_prime)
                                for i in range(0, len(I), _ROW_BLOCK)])
@@ -99,3 +102,23 @@ def softmax_inplace(x: np.ndarray) -> np.ndarray:
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
+
+
+def logsumexp_inplace(x: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of a finite float64 array along the last axis; ``x`` is scratch.
+
+    Runs scipy.special.logsumexp's real-input sequence (scipy 1.17), so the
+    result equals it bit for bit: the m entries equal to the max are split
+    off, the rest are shifted by the max and exponentiated in place, and
+    with s their sum the result is log1p(s / m) + log(m) + max.  Returns
+    shape x.shape[:-1].
+    """
+    mx = x.max(axis=-1, keepdims=True)
+    top = x == mx
+    m = np.count_nonzero(top, axis=-1).astype(np.float64)
+    x[top] = -np.inf
+    x -= mx
+    np.exp(x, out=x)
+    s = x.sum(axis=-1)
+    s /= m
+    return np.log1p(s) + np.log(m) + mx[..., 0]

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.special import logsumexp
 
 from .classifier import bvsb, class_activation
 from .core import BottomWeights, ModelConfig, MonotonicityError, TopWeights
 from .data import Dataset, UNLABELED
-from .inference import _ROW_BLOCK, integrate, select_truncation, truncated_posterior
+from .inference import (
+    _ROW_BLOCK, integrate, logsumexp_inplace, select_truncation, truncated_posterior,
+)
 
 MONOTONE_RSLACK = 1e-8
 _REFRESH = 16  # chosen rows per bound refresh of init_from_data
@@ -112,26 +113,28 @@ def _free_energy_at(I, W: BottomWeights, sets, lgamma_sums) -> float:
     """Truncated free energy from the activations ``I = integrate(W, Y)``.
 
     The support joints are formed in blocks of ``_ROW_BLOCK * C // C'``
-    points, so a block holds at most ``_ROW_BLOCK * C`` joints, as a select
-    block does; only the per-point log-sum-exp vector spans all N, and it is
-    summed once.  At small C' the blocks are few, so the fixed per-call cost
-    of scipy's ``logsumexp`` stays off the pass.
+    points, so a block's scratch holds at most ``_ROW_BLOCK * C`` joints, as
+    a select block does; only the per-point log-sum-exp vector spans all N,
+    and it is summed once.  Each block's joints are taken from ``I`` into one
+    buffer, which ``logsumexp_inplace`` reduces without a scipy call.  ``I``
+    must be finite, as ``integrate`` checks; neither it nor ``sets`` is
+    written.
     """
     # Joints differ from activations only by terms constant across clusters
     # (row sums all equal A, lgamma term depends on the point alone).
+    C = W.C
     row_sums = W.W.sum(axis=1)
     per_point = np.empty(len(sets))
-    step = _ROW_BLOCK * W.C // sets.shape[1]
+    step = _ROW_BLOCK * C // sets.shape[1]
     for lo in range(0, len(sets), step):
         hi = lo + step
-        s = sets[lo:hi]
-        lj_picked = (
-            np.take_along_axis(I[lo:hi], s, axis=1)
-            - row_sums[s]
-            - lgamma_sums[lo:hi, None]
-            - np.log(W.C)
-        )
-        per_point[lo:hi] = logsumexp(lj_picked, axis=1)
+        s, I_block = sets[lo:hi], I[lo:hi]
+        # One flat take: row r's support s[r] sits at r * C + s[r] of the block.
+        joints = np.take(I_block.ravel(), s + np.arange(0, I_block.size, C)[:, None])
+        joints -= np.take(row_sums, s)
+        joints -= lgamma_sums[lo:hi, None]
+        joints -= np.log(C)
+        per_point[lo:hi] = logsumexp_inplace(joints)
     return float(per_point.sum())
 
 

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from truncmix.core import BottomWeights, DataError
 from truncmix.data import normalize_input
-from truncmix.inference import integrate, select_truncation, softmax_inplace, truncated_posterior
+from truncmix.inference import (
+    integrate, logsumexp_inplace, select_truncation, softmax_inplace, truncated_posterior,
+)
 from truncmix.learning import free_energy
 
 from conftest import lgamma_sums, log_joint, random_observations, random_weights
@@ -285,6 +287,11 @@ class TestSelectTruncation:
                 assert sets.strides[0] == 0
                 assert sets.base.size == 48
                 assert np.array_equal(sets, np.tile(np.arange(48), (N, 1)))
+                # One point: the read-only arange(C) itself, not a view.
+                row = select_truncation(batch[3], c_prime)
+                assert not row.flags.writeable
+                assert row.base is None
+                assert np.array_equal(row, np.arange(48))
             else:
                 assert sets.base is None or sets.base.size == sets.size
 
@@ -383,6 +390,40 @@ class TestPosteriors:
         buf = x.copy()
         assert softmax_inplace(buf) is buf
         assert np.array_equal(buf, want)
+
+
+class TestLogSumExpInplace:
+    """``logsumexp_inplace`` against ``scipy.special.logsumexp``, bit for bit."""
+
+    @staticmethod
+    def assert_equals_scipy(x):
+        got = logsumexp_inplace(x.copy())
+        assert np.shape(got) == x.shape[:-1]
+        assert np.array_equal(got, logsumexp(x, axis=-1))
+
+    def test_random_blocks_over_magnitudes(self):
+        rng = np.random.default_rng(40)
+        for scale in (1e-3, 1e-1, 1.0, 30.0, 1e3):
+            for shape in ((1, 5), (7, 15), (256, 40)):
+                x = rng.normal(scale=scale, size=shape) + rng.normal(scale=1e3)
+                self.assert_equals_scipy(x)
+
+    def test_rounded_values_with_ties(self):
+        rng = np.random.default_rng(41)
+        for decimals in (-1, 0, 1):
+            x = np.round(rng.normal(scale=5.0, size=(64, 20)), decimals)
+            assert any(np.count_nonzero(row == row.max()) > 1 for row in x)
+            self.assert_equals_scipy(x)
+
+    def test_all_equal_rows(self):
+        x = np.repeat(np.array([[-3.5], [0.0], [812.25]]), 9, axis=1)
+        self.assert_equals_scipy(x)
+
+    def test_one_column(self):
+        self.assert_equals_scipy(np.random.default_rng(42).normal(scale=100.0, size=(30, 1)))
+
+    def test_one_vector(self):
+        self.assert_equals_scipy(np.random.default_rng(43).normal(scale=100.0, size=400))
 
 
 def _assert_batch_equals_rows(I):

@@ -261,6 +261,19 @@ class TestFreeEnergy:
               - lg[:, None] - np.log(W.C))
         assert free_energy(Y, W, sets, lg) == float(logsumexp(lj, axis=1).sum())
 
+    @pytest.mark.parametrize("c_prime", [1, 3, 12])
+    def test_activations_and_sets_left_untouched(self, c_prime):
+        rng = np.random.default_rng(20)
+        W = random_weights(rng, 12, 9, 20.0)
+        Y = random_observations(rng, 513, 9, 20.0)
+        I, lg = integrate(W, Y), lgamma_sums(Y)
+        sets = select_truncation(I, c_prime)
+        I_bytes, sets_bytes = I.tobytes(), sets.tobytes()
+        f = learning._free_energy_at(I, W, sets, lg)
+        assert I.tobytes() == I_bytes and sets.tobytes() == sets_bytes
+        assert free_energy(Y, W, sets, lg) == f
+        assert sets.tobytes() == sets_bytes
+
     @pytest.mark.parametrize("sets_from", ["given", "e_step"])
     def test_full_sets_peak_is_one_activation_matrix_plus_blocks(self, sets_from):
         # The unblocked pass peaked at about seven (N, C) arrays, I included.
