@@ -15,7 +15,9 @@ Two training regimes share the same inference path:
   and a decrease beyond numerical slack raises MonotonicityError.
 """
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,23 @@ from .inference import (
 MONOTONE_RSLACK = 1e-8
 _REFRESH = 16  # chosen rows per bound refresh of init_from_data
 _INTEGRATE_BLOCK = 16  # samples per integrate GEMM of online_epoch below C'=C
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _start_worker():
+    """One worker for the second half of the rows of a full-support bottom
+    step (see update_bottom), where the process may run on at least 2 CPUs.
+    It runs only ufuncs, which release the GIL, and no BLAS, so the
+    one-thread BLAS pin holds; its thread starts at the first submit, not
+    here.  A forked child inherits the pool but not its thread, so it gets a
+    pool of its own."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1) if _CPUS >= 2 else None
+
+
+_start_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_worker)
 
 
 @dataclass
@@ -52,6 +71,19 @@ class FreeEnergyTrace:
                 )
 
 
+def _update_rows(w: np.ndarray, logw: np.ndarray, es: np.ndarray, y: np.ndarray, lo: int, hi: int):
+    """Rows [lo, hi) of the full-support bottom step and their ``log W``.
+
+    The views are bound first, so each statement writes its rows in place
+    (``w[lo:hi] *= ...`` would copy them back through ``__setitem__``).
+    Every element gets the same IEEE operations whatever the range.
+    """
+    w, logw, es = w[lo:hi], logw[lo:hi], es[lo:hi]
+    w *= (1.0 - es)[:, None]
+    w += np.multiply(es[:, None], y, out=logw)
+    np.log(w, out=logw)
+
+
 def update_bottom(
     W: BottomWeights, logw: np.ndarray, support: np.ndarray, probs: np.ndarray, y: np.ndarray,
     eps_W: float,
@@ -64,15 +96,29 @@ def update_bottom(
     every W row carry the same mass A.  ``logw`` holds log(W) and gets the
     logs of the written rows; at full support it is the scratch for the
     additive term before the log overwrites it.
+
+    At full support, where the process may run on at least 2 CPUs, the rows
+    are split: the calling thread does rows [0, C//2) while one worker thread
+    does rows [C//2, C), with the same statements, so W and ``log W`` are
+    bit-identical to the serial step.  The caller waits for the worker's half
+    in a ``finally``, so no write outlives the call, even when either half
+    raises.  Below full support the step is serial.
     """
     if eps_W * probs.max() > 1.0:
         raise ValueError("eps_W * max(s) must not exceed 1")
     w = W.W
     es = eps_W * probs
-    if support.size == w.shape[0] and np.array_equal(support, np.arange(support.size)):
-        w *= (1.0 - es)[:, None]
-        w += np.multiply(es[:, None], y, out=logw)
-        np.log(w, out=logw)
+    C = w.shape[0]
+    if support.size == C and np.array_equal(support, np.arange(C)):
+        half = C // 2 if _WORKER is not None else 0
+        if half == 0:
+            _update_rows(w, logw, es, y, 0, C)
+        else:
+            other = _WORKER.submit(_update_rows, w, logw, es, y, half, C)
+            try:
+                _update_rows(w, logw, es, y, 0, half)
+            finally:
+                other.result()
     else:
         rows = w.take(support, axis=0)
         rows *= (1.0 - es)[:, None]
@@ -306,7 +352,8 @@ def online_epoch(
     points whose best-versus-second-best margin clears ``cfg.theta_bvsb``.
     Mutates W and R in place.  Returns the epoch's gate counts and its
     seconds per phase (integrate, select, posterior with class posterior,
-    update), as ``report.json`` and ``timings.json`` record them.
+    update_bottom with the ``log W`` refresh, update_top with the gate), as
+    ``report.json`` and ``timings.json`` record them.
 
     Integration runs in blocks of B = min(_INTEGRATE_BLOCK, C // C')
     consecutive points of the shuffle: at a block's first point one GEMM
@@ -316,6 +363,11 @@ def online_epoch(
     At C'=C, B is 1 and the one-row GEMM equals the per-point matvec bit for
     bit.  Every point's activations are checked after the recompute, and a
     non-finite one raises FloatingPointError.
+
+    At C'=C the bottom step splits its rows between this thread and one
+    worker thread (see ``update_bottom``) and waits for the worker in a
+    ``finally``, so ``log W`` is whole before the next point's GEMM reads it
+    and the result does not depend on the CPU count.
     """
     Y = ds.Y
     logw = np.log(W.W)
@@ -324,7 +376,8 @@ def online_epoch(
     written = np.zeros(W.C, dtype=bool)  # rows written since the block's GEMM
     order = rng.permutation(ds.N)
     gates = dict.fromkeys(("labeled_updates", "unlabeled_passed", "unlabeled_skipped"), 0)
-    phases = dict.fromkeys(("integrate", "select", "posterior", "update"), 0.0)
+    phases = dict.fromkeys(
+        ("integrate", "select", "posterior", "update_bottom", "update_top"), 0.0)
     perf = time.perf_counter
     for n, (i, label) in enumerate(zip(order.tolist(), ds.labels[order].tolist())):
         t0 = perf()
@@ -345,6 +398,7 @@ def online_epoch(
         t3 = perf()
         update_bottom(W, logw, support, probs, y, cfg.eps_W)
         written[support] = True
+        t4 = perf()
         if label != UNLABELED:
             update_top(R, t, support, probs, cfg.eps_R)
             gates["labeled_updates"] += 1
@@ -353,10 +407,11 @@ def online_epoch(
             gates["unlabeled_passed"] += 1
         else:
             gates["unlabeled_skipped"] += 1
-        t4 = perf()
+        t5 = perf()
         phases["integrate"] += t1 - t0
         phases["select"] += t2 - t1
         phases["posterior"] += t3 - t2
-        phases["update"] += t4 - t3
+        phases["update_bottom"] += t4 - t3
+        phases["update_top"] += t5 - t4
     gates["bottom_writes"] = ds.N * c_prime * W.D  # matrix entries the bottom updates wrote
     return gates, phases

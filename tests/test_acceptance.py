@@ -280,7 +280,7 @@ def test_criterion_09_complexity():
                              epochs=1, seed=0)
         W, R = init_weights(cfg, ds.Y, np.random.default_rng(0))
         gates, phases = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
-        times[cp] = phases["update"]
+        times[cp] = phases["update_bottom"] + phases["update_top"]
         assert gates["bottom_writes"] == ds.N * cp * 784
 
     # Independent write-count instrumentation: the entries an update may

@@ -627,3 +627,43 @@ def test_seeded_run_independent_of_blas_thread_environment(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append([(out / f).read_bytes() for f in ("W.npy", "report.json")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the process has one CPU either way")
+def test_untruncated_run_independent_of_cpu_count(tmp_path):
+    # At C'=C the bottom step splits its rows across two threads only where
+    # the process may use two CPUs; pinned to one CPU before import, it stays
+    # serial.  Both must write the same bytes.
+    assert main([
+        "synth", "--clusters", "10", "--dim", "784", "--n", "400",
+        "--seed", "7", "--out", str(tmp_path / "d"),
+    ]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "K": 10, "C": 400, "C_prime": 400, "A": 900.0, "D": 784,
+        "eps_W": 0.1, "eps_R": 0.0025, "theta_bvsb": 0.6, "epochs": 1, "seed": 7,
+    }))
+    src = str(Path(truncmix.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import os, sys\n"
+        "if sys.argv[1] == 'one':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from truncmix import learning\n"
+        "from truncmix.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "print('split' if learning._WORKER else 'serial')\n"
+        "sys.exit(code)\n"
+    )
+    images, labels = (str(tmp_path / "d" / f) for f in ("images-idx3-ubyte", "labels-idx1-ubyte"))
+    args = ["train", "--config", str(tmp_path / "cfg.json"), "--images", images,
+            "--labels", labels, "--test-images", images, "--test-labels", labels]
+    outputs = {}
+    for cpus, mode in (("one", "serial"), ("all", "split")):
+        out = tmp_path / cpus
+        proc = subprocess.run([sys.executable, "-c", script, cpus, *args, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == mode
+        outputs[cpus] = [(out / f).read_bytes() for f in ("W.npy", "report.json")]
+    assert outputs["one"] == outputs["all"]

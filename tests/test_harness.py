@@ -137,7 +137,8 @@ class TestTrain:
         doc = json.loads(report.to_json())
         assert "timings" not in doc
         assert len(report.timings) == cfg.epochs
-        assert set(report.timings[0]) == {"integrate", "select", "posterior", "update"}
+        assert set(report.timings[0]) == {
+            "integrate", "select", "posterior", "update_bottom", "update_top"}
         assert len(doc["gate_stats"]) == cfg.epochs
         assert doc["n_labeled"] == train_ds.N
 

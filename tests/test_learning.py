@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
 import re
+import signal
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath as mp
@@ -156,6 +161,116 @@ class TestUpdateBottom:
         logw = np.log(self.W.W)
         update_bottom(self.W, logw, support, probs, self.y, eps_W=0.6)
         assert np.array_equal(logw, np.log(self.W.W))
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A one-worker pool that counts what it is given."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture()
+def row_worker(monkeypatch):
+    """The full-support step's worker, present whatever the CPU count."""
+    pool = CountingExecutor()
+    monkeypatch.setattr(learning, "_WORKER", pool)
+    yield pool
+    pool.shutdown(wait=True)
+
+
+class TestSplitBottomStep:
+    """At full support the rows are split between the caller and one worker."""
+
+    @staticmethod
+    def serial_step(w, es, y):
+        # The three statements and the log of the unsplit step.
+        w *= (1.0 - es)[:, None]
+        w += np.multiply(es[:, None], y)
+        return np.log(w)
+
+    @pytest.mark.parametrize("split", [True, False], ids=["worker", "no-worker"])
+    @pytest.mark.parametrize("C, D", [(1, 37), (2, 37), (3, 37), (5, 37), (400, 784)])
+    def test_bit_identical_to_serial_step(self, row_worker, monkeypatch, C, D, split):
+        if not split:
+            monkeypatch.setattr(learning, "_WORKER", None)
+        rng = np.random.default_rng(C)
+        W = random_weights(rng, C, D, 3.0 * D)
+        w_ref = W.W.copy()
+        logw = np.log(W.W)
+        for y in random_observations(rng, 4, D, 3.0 * D):
+            probs = rng.dirichlet(np.ones(C))
+            update_bottom(W, logw, np.arange(C), probs, y, 0.9)
+            logw_ref = self.serial_step(w_ref, 0.9 * probs, y)
+            assert W.W.tobytes() == w_ref.tobytes()
+            assert logw.tobytes() == logw_ref.tobytes()
+        # C=1 leaves the caller's half empty, so nothing is submitted.
+        assert row_worker.submitted == (4 if split and C >= 2 else 0)
+
+    def test_below_full_support_stays_on_the_caller(self, row_worker):
+        rng = np.random.default_rng(0)
+        W = random_weights(rng, 6, 5, 15.0)
+        update_bottom(W, np.log(W.W), np.arange(5), rng.dirichlet(np.ones(5)),
+                      random_observations(rng, 1, 5, 15.0)[0], 0.5)
+        assert row_worker.submitted == 0
+
+    @pytest.mark.parametrize("faulty_lo", [0, 3], ids=["caller-half", "worker-half"])
+    def test_fault_in_one_half_raises_after_the_other_half(
+        self, row_worker, monkeypatch, faulty_lo
+    ):
+        class RowFault(Exception):
+            pass
+
+        rows = learning._update_rows
+        finished = []
+
+        def faulty_rows(w, logw, es, y, lo, hi):
+            if lo == faulty_lo:
+                raise RowFault(f"rows {lo}:{hi}")
+            time.sleep(0.2)  # the sound half is still writing when the fault is raised
+            rows(w, logw, es, y, lo, hi)
+            finished.append((lo, hi))
+
+        monkeypatch.setattr(learning, "_update_rows", faulty_rows)
+        rng = np.random.default_rng(0)
+        W = random_weights(rng, 6, 5, 15.0)
+        before = W.W.copy()
+        with pytest.raises(RowFault, match=f"rows {faulty_lo}:"):
+            update_bottom(W, np.log(W.W), np.arange(6), rng.dirichlet(np.ones(6)),
+                          random_observations(rng, 1, 5, 15.0)[0], 0.5)
+        sound = (3, 6) if faulty_lo == 0 else (0, 3)
+        assert finished == [sound]
+        faulty = slice(faulty_lo, faulty_lo + 3)
+        assert np.array_equal(W.W[faulty], before[faulty])
+        assert not np.array_equal(W.W[slice(*sound)], before[slice(*sound)])
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or learning._WORKER is None,
+                        reason="needs fork and a process that may use 2 CPUs")
+    def test_forked_child_finishes_a_split_step(self):
+        # The child inherits the pool but not its thread; without a pool of
+        # its own its first split step would wait forever.
+        rng = np.random.default_rng(0)
+        W = random_weights(rng, 6, 5, 15.0)
+        step = (np.log(W.W), np.arange(6), np.full(6, 1 / 6), np.full(5, 3.0), 0.5)
+        update_bottom(W, *step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(5)
+                update_bottom(W, *step)
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestUpdateTop:
