@@ -39,8 +39,9 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 def _start_worker():
     """One worker for the second half of the rows of a full-support bottom
     step (see update_bottom), where the process may run on at least 2 CPUs.
-    It runs only ufuncs, which release the GIL, and no BLAS, so the
-    one-thread BLAS pin holds; its thread starts at the first submit, not
+    It runs ufuncs and one BLAS matvec, which release the GIL; that matvec
+    runs on one BLAS thread under the package's pin, like the caller's, so
+    the step uses two CPUs.  Its thread starts at the first submit, not
     here.  A forked child inherits the pool but not its thread, so it gets a
     pool of its own."""
     global _WORKER
@@ -71,22 +72,33 @@ class FreeEnergyTrace:
                 )
 
 
-def _update_rows(w: np.ndarray, logw: np.ndarray, es: np.ndarray, y: np.ndarray, lo: int, hi: int):
-    """Rows [lo, hi) of the full-support bottom step and their ``log W``.
+def _update_rows(
+    w: np.ndarray, logw: np.ndarray, es: np.ndarray, y: np.ndarray, lo: int, hi: int,
+    y_next: np.ndarray | None, I_next: np.ndarray | None,
+):
+    """Rows [lo, hi) of the full-support bottom step, their ``log W`` and,
+    given ``y_next``, their activations for it in ``I_next``.
 
     The views are bound first, so each statement writes its rows in place
     (``w[lo:hi] *= ...`` would copy them back through ``__setitem__``).
-    Every element gets the same IEEE operations whatever the range.
+    Every element gets the same IEEE operations whatever the range; the
+    matvec reads only the rows this call has just written.
     """
     w, logw, es = w[lo:hi], logw[lo:hi], es[lo:hi]
     w *= (1.0 - es)[:, None]
-    w += np.multiply(es[:, None], y, out=logw)
+    # es * y in place: a copy and an in-place product beat the broadcast
+    # product into ``out``, with the same bits.
+    np.copyto(logw, y)
+    logw *= es[:, None]
+    w += logw
     np.log(w, out=logw)
+    if y_next is not None:
+        np.matmul(logw, y_next, out=I_next[lo:hi])
 
 
 def update_bottom(
     W: BottomWeights, logw: np.ndarray, support: np.ndarray, probs: np.ndarray, y: np.ndarray,
-    eps_W: float,
+    eps_W: float, y_next: np.ndarray | None = None, I_next: np.ndarray | None = None,
 ) -> BottomWeights:
     """One Hebbian step on the bottom layer, in place, with its ``log W`` refresh.
 
@@ -97,12 +109,21 @@ def update_bottom(
     logs of the written rows; at full support it is the scratch for the
     additive term before the log overwrites it.
 
+    Given the next point ``y_next``, the (C,) buffer ``I_next`` gets its
+    activations ``log W @ y_next`` from the updated weights, bit-identical
+    to the one-row GEMM ``y_next[None] @ logw.T``.
+
     At full support, where the process may run on at least 2 CPUs, the rows
-    are split: the calling thread does rows [0, C//2) while one worker thread
-    does rows [C//2, C), with the same statements, so W and ``log W`` are
-    bit-identical to the serial step.  The caller waits for the worker's half
-    in a ``finally``, so no write outlives the call, even when either half
-    raises.  Below full support the step is serial.
+    are split at h = C//2 rounded down to a multiple of 16: the calling
+    thread does rows [0, h) while one worker thread does rows [h, C), each
+    with the same statements, then the matvec of its own rows while they
+    are still in cache.  W and ``log W`` are bit-identical to the serial
+    step.  The split activations are bit-identical to the one-row GEMM
+    under the one-thread BLAS pin: a matvec split at a multiple of 16 rounds
+    each row as the whole matvec does, which a split at C//2 need not (the
+    tests pin the aligned split).  The caller waits for the worker's half in
+    a ``finally``, so no write outlives the call, even when either half
+    raises.  Below full support, or where h is 0, the step is serial.
     """
     if eps_W * probs.max() > 1.0:
         raise ValueError("eps_W * max(s) must not exceed 1")
@@ -110,13 +131,13 @@ def update_bottom(
     es = eps_W * probs
     C = w.shape[0]
     if support.size == C and np.array_equal(support, np.arange(C)):
-        half = C // 2 if _WORKER is not None else 0
+        half = C // 2 // 16 * 16 if _WORKER is not None else 0
         if half == 0:
-            _update_rows(w, logw, es, y, 0, C)
+            _update_rows(w, logw, es, y, 0, C, y_next, I_next)
         else:
-            other = _WORKER.submit(_update_rows, w, logw, es, y, half, C)
+            other = _WORKER.submit(_update_rows, w, logw, es, y, half, C, y_next, I_next)
             try:
-                _update_rows(w, logw, es, y, 0, half)
+                _update_rows(w, logw, es, y, 0, half, y_next, I_next)
             finally:
                 other.result()
     else:
@@ -125,6 +146,8 @@ def update_bottom(
         rows += es[:, None] * y
         w[support] = rows
         logw[support] = np.log(rows, out=rows)
+        if y_next is not None:
+            np.matmul(logw, y_next, out=I_next)
     return W
 
 
@@ -355,39 +378,49 @@ def online_epoch(
     update_bottom with the ``log W`` refresh, update_top with the gate), as
     ``report.json`` and ``timings.json`` record them.
 
-    Integration runs in blocks of B = min(_INTEGRATE_BLOCK, C // C')
-    consecutive points of the shuffle: at a block's first point one GEMM
-    against the current log W gives every point of the block its
+    Below C'=C, integration runs in blocks of B = min(_INTEGRATE_BLOCK,
+    C // C') consecutive points of the shuffle: at a block's first point one
+    GEMM against the current log W gives every point of the block its
     activations, and each point recomputes by matvec only the rows that the
     block's earlier points wrote.  Each activation is exact up to rounding.
-    At C'=C, B is 1 and the one-row GEMM equals the per-point matvec bit for
-    bit.  Every point's activations are checked after the recompute, and a
-    non-finite one raises FloatingPointError.
+    At C'=C only the first point is integrated by a one-row GEMM; every
+    ``update_bottom`` call gets the next point and writes its activations
+    into the other of two (C,) buffers, bit-identical to that GEMM, so there
+    is no per-point gather and no stale row.  Every point's activations are
+    checked at the top of its sample, and a non-finite one raises
+    FloatingPointError.
 
-    At C'=C the bottom step splits its rows between this thread and one
-    worker thread (see ``update_bottom``) and waits for the worker in a
-    ``finally``, so ``log W`` is whole before the next point's GEMM reads it
-    and the result does not depend on the CPU count.
+    At C'=C the bottom step and the next point's matvec split their rows
+    between this thread and one worker thread (see ``update_bottom``), which
+    this thread waits for in a ``finally``, so ``log W`` and the next
+    activations are whole before the next point reads them and the result
+    does not depend on the CPU count.
     """
     Y = ds.Y
     logw = np.log(W.W)
     c_prime = cfg.C_prime
+    fused = c_prime == W.C  # update_bottom computes each next point's activations
     block = min(_INTEGRATE_BLOCK, W.C // c_prime)
     written = np.zeros(W.C, dtype=bool)  # rows written since the block's GEMM
+    I_bufs = (np.empty(W.C), np.empty(W.C))  # the next point's activations at C'=C
     order = rng.permutation(ds.N)
+    points = order.tolist()
     gates = dict.fromkeys(("labeled_updates", "unlabeled_passed", "unlabeled_skipped"), 0)
     phases = dict.fromkeys(
         ("integrate", "select", "posterior", "update_bottom", "update_top"), 0.0)
     perf = time.perf_counter
-    for n, (i, label) in enumerate(zip(order.tolist(), ds.labels[order].tolist())):
+    for n, (i, label) in enumerate(zip(points, ds.labels[order].tolist())):
         t0 = perf()
         y = Y[i]
-        if n % block == 0:
-            I_block = Y[order[n : n + block]] @ logw.T
-            written.fill(False)
-        I = I_block[n % block]
-        stale = np.flatnonzero(written)
-        I[stale] = logw[stale] @ y
+        if fused and n:
+            I = I_next
+        else:
+            if n % block == 0:
+                I_block = Y[order[n : n + block]] @ logw.T
+                written.fill(False)
+            I = I_block[n % block]
+            stale = np.flatnonzero(written)
+            I[stale] = logw[stale] @ y
         if not np.isfinite(I).all():
             raise FloatingPointError(f"non-finite activation at epoch sample {n}")
         t1 = perf()
@@ -396,8 +429,13 @@ def online_epoch(
         probs = truncated_posterior(I, support)
         t = class_activation(support, probs, R, None if label == UNLABELED else label)
         t3 = perf()
-        update_bottom(W, logw, support, probs, y, cfg.eps_W)
-        written[support] = True
+        if fused:
+            I_next = I_bufs[n % 2]
+            y_next = Y[points[n + 1]] if n + 1 < ds.N else None
+            update_bottom(W, logw, support, probs, y, cfg.eps_W, y_next, I_next)
+        else:
+            update_bottom(W, logw, support, probs, y, cfg.eps_W)
+            written[support] = True
         t4 = perf()
         if label != UNLABELED:
             update_top(R, t, support, probs, cfg.eps_R)

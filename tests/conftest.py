@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import truncmix  # noqa: F401  (first: its one-thread BLAS pin must precede numpy's import)
 import numpy as np
 import pytest
 from scipy.special import gammaln

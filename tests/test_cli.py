@@ -602,15 +602,17 @@ class TestExitCodes:
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="BLAS has one core either way")
-def test_seeded_run_independent_of_blas_thread_environment(tmp_path):
+@pytest.mark.parametrize("c_prime", [15, 400])
+def test_seeded_run_independent_of_blas_thread_environment(tmp_path, c_prime):
     # A multi-threaded GEMM rounds differently from a single-threaded one;
     # the package pins BLAS to one thread unless the environment says otherwise.
+    # At C'=C the bottom step's worker thread runs a matvec too.
     assert main([
         "synth", "--clusters", "10", "--dim", "784", "--n", "800",
         "--seed", "7", "--out", str(tmp_path / "d"),
     ]) == 0
     (tmp_path / "cfg.json").write_text(json.dumps({
-        "K": 10, "C": 400, "C_prime": 15, "A": 900.0, "D": 784,
+        "K": 10, "C": 400, "C_prime": c_prime, "A": 900.0, "D": 784,
         "eps_W": 0.1, "eps_R": 0.0025, "theta_bvsb": 0.6, "epochs": 1, "seed": 7,
     }))
     src = str(Path(truncmix.__file__).parents[1])
@@ -630,16 +632,18 @@ def test_seeded_run_independent_of_blas_thread_environment(tmp_path):
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the process has one CPU either way")
-def test_untruncated_run_independent_of_cpu_count(tmp_path):
-    # At C'=C the bottom step splits its rows across two threads only where
-    # the process may use two CPUs; pinned to one CPU before import, it stays
-    # serial.  Both must write the same bytes.
+@pytest.mark.parametrize("C, n", [(400, 400), (401, 500)])
+def test_untruncated_run_independent_of_cpu_count(tmp_path, C, n):
+    # At C'=C the bottom step and the next point's matvec split their rows
+    # across two threads only where the process may use two CPUs; pinned to
+    # one CPU before import, they stay serial.  Both must write the same
+    # bytes.  C=401 leaves an odd 209 rows past the aligned split at 192.
     assert main([
-        "synth", "--clusters", "10", "--dim", "784", "--n", "400",
+        "synth", "--clusters", "10", "--dim", "784", "--n", str(n),
         "--seed", "7", "--out", str(tmp_path / "d"),
     ]) == 0
     (tmp_path / "cfg.json").write_text(json.dumps({
-        "K": 10, "C": 400, "C_prime": 400, "A": 900.0, "D": 784,
+        "K": 10, "C": C, "C_prime": C, "A": 900.0, "D": 784,
         "eps_W": 0.1, "eps_R": 0.0025, "theta_bvsb": 0.6, "epochs": 1, "seed": 7,
     }))
     src = str(Path(truncmix.__file__).parents[1])

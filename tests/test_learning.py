@@ -3,6 +3,7 @@ import math
 import os
 import re
 import signal
+import sys
 import time
 import tracemalloc
 import warnings
@@ -176,12 +177,52 @@ class CountingExecutor(ThreadPoolExecutor):
 
 
 @pytest.fixture()
+def fast_switch():
+    """Hand the interpreter lock over every microsecond, so the caller's and
+    the worker's halves interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture()
 def row_worker(monkeypatch):
     """The full-support step's worker, present whatever the CPU count."""
     pool = CountingExecutor()
     monkeypatch.setattr(learning, "_WORKER", pool)
     yield pool
     pool.shutdown(wait=True)
+
+
+def aligned_half(C: int) -> int:
+    return C // 2 // 16 * 16
+
+
+# Shapes over which a matvec split at a multiple of 16 rounds as one matvec.
+SPLIT_ROWS = [*range(1, 71), 99, 100, 101, 127, 128, 129, 255, 256, 399, 400, 401, 1001]
+
+
+@pytest.mark.parametrize("D", [1, 3, 7, 8, 64, 783, 784, 785, 2000])
+def test_aligned_split_matvec_equals_one_row_gemm(D):
+    # update_bottom splits its matvec at C//2 rounded down to a multiple of
+    # 16, so both halves hold at least 16 rows when it splits.  A one-row
+    # tail is left out: numpy takes a (1, D) @ (D,) product through its dot
+    # kernel, which rounds differently from the matvec.
+    rng = np.random.default_rng(D)
+    bad = []
+    for C in SPLIT_ROWS:
+        logw = np.log(rng.uniform(0.2, 3.0, size=(C, D)))
+        y = rng.uniform(0.0, 10.0, size=D)
+        gemm = (y[None] @ logw.T)[0]
+        for h in range(0, C + 1, 16):
+            if C - h != 1:
+                split = np.concatenate([logw[:h] @ y, logw[h:] @ y])
+                if split.tobytes() != gemm.tobytes():
+                    bad.append((C, D, h))
+    assert not bad, f"split matvec differs from the one-row GEMM at (C, D, h) = {bad}"
 
 
 class TestSplitBottomStep:
@@ -195,31 +236,44 @@ class TestSplitBottomStep:
         return np.log(w)
 
     @pytest.mark.parametrize("split", [True, False], ids=["worker", "no-worker"])
-    @pytest.mark.parametrize("C, D", [(1, 37), (2, 37), (3, 37), (5, 37), (400, 784)])
-    def test_bit_identical_to_serial_step(self, row_worker, monkeypatch, C, D, split):
+    @pytest.mark.parametrize(
+        "C, D", [(1, 37), (2, 37), (3, 37), (5, 37), (37, 37), (400, 784), (401, 784)])
+    def test_bit_identical_to_serial_step(self, row_worker, fast_switch, monkeypatch, C, D,
+                                          split):
         if not split:
             monkeypatch.setattr(learning, "_WORKER", None)
         rng = np.random.default_rng(C)
         W = random_weights(rng, C, D, 3.0 * D)
         w_ref = W.W.copy()
         logw = np.log(W.W)
-        for y in random_observations(rng, 4, D, 3.0 * D):
+        ys = random_observations(rng, 5, D, 3.0 * D)
+        for k in range(4):
+            # The epoch's last step has no next point and writes no activations.
+            y_next = ys[k + 1] if k < 3 else None
+            I_next = np.full(C, np.nan)
             probs = rng.dirichlet(np.ones(C))
-            update_bottom(W, logw, np.arange(C), probs, y, 0.9)
-            logw_ref = self.serial_step(w_ref, 0.9 * probs, y)
+            update_bottom(W, logw, np.arange(C), probs, ys[k], 0.9, y_next, I_next)
+            logw_ref = self.serial_step(w_ref, 0.9 * probs, ys[k])
             assert W.W.tobytes() == w_ref.tobytes()
             assert logw.tobytes() == logw_ref.tobytes()
-        # C=1 leaves the caller's half empty, so nothing is submitted.
-        assert row_worker.submitted == (4 if split and C >= 2 else 0)
+            if y_next is None:
+                assert np.isnan(I_next).all()
+            else:
+                assert I_next.tobytes() == (y_next[None] @ logw_ref.T)[0].tobytes()
+        # Below 32 rows the aligned half is empty, so nothing is submitted.
+        assert row_worker.submitted == (4 if split and aligned_half(C) > 0 else 0)
 
     def test_below_full_support_stays_on_the_caller(self, row_worker):
         rng = np.random.default_rng(0)
-        W = random_weights(rng, 6, 5, 15.0)
-        update_bottom(W, np.log(W.W), np.arange(5), rng.dirichlet(np.ones(5)),
-                      random_observations(rng, 1, 5, 15.0)[0], 0.5)
+        W = random_weights(rng, 40, 5, 15.0)
+        logw = np.log(W.W)
+        y, y_next = random_observations(rng, 2, 5, 15.0)
+        I_next = np.empty(40)
+        update_bottom(W, logw, np.arange(39), rng.dirichlet(np.ones(39)), y, 0.5, y_next, I_next)
         assert row_worker.submitted == 0
+        assert I_next.tobytes() == (y_next[None] @ logw.T)[0].tobytes()
 
-    @pytest.mark.parametrize("faulty_lo", [0, 3], ids=["caller-half", "worker-half"])
+    @pytest.mark.parametrize("faulty_lo", [0, 16], ids=["caller-half", "worker-half"])
     def test_fault_in_one_half_raises_after_the_other_half(
         self, row_worker, monkeypatch, faulty_lo
     ):
@@ -229,23 +283,23 @@ class TestSplitBottomStep:
         rows = learning._update_rows
         finished = []
 
-        def faulty_rows(w, logw, es, y, lo, hi):
+        def faulty_rows(w, logw, es, y, lo, hi, *next_point):
             if lo == faulty_lo:
                 raise RowFault(f"rows {lo}:{hi}")
             time.sleep(0.2)  # the sound half is still writing when the fault is raised
-            rows(w, logw, es, y, lo, hi)
+            rows(w, logw, es, y, lo, hi, *next_point)
             finished.append((lo, hi))
 
         monkeypatch.setattr(learning, "_update_rows", faulty_rows)
         rng = np.random.default_rng(0)
-        W = random_weights(rng, 6, 5, 15.0)
+        W = random_weights(rng, 40, 5, 15.0)
         before = W.W.copy()
         with pytest.raises(RowFault, match=f"rows {faulty_lo}:"):
-            update_bottom(W, np.log(W.W), np.arange(6), rng.dirichlet(np.ones(6)),
+            update_bottom(W, np.log(W.W), np.arange(40), rng.dirichlet(np.ones(40)),
                           random_observations(rng, 1, 5, 15.0)[0], 0.5)
-        sound = (3, 6) if faulty_lo == 0 else (0, 3)
+        sound = (16, 40) if faulty_lo == 0 else (0, 16)
         assert finished == [sound]
-        faulty = slice(faulty_lo, faulty_lo + 3)
+        faulty = slice(0, 16) if faulty_lo == 0 else slice(16, 40)
         assert np.array_equal(W.W[faulty], before[faulty])
         assert not np.array_equal(W.W[slice(*sound)], before[slice(*sound)])
 
@@ -255,8 +309,8 @@ class TestSplitBottomStep:
         # The child inherits the pool but not its thread; without a pool of
         # its own its first split step would wait forever.
         rng = np.random.default_rng(0)
-        W = random_weights(rng, 6, 5, 15.0)
-        step = (np.log(W.W), np.arange(6), np.full(6, 1 / 6), np.full(5, 3.0), 0.5)
+        W = random_weights(rng, 40, 5, 15.0)
+        step = (np.log(W.W), np.arange(40), np.full(40, 1 / 40), np.full(5, 3.0), 0.5)
         update_bottom(W, *step)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
@@ -850,6 +904,26 @@ class TestOnlineEpoch:
         with pytest.raises(FloatingPointError, match="non-finite activation at epoch sample 1$"):
             online_epoch(ds, W, R, cfg, np.random.default_rng(0))
         assert len(calls) == 1
+
+    def test_non_finite_fused_activation_names_the_sample(self, monkeypatch):
+        # At C'=C each step computes the next point's activations: a weight
+        # poisoned after sample 0's step enters the activations that sample
+        # 1's step computes for sample 2.
+        ds, cfg, W, R = online_setup()
+        cfg = replace(cfg, C_prime=cfg.C)
+        update_bottom = learning.update_bottom
+        calls = []
+
+        def poisoning_update(W, *args):
+            update_bottom(W, *args)
+            if not calls:
+                W.W[3, 0] = np.inf
+            calls.append(args)
+
+        monkeypatch.setattr(learning, "update_bottom", poisoning_update)
+        with pytest.raises(FloatingPointError, match="non-finite activation at epoch sample 2$"):
+            online_epoch(ds, W, R, cfg, np.random.default_rng(0))
+        assert len(calls) == 2
 
 
 def reference_online_epoch(ds, W, R, cfg, rng, blocked=True):
