@@ -20,10 +20,13 @@ import numpy as np
 from .classifier import normalized_columns
 from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
 from .data import Dataset, UNLABELED
-from .inference import integrate, select_truncation, softmax_inplace, truncated_posterior
+from .inference import (
+    _ROW_BLOCK, _one_blas_thread, _row_blocks, integrate, select_truncation, softmax_inplace,
+    truncated_posterior,
+)
 from .learning import FreeEnergyTrace, batch_e_step, free_energy, init_weights, online_epoch
 
-_CHUNK = 16384
+_CHUNK = 64 * _ROW_BLOCK  # rows per activation matrix of predict_batch: bounds its memory
 
 
 @dataclass
@@ -37,6 +40,7 @@ class RunReport:
     trace: FreeEnergyTrace      # (epoch, free energy) on the training set
     gate_stats: list            # per-epoch gate/write counters
     timings: list               # per-epoch phase seconds (not in report JSON)
+    blas_threads: int | None = None  # OpenBLAS threads of the run, if set (not in report JSON)
 
     def to_dict(self) -> dict:
         return {
@@ -54,28 +58,51 @@ class RunReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def predict_batch(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarray:
-    """Vectorized truncated-path predictions for a batch of observations.
+def _class_scores(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarray:
+    """Unnormalized class scores S @ mix.T of a batch, (N, K), where S holds
+    each point's truncated posterior over all C clusters and mix the
+    column-normalized R.
 
-    Each chunk's activation matrix I becomes its posterior matrix S in
-    place: below C'=C the truncated posterior is scattered into the zeroed
-    I; at C'=C the support is every cluster, so I takes its row softmax
-    directly, with no select, gather or scatter.
+    Each chunk of ``_CHUNK`` rows gets its activation matrix I, which becomes
+    its posterior matrix S in place: below C'=C the truncated posterior is
+    scattered into the zeroed I; at C'=C the support is every cluster, so I
+    takes its row softmax directly, with no select, gather or scatter.  The
+    scatter, the softmax and the scores run per ``_ROW_BLOCK``-row block, on
+    two threads where there is a worker.  A GEMM rounds a row alike only at
+    equal row counts, so a short last block is padded with zero rows to a
+    full one: a point's scores then depend on its posterior alone, not on
+    the size of its batch.
     """
-    mix = normalized_columns(R.R)  # (K, C)
-    out = np.empty(Y.shape[0], dtype=np.int64)
+    mix_T = normalized_columns(R.R).T  # (C, K)
+    scores = np.empty((Y.shape[0], R.K))
     for lo in range(0, Y.shape[0], _CHUNK):
         hi = min(Y.shape[0], lo + _CHUNK)
         S = integrate(W, Y[lo:hi])
-        if c_prime == S.shape[1]:
-            softmax_inplace(S)
-        else:
+        full = c_prime == S.shape[1]
+        if not full:
             sets = select_truncation(S, c_prime)
             probs = truncated_posterior(S, sets)
-            S.fill(0.0)
-            np.put_along_axis(S, sets, probs, axis=1)
-        out[lo:hi] = np.argmax(S @ mix.T, axis=1)
-    return out
+
+        def block(b, e):
+            rows = S[b:e]
+            if full:
+                softmax_inplace(rows)
+            else:
+                rows.fill(0.0)
+                np.put_along_axis(rows, sets[b:e], probs[b:e], axis=1)
+            if e - b < _ROW_BLOCK:
+                rows = np.zeros((_ROW_BLOCK, S.shape[1]))
+                rows[: e - b] = S[b:e]
+            scores[lo + b : lo + e] = (rows @ mix_T)[: e - b]
+
+        _row_blocks(block, hi - lo)
+    return scores
+
+
+def predict_batch(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarray:
+    """Vectorized truncated-path predictions for a batch of observations:
+    the argmax of each point's ``_class_scores``."""
+    return np.argmax(_class_scores(Y, W, R, c_prime), axis=1)
 
 
 def evaluate(test_ds: Dataset, W: BottomWeights, R: TopWeights, c_prime: int) -> float:
@@ -104,7 +131,9 @@ def train(
     training set scores the current bottom weights.  Pass ``trace_every=0``
     to disable tracing.  Returns the report plus the trained weights.
     ``verbose`` prints per-epoch progress to stderr; output files are
-    unaffected.
+    unaffected.  The run holds numpy's OpenBLAS at one thread and restores
+    the caller's count afterwards; the report's ``blas_threads`` records the
+    count in force, or None where the setter is missing.
     """
     if trace_every < 0:
         raise ConfigError(f"trace_every must be >= 0, got {trace_every}")
@@ -133,26 +162,27 @@ def train(
             sets = batch_e_step(train_ds.Y, W, cfg.C_prime)
             trace.append(epoch, free_energy(train_ds.Y, W, sets, lgam))
 
-    test_errors = [evaluate(test_ds, W, R, cfg.C_prime)]
-    record_trace(0)
-    gate_stats, timings = [], []
-    for epoch in range(1, cfg.epochs + 1):
-        try:
-            gates, phases = online_epoch(train_ds, W, R, cfg, rng)
-            W.validate()
-            R.validate()
-        except (ConfigError, FloatingPointError) as e:
-            raise FloatingPointError(f"epoch {epoch}: {e}") from e
-        gate_stats.append(gates)
-        timings.append(phases)
-        test_errors.append(evaluate(test_ds, W, R, cfg.C_prime))
-        record_trace(epoch)
-        if verbose:
-            print(
-                f"epoch {epoch}/{cfg.epochs}  test_error={test_errors[-1]:.4f}"
-                f"  gated={gates['unlabeled_skipped']}  [{sum(phases.values()):.1f}s]",
-                file=sys.stderr,
-            )
+    with _one_blas_thread() as blas_threads:
+        test_errors = [evaluate(test_ds, W, R, cfg.C_prime)]
+        record_trace(0)
+        gate_stats, timings = [], []
+        for epoch in range(1, cfg.epochs + 1):
+            try:
+                gates, phases = online_epoch(train_ds, W, R, cfg, rng)
+                W.validate()
+                R.validate()
+            except (ConfigError, FloatingPointError) as e:
+                raise FloatingPointError(f"epoch {epoch}: {e}") from e
+            gate_stats.append(gates)
+            timings.append(phases)
+            test_errors.append(evaluate(test_ds, W, R, cfg.C_prime))
+            record_trace(epoch)
+            if verbose:
+                print(
+                    f"epoch {epoch}/{cfg.epochs}  test_error={test_errors[-1]:.4f}"
+                    f"  gated={gates['unlabeled_skipped']}  [{sum(phases.values()):.1f}s]",
+                    file=sys.stderr,
+                )
 
     report = RunReport(
         config=cfg,
@@ -162,6 +192,7 @@ def train(
         trace=trace,
         gate_stats=gate_stats,
         timings=timings,
+        blas_threads=blas_threads,
     )
     return report, W, R
 
@@ -276,8 +307,10 @@ def aggregate(report_dicts) -> dict:
 def save_run(out_dir, report: RunReport, W: BottomWeights, R: TopWeights):
     """Write report.json, timings.json, CSV traces, and the weight arrays.
 
-    timings.json holds the wall-clock fields: the per-epoch phase seconds
-    and the process's peak resident set size so far, ``peak_rss_mb``.
+    timings.json holds the fields that vary with the machine: the per-epoch
+    phase seconds, the process's peak resident set size so far,
+    ``peak_rss_mb``, and the OpenBLAS thread count of the run,
+    ``blas_threads`` (null where it could not be set).
     An earlier run's config.json goes first and the new one is written last,
     so an interrupted save over an old run leaves no loadable mix of the two.
     """
@@ -287,7 +320,8 @@ def save_run(out_dir, report: RunReport, W: BottomWeights, R: TopWeights):
     (out / "report.json").write_text(report.to_json())
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     (out / "timings.json").write_text(json.dumps(
-        {"per_epoch": report.timings, "peak_rss_mb": peak_rss_mb}, sort_keys=True, indent=2
+        {"per_epoch": report.timings, "peak_rss_mb": peak_rss_mb,
+         "blas_threads": report.blas_threads}, sort_keys=True, indent=2
     ) + "\n")
     for name, rows in (("free_energy", report.trace.entries),
                        ("test_error", enumerate(report.test_errors))):

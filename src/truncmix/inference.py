@@ -13,7 +13,18 @@ C' largest activations and renormalizes the posterior on that support.
 All functions here operate on the last axis, so a single call handles one
 observation or a whole batch.  All but the two ``*_inplace`` functions are
 pure.
+
+A batch pass over more than ``_ROW_BLOCK`` rows runs in fixed blocks of that
+many rows.  Where the process may run on at least 2 CPUs, the calling thread
+takes the first half of the blocks and one module-level worker thread the
+rest (``_on_two_threads``); the blocks, not the CPU count, define the result.
 """
+
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,19 +32,125 @@ from .core import BottomWeights, DataError
 
 
 _ROW_BLOCK = 256  # row block of the batch passes over the data: bounds their scratch memory
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _start_worker():
+    """One worker thread for the second part of a split pass, where the
+    process may run on at least 2 CPUs.  It runs numpy and scipy.sparse
+    kernels, which release the GIL, and its BLAS calls run on one BLAS
+    thread under the package's pin, so a split pass uses two CPUs.  Its
+    thread starts at the first submit, not here.  A forked child inherits
+    the pool but not its thread, so it gets a pool of its own."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1) if _CPUS >= 2 else None
+
+
+_start_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_worker)
+
+
+def _on_two_threads(fn, split: int, stop: int):
+    """Run ``fn(0, split)`` on this thread and ``fn(split, stop)`` on the worker.
+
+    Without a worker, or when either part is empty, this thread runs
+    ``fn(0, stop)`` alone.  The worker's part is waited for in a ``finally``,
+    so no write outlives the call, even when either part raises.  ``fn``
+    must run only numpy, never a public truncmix name, so that a tracer
+    wrapping those names sees every call on the calling thread.
+    """
+    if _WORKER is None or not 0 < split < stop:
+        fn(0, stop)
+        return
+    other = _WORKER.submit(fn, split, stop)
+    try:
+        fn(0, split)
+    finally:
+        other.result()
+
+
+def _row_blocks(kernel, n: int):
+    """Call ``kernel(lo, hi)`` on each ``_ROW_BLOCK``-row block of ``n`` rows,
+    the first half of the blocks on this thread and the rest on the worker."""
+    def run(lo, hi):
+        for b in range(lo, hi, _ROW_BLOCK):
+            kernel(b, min(b + _ROW_BLOCK, hi))
+
+    blocks = -(-n // _ROW_BLOCK)
+    _on_two_threads(run, (blocks + 1) // 2 * _ROW_BLOCK, n)
+
+
+@functools.cache
+def _openblas():
+    """numpy's OpenBLAS among the loaded libraries, if it exports
+    ``scipy_openblas_set_num_threads64_``; otherwise None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread and restore the
+    caller's count afterwards, whatever the environment held when numpy was
+    first imported.  Yields the thread count in force, or None where the
+    setter is missing and the count is left as it is."""
+    lib = _openblas()
+    if lib is None:
+        yield None
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield lib.scipy_openblas_get_num_threads64_()
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
+def _check_finite(I: np.ndarray):
+    # Every entry is finite exactly when the max and the min are (a NaN
+    # propagates to both), so no boolean array is needed.
+    if I.size and not (np.isfinite(I.max()) and np.isfinite(I.min())):
+        raise DataError("non-finite log activation (W must be positive, y finite)")
 
 
 def integrate(W: BottomWeights, y: np.ndarray) -> np.ndarray:
     """Log-domain input integration: I_c = sum_d log(W_cd) * y_d.
 
     ``y`` may be a single D-vector or an (N, D) batch; returns (C,) or (N, C).
+    log W is computed once.  A batch of more than ``_ROW_BLOCK`` rows runs
+    one GEMM per row block into one (N, C) output, split between two
+    threads where there is a worker and serial otherwise; a row split of one
+    GEMM need not round as the whole GEMM does, so the blocks are fixed and
+    the result does not depend on the CPU count.  Each block is checked for
+    finiteness while it is in cache.
     """
     with np.errstate(divide="ignore"):
-        I = y @ np.log(W.W).T
-    # Every entry is finite exactly when the max and the min are (a NaN
-    # propagates to both), so no (N, C) boolean array is needed.
-    if I.size and not (np.isfinite(I.max()) and np.isfinite(I.min())):
-        raise DataError("non-finite log activation (W must be positive, y finite)")
+        logw = np.log(W.W)
+    if y.ndim != 2 or len(y) <= _ROW_BLOCK:
+        I = y @ logw.T
+        _check_finite(I)
+        return I
+    I = np.empty((len(y), W.C))
+
+    def block(lo, hi):
+        np.matmul(y[lo:hi], logw.T, out=I[lo:hi])
+        _check_finite(I[lo:hi])
+
+    _row_blocks(block, len(y))
     return I
 
 
@@ -46,9 +163,11 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
     threshold (the c_prime-th largest value).  When no row has an entry
     outside its top set equal to the threshold, the sets are unique and are
     returned sorted; otherwise the first c_prime of a stable descending sort
-    are.  A 2-D batch is selected in blocks of ``_ROW_BLOCK`` rows and
-    returned as one compact array.  At c_prime == C the result is a
-    read-only ``arange(C)``, broadcast to a batch's shape.
+    are.  A 2-D batch of more than ``_ROW_BLOCK`` rows is selected per row
+    block, on two threads where there is a worker, into one compact
+    (N, c_prime) array; a block's sets depend only on its own rows.  At
+    c_prime == C the result is a read-only ``arange(C)``, broadcast to a
+    batch's shape.
     """
     C = I.shape[-1]
     if not 1 <= c_prime <= C:
@@ -57,9 +176,20 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
         full = np.arange(C)
         full.flags.writeable = False
         return full if I.ndim == 1 else np.broadcast_to(full, I.shape)
-    if I.ndim == 2 and len(I) > _ROW_BLOCK:
-        return np.concatenate([select_truncation(I[i:i + _ROW_BLOCK], c_prime)
-                               for i in range(0, len(I), _ROW_BLOCK)])
+    if I.ndim != 2 or len(I) <= _ROW_BLOCK:
+        return _select(I, c_prime)
+    sets = np.empty((len(I), c_prime), dtype=np.intp)
+
+    def block(lo, hi):
+        sets[lo:hi] = _select(I[lo:hi], c_prime)
+
+    _row_blocks(block, len(I))
+    return sets
+
+
+def _select(I: np.ndarray, c_prime: int) -> np.ndarray:
+    """``select_truncation`` of one vector or one block of rows, 1 <= c_prime < C."""
+    C = I.shape[-1]
     top = np.argpartition(I, C - c_prime, axis=-1)[..., C - c_prime:]
     if I.ndim == 1:
         thresh = I[top[0]]
@@ -81,15 +211,25 @@ def truncated_posterior(I: np.ndarray, sets: np.ndarray) -> np.ndarray:
     observation or an (N, C') matrix for a batch.  Each support holds
     distinct indices, as ``select_truncation`` returns them.  The result is
     aligned with ``sets``; entries may underflow to 0.0 when activation gaps
-    within a support exceed the float64 exponent range.
+    within a support exceed the float64 exponent range.  A batch of more
+    than ``_ROW_BLOCK`` rows is gathered and normalized per row block, on
+    two threads where there is a worker, into one (N, C') output.
     """
     if sets.min() < 0 or sets.max() >= I.shape[-1]:
         raise ValueError("support indices out of range")
     if I.ndim == sets.ndim == 1:
-        picked = I[sets]
-    else:
-        picked = np.take_along_axis(I, sets, axis=-1)
-    return softmax_inplace(picked)
+        return softmax_inplace(I[sets])
+    if I.ndim != 2 or len(I) <= _ROW_BLOCK:
+        return softmax_inplace(np.take_along_axis(I, sets, axis=-1))
+    probs = np.empty(sets.shape)
+
+    def block(lo, hi):
+        out = probs[lo:hi]
+        out[...] = np.take_along_axis(I[lo:hi], sets[lo:hi], axis=-1)
+        softmax_inplace(out)
+
+    _row_blocks(block, len(I))
+    return probs
 
 
 def softmax_inplace(x: np.ndarray) -> np.ndarray:

@@ -15,9 +15,7 @@ Two training regimes share the same inference path:
   and a decrease beyond numerical slack raises MonotonicityError.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,30 +25,13 @@ from .classifier import bvsb, class_activation
 from .core import BottomWeights, ModelConfig, MonotonicityError, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
-    _ROW_BLOCK, integrate, logsumexp_inplace, select_truncation, truncated_posterior,
+    _ROW_BLOCK, _on_two_threads, _one_blas_thread, _row_blocks, integrate, logsumexp_inplace,
+    select_truncation, truncated_posterior,
 )
 
 MONOTONE_RSLACK = 1e-8
 _REFRESH = 16  # chosen rows per bound refresh of init_from_data
 _INTEGRATE_BLOCK = 16  # samples per integrate GEMM of online_epoch below C'=C
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _start_worker():
-    """One worker for the second half of the rows of a full-support bottom
-    step (see update_bottom), where the process may run on at least 2 CPUs.
-    It runs ufuncs and one BLAS matvec, which release the GIL; that matvec
-    runs on one BLAS thread under the package's pin, like the caller's, so
-    the step uses two CPUs.  Its thread starts at the first submit, not
-    here.  A forked child inherits the pool but not its thread, so it gets a
-    pool of its own."""
-    global _WORKER
-    _WORKER = ThreadPoolExecutor(max_workers=1) if _CPUS >= 2 else None
-
-
-_start_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_worker)
 
 
 @dataclass
@@ -113,17 +94,18 @@ def update_bottom(
     activations ``log W @ y_next`` from the updated weights, bit-identical
     to the one-row GEMM ``y_next[None] @ logw.T``.
 
-    At full support, where the process may run on at least 2 CPUs, the rows
-    are split at h = C//2 rounded down to a multiple of 16: the calling
-    thread does rows [0, h) while one worker thread does rows [h, C), each
-    with the same statements, then the matvec of its own rows while they
-    are still in cache.  W and ``log W`` are bit-identical to the serial
-    step.  The split activations are bit-identical to the one-row GEMM
-    under the one-thread BLAS pin: a matvec split at a multiple of 16 rounds
-    each row as the whole matvec does, which a split at C//2 need not (the
-    tests pin the aligned split).  The caller waits for the worker's half in
-    a ``finally``, so no write outlives the call, even when either half
-    raises.  Below full support, or where h is 0, the step is serial.
+    At full support the rows are split at h = C//2 rounded down to a
+    multiple of 16 by ``inference._on_two_threads``: where there is a worker
+    thread, the calling thread does rows [0, h) while the worker does rows
+    [h, C), each with the same statements, then the matvec of its own rows
+    while they are still in cache.  W and ``log W`` are bit-identical to the
+    serial step.  The split activations are bit-identical to the one-row
+    GEMM under the one-thread BLAS pin: a matvec split at a multiple of 16
+    rounds each row as the whole matvec does, which a split at C//2 need
+    not (the tests pin the aligned split).  The caller waits for the
+    worker's half in a ``finally``, so no write outlives the call, even when
+    either half raises.  Below full support, without a worker, or where h
+    is 0, the step is serial.
     """
     if eps_W * probs.max() > 1.0:
         raise ValueError("eps_W * max(s) must not exceed 1")
@@ -131,15 +113,8 @@ def update_bottom(
     es = eps_W * probs
     C = w.shape[0]
     if support.size == C and np.array_equal(support, np.arange(C)):
-        half = C // 2 // 16 * 16 if _WORKER is not None else 0
-        if half == 0:
-            _update_rows(w, logw, es, y, 0, C, y_next, I_next)
-        else:
-            other = _WORKER.submit(_update_rows, w, logw, es, y, half, C, y_next, I_next)
-            try:
-                _update_rows(w, logw, es, y, 0, half, y_next, I_next)
-            finally:
-                other.result()
+        _on_two_threads(lambda lo, hi: _update_rows(w, logw, es, y, lo, hi, y_next, I_next),
+                        C // 2 // 16 * 16, C)
     else:
         rows = w.take(support, axis=0)
         rows *= (1.0 - es)[:, None]
@@ -181,29 +156,30 @@ def update_top(
 def _free_energy_at(I, W: BottomWeights, sets, lgamma_sums) -> float:
     """Truncated free energy from the activations ``I = integrate(W, Y)``.
 
-    The support joints are formed in blocks of ``_ROW_BLOCK * C // C'``
-    points, so a block's scratch holds at most ``_ROW_BLOCK * C`` joints, as
-    a select block does; only the per-point log-sum-exp vector spans all N,
-    and it is summed once.  Each block's joints are taken from ``I`` into one
-    buffer, which ``logsumexp_inplace`` reduces without a scipy call.  ``I``
-    must be finite, as ``integrate`` checks; neither it nor ``sets`` is
-    written.
+    The support joints are formed per ``_ROW_BLOCK``-row block, the blocks
+    of the other batch passes, on two threads where there is a worker; only
+    the per-point log-sum-exp vector spans all N, and it is summed once, in
+    point order.  Each block's joints are taken from ``I`` into one buffer,
+    which ``logsumexp_inplace`` reduces without a scipy call.  ``I`` must be
+    finite, as ``integrate`` checks; neither it nor ``sets`` is written.
     """
     # Joints differ from activations only by terms constant across clusters
     # (row sums all equal A, lgamma term depends on the point alone).
     C = W.C
     row_sums = W.W.sum(axis=1)
     per_point = np.empty(len(sets))
-    step = _ROW_BLOCK * C // sets.shape[1]
-    for lo in range(0, len(sets), step):
-        hi = lo + step
-        s, I_block = sets[lo:hi], I[lo:hi]
-        # One flat take: row r's support s[r] sits at r * C + s[r] of the block.
-        joints = np.take(I_block.ravel(), s + np.arange(0, I_block.size, C)[:, None])
+    # One flat take: row r's support s[r] sits at r * C + s[r] of its block.
+    offsets = np.arange(0, _ROW_BLOCK * C, C)[:, None]
+
+    def block(lo, hi):
+        s = sets[lo:hi]
+        joints = np.take(I[lo:hi].ravel(), s + offsets[: hi - lo])
         joints -= np.take(row_sums, s)
         joints -= lgamma_sums[lo:hi, None]
         joints -= np.log(C)
         per_point[lo:hi] = logsumexp_inplace(joints)
+
+    _row_blocks(block, len(sets))
     return float(per_point.sum())
 
 
@@ -241,6 +217,10 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
     not the O(N*C*D) of a dense S: 45 against 113 ms at C'=15, N=6000,
     C=400, D=784, one BLAS thread.  Above about C'=40 a dense GEMM is
     faster (113 against 128 ms at C'=50, 0.12 against 1.13 s at C'=C).
+    W's C rows are split in two halves, one per thread where there is a
+    worker, each the product of S's columns for its clusters with the whole
+    Y; every W entry still sums over the points in order, so the split is
+    bit-identical to the whole product, and no copy of Y is made.
     """
     supports, probs = posteriors
     N, C = len(Y), prev_W.C
@@ -256,7 +236,12 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
     S = csr_array((probs.ravel(), supports.ravel(), indptr), shape=(N, C))
     s_sum = np.bincount(supports.ravel(), weights=probs.ravel(), minlength=C)
     alive = s_sum > 0.0
-    W_new = S.T @ Y
+    W_new = np.empty((C, Y.shape[1]))
+
+    def rows(lo, hi):
+        W_new[lo:hi] = S[:, lo:hi].T @ Y
+
+    _on_two_threads(rows, C // 2, C)
     np.divide(W_new, s_sum[:, None], out=W_new, where=alive[:, None])
     dead = np.flatnonzero(~alive)
     W_new[dead] = prev_W.W[dead]
@@ -347,16 +332,20 @@ def run_tv_em(
     The trace interleaves F(sets_t, W_{t-1}) and F(sets_t, W_t); both steps
     must increase F, so the whole sequence is checked for monotonicity and a
     violation raises MonotonicityError rather than passing silently.  Each
-    weight state is integrated once.
+    weight state is integrated once.  The run holds numpy's OpenBLAS at one
+    thread and restores the caller's count afterwards (see
+    ``inference._one_blas_thread``), so its bits do not depend on the
+    environment numpy was imported under.
     """
     trace = FreeEnergyTrace()
-    I = integrate(W, Y)
-    for it in range(1, n_iter + 1):
-        W, I, f_e, f_m, _ = tv_em_iteration(Y, W, I, c_prime, lgamma_sums)
-        trace.append(2 * it - 1, f_e)
-        trace.append(2 * it, f_m)
-        if check_monotone:
-            trace.assert_monotone()
+    with _one_blas_thread():
+        I = integrate(W, Y)
+        for it in range(1, n_iter + 1):
+            W, I, f_e, f_m, _ = tv_em_iteration(Y, W, I, c_prime, lgamma_sums)
+            trace.append(2 * it - 1, f_e)
+            trace.append(2 * it, f_m)
+            if check_monotone:
+                trace.assert_monotone()
     return W, trace
 
 

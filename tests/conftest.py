@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import truncmix  # noqa: F401  (first: its one-thread BLAS pin must precede numpy's import)
@@ -34,6 +35,18 @@ def mnist_path() -> Path:
     if d is None:
         pytest.skip("MNIST IDX files not found (set TRUNCMIX_MNIST)")
     return d
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A one-thread pool that counts its submits, to stand in for ``inference._WORKER``."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
 
 
 def random_weights(rng, C, D, A) -> BottomWeights:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from truncmix import inference
 from truncmix.classifier import class_activation, normalized_columns
 from truncmix.core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
 from truncmix.data import Dataset, generate_mixture, preprocess, subsample_labels
@@ -296,8 +297,10 @@ class TestSaveLoad:
         report, W, R = train(train_ds, test_ds, replace(cfg, epochs=2))
         save_run(tmp_path / "run", report, W, R)
         timings = json.loads((tmp_path / "run" / "timings.json").read_text())
-        assert set(timings) == {"per_epoch", "peak_rss_mb"}
+        assert set(timings) == {"per_epoch", "peak_rss_mb", "blas_threads"}
         assert timings["per_epoch"] == report.timings
+        # One OpenBLAS thread during the run, or null where it cannot be set.
+        assert timings["blas_threads"] == (1 if inference._openblas() else None)
         # The process's peak so far, in ru_maxrss KiB / 1024: it cannot
         # exceed the peak read after the save.
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

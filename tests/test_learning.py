@@ -7,7 +7,6 @@ import sys
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath as mp
@@ -19,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
-from truncmix import learning
+from truncmix import inference, learning
 from truncmix.core import BottomWeights, ModelConfig, MonotonicityError, TopWeights
 from truncmix.data import Dataset, generate_mixture, preprocess
 from truncmix.inference import integrate, select_truncation
@@ -37,8 +36,8 @@ from truncmix.learning import (
     update_top,
 )
 
-from conftest import (lgamma_sums, log_joint, random_observations, random_weights,
-                      worst_relative_decrease)
+from conftest import (CountingExecutor, lgamma_sums, log_joint, random_observations,
+                      random_weights, worst_relative_decrease)
 
 mp.mp.dps = 50
 
@@ -164,18 +163,6 @@ class TestUpdateBottom:
         assert np.array_equal(logw, np.log(self.W.W))
 
 
-class CountingExecutor(ThreadPoolExecutor):
-    """A one-worker pool that counts what it is given."""
-
-    def __init__(self):
-        super().__init__(max_workers=1)
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
-
-
 @pytest.fixture()
 def fast_switch():
     """Hand the interpreter lock over every microsecond, so the caller's and
@@ -192,7 +179,7 @@ def fast_switch():
 def row_worker(monkeypatch):
     """The full-support step's worker, present whatever the CPU count."""
     pool = CountingExecutor()
-    monkeypatch.setattr(learning, "_WORKER", pool)
+    monkeypatch.setattr(inference, "_WORKER", pool)
     yield pool
     pool.shutdown(wait=True)
 
@@ -241,7 +228,7 @@ class TestSplitBottomStep:
     def test_bit_identical_to_serial_step(self, row_worker, fast_switch, monkeypatch, C, D,
                                           split):
         if not split:
-            monkeypatch.setattr(learning, "_WORKER", None)
+            monkeypatch.setattr(inference, "_WORKER", None)
         rng = np.random.default_rng(C)
         W = random_weights(rng, C, D, 3.0 * D)
         w_ref = W.W.copy()
@@ -303,7 +290,7 @@ class TestSplitBottomStep:
         assert np.array_equal(W.W[faulty], before[faulty])
         assert not np.array_equal(W.W[slice(*sound)], before[slice(*sound)])
 
-    @pytest.mark.skipif(not hasattr(os, "fork") or learning._WORKER is None,
+    @pytest.mark.skipif(not hasattr(os, "fork") or inference._WORKER is None,
                         reason="needs fork and a process that may use 2 CPUs")
     def test_forked_child_finishes_a_split_step(self):
         # The child inherits the pool but not its thread; without a pool of

@@ -8,13 +8,17 @@ counted name, fails here too.  Only reads ``perfbench/``.
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from truncmix import inference
 from truncmix.data import RawDataset, generate_mixture, preprocess
 from truncmix.learning import init_from_data
+
+from conftest import CountingExecutor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -78,3 +82,50 @@ def test_traced_online_rep_reconciles_on_tiny_draw(tmp_path, monkeypatch, c_prim
     assert rep["ok"], gate.reasons
     workloads.reconcile(wl, rep, gate)
     assert gate.failed == 0, gate.reasons
+
+
+class ThreadRecordingTracer(workloads.Tracer):
+    """A Tracer that also records the thread of every wrapped call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.threads = []
+
+    def wrap(self, owner, attr, name, work=None):
+        super().wrap(owner, attr, name, work)
+        traced = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+        def recorded(*args, **kwargs):
+            self.threads.append(threading.get_ident())
+            return traced(*args, **kwargs)
+
+        setattr(owner, attr, recorded)  # close() still puts the original back
+
+
+@pytest.mark.parametrize("rep", ["tvem", "online-c15", "online-c400"])
+def test_every_traced_span_comes_from_the_calling_thread(tmp_path, monkeypatch, rep):
+    # The tracer keeps one span stack, so a wrapped name called on the batch
+    # passes' worker thread would nest its spans under the caller's.  The
+    # 600-row training sets span three row blocks, so the worker runs.
+    worker = CountingExecutor()
+    monkeypatch.setattr(inference, "_WORKER", worker)
+    monkeypatch.setattr(workloads, "Tracer", ThreadRecordingTracer)
+    try:
+        if rep == "tvem":
+            result, _ = run_tiny_tvem_rep(workloads.TRACED)
+        else:
+            for module in (gen, workloads):
+                monkeypatch.setattr(module, "N_TRAIN", 600)
+                monkeypatch.setattr(module, "N_TEST", 200)
+            gen.make_inputs(3, tmp_path / "inputs")
+            wl = workloads.Workload(c_prime=int(rep[8:]), epochs=1, labels_per_class=10)
+            gate = workloads.Gate()
+            result = workloads.online_rep(wl, 0, tmp_path / "inputs", tmp_path / "run",
+                                          workloads.TRACED, gate)
+            assert result["ok"], gate.reasons
+    finally:
+        worker.shutdown(wait=True)
+    tracer = result["tracer"]
+    assert worker.submitted > 0
+    assert len(tracer.threads) == len(tracer.names) > 0
+    assert set(tracer.threads) == {threading.get_ident()}
