@@ -21,8 +21,8 @@ from .classifier import normalized_columns
 from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
-    _ROW_BLOCK, _one_blas_thread, _row_blocks, integrate, select_truncation, softmax_inplace,
-    truncated_posterior,
+    _ROW_BLOCK, _block_matmul, _one_blas_thread, _row_blocks, integrate, select_truncation,
+    softmax_inplace, truncated_posterior,
 )
 from .learning import FreeEnergyTrace, batch_e_step, free_energy, init_weights, online_epoch
 
@@ -68,9 +68,9 @@ def _class_scores(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
     scattered into the zeroed I; at C'=C the support is every cluster, so I
     takes its row softmax directly, with no select, gather or scatter.  The
     scatter, the softmax and the scores run per ``_ROW_BLOCK``-row block, on
-    two threads where there is a worker.  A GEMM rounds a row alike only at
-    equal row counts, so a short last block is padded with zero rows to a
-    full one: a point's scores then depend on its posterior alone, not on
+    two threads where there is a worker.  As in ``integrate``, a short last
+    block's GEMM is padded to a full block (``inference._block_matmul``), so
+    a point's scores depend on its own row and the weights alone, not on
     the size of its batch.
     """
     mix_T = normalized_columns(R.R).T  # (C, K)
@@ -90,10 +90,7 @@ def _class_scores(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
             else:
                 rows.fill(0.0)
                 np.put_along_axis(rows, sets[b:e], probs[b:e], axis=1)
-            if e - b < _ROW_BLOCK:
-                rows = np.zeros((_ROW_BLOCK, S.shape[1]))
-                rows[: e - b] = S[b:e]
-            scores[lo + b : lo + e] = (rows @ mix_T)[: e - b]
+            _block_matmul(rows, mix_T, scores[lo + b : lo + e])
 
         _row_blocks(block, hi - lo)
     return scores

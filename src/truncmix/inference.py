@@ -14,10 +14,10 @@ All functions here operate on the last axis, so a single call handles one
 observation or a whole batch.  All but the two ``*_inplace`` functions are
 pure.
 
-A batch pass over more than ``_ROW_BLOCK`` rows runs in fixed blocks of that
-many rows.  Where the process may run on at least 2 CPUs, the calling thread
-takes the first half of the blocks and one module-level worker thread the
-rest (``_on_two_threads``); the blocks, not the CPU count, define the result.
+A 2-D batch pass runs in fixed blocks of ``_ROW_BLOCK`` rows.  Where the
+process may run on at least 2 CPUs, the calling thread takes the first half
+of the blocks and one module-level worker thread the rest
+(``_on_two_threads``); the blocks, not the CPU count, define the result.
 """
 
 import ctypes
@@ -55,11 +55,18 @@ def _on_two_threads(fn, split: int, stop: int):
     """Run ``fn(0, split)`` on this thread and ``fn(split, stop)`` on the worker.
 
     Without a worker, or when either part is empty, this thread runs
-    ``fn(0, stop)`` alone.  The worker's part is waited for in a ``finally``,
-    so no write outlives the call, even when either part raises.  ``fn``
-    must run only numpy, never a public truncmix name, so that a tracer
-    wrapping those names sees every call on the calling thread.
+    ``fn(0, stop)`` alone.  Both parts run with numpy's OpenBLAS at one
+    thread (``_one_blas_thread``), so their GEMMs round alike whatever the
+    environment numpy was imported under.  The worker's part is waited for
+    in a ``finally``, so no write outlives the call, even when either part
+    raises.  ``fn`` must run only numpy, never a public truncmix name, so
+    that a tracer wrapping those names sees every call on the calling thread.
     """
+    lib = _openblas()
+    if lib is not None and lib.scipy_openblas_get_num_threads64_() != 1:
+        with _one_blas_thread():
+            _on_two_threads(fn, split, stop)
+        return
     if _WORKER is None or not 0 < split < stop:
         fn(0, stop)
         return
@@ -79,6 +86,22 @@ def _row_blocks(kernel, n: int):
 
     blocks = -(-n // _ROW_BLOCK)
     _on_two_threads(run, (blocks + 1) // 2 * _ROW_BLOCK, n)
+
+
+def _block_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """``out[...] = a @ b`` for one block of at most ``_ROW_BLOCK`` rows of ``a``.
+
+    A GEMM rounds a row alike only at equal row counts, so a short block is
+    padded with zero rows to a full one: each row of ``out`` then depends on
+    its own row of ``a`` and on ``b`` alone, not on the size of its batch.
+    """
+    m = len(a)
+    if m == _ROW_BLOCK:
+        np.matmul(a, b, out=out)
+        return
+    full = np.zeros((_ROW_BLOCK, a.shape[1]))
+    full[:m] = a
+    out[...] = (full @ b)[:m]
 
 
 @functools.cache
@@ -131,23 +154,24 @@ def integrate(W: BottomWeights, y: np.ndarray) -> np.ndarray:
     """Log-domain input integration: I_c = sum_d log(W_cd) * y_d.
 
     ``y`` may be a single D-vector or an (N, D) batch; returns (C,) or (N, C).
-    log W is computed once.  A batch of more than ``_ROW_BLOCK`` rows runs
-    one GEMM per row block into one (N, C) output, split between two
-    threads where there is a worker and serial otherwise; a row split of one
-    GEMM need not round as the whole GEMM does, so the blocks are fixed and
-    the result does not depend on the CPU count.  Each block is checked for
-    finiteness while it is in cache.
+    log W is computed once.  A batch runs one GEMM per ``_ROW_BLOCK``-row
+    block into one (N, C) output, split between two threads where there is
+    a worker and serial otherwise; a row split of one GEMM need not round as
+    the whole GEMM does, so the blocks are fixed and a short last block is
+    padded to a full one (``_block_matmul``).  A point's activations then
+    depend neither on the CPU count nor on the size of its batch.  Each
+    block is checked for finiteness while it is in cache.
     """
     with np.errstate(divide="ignore"):
         logw = np.log(W.W)
-    if y.ndim != 2 or len(y) <= _ROW_BLOCK:
+    if y.ndim != 2:
         I = y @ logw.T
         _check_finite(I)
         return I
     I = np.empty((len(y), W.C))
 
     def block(lo, hi):
-        np.matmul(y[lo:hi], logw.T, out=I[lo:hi])
+        _block_matmul(y[lo:hi], logw.T, I[lo:hi])
         _check_finite(I[lo:hi])
 
     _row_blocks(block, len(y))
@@ -163,9 +187,9 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
     threshold (the c_prime-th largest value).  When no row has an entry
     outside its top set equal to the threshold, the sets are unique and are
     returned sorted; otherwise the first c_prime of a stable descending sort
-    are.  A 2-D batch of more than ``_ROW_BLOCK`` rows is selected per row
-    block, on two threads where there is a worker, into one compact
-    (N, c_prime) array; a block's sets depend only on its own rows.  At
+    are.  A 2-D batch is selected per ``_ROW_BLOCK``-row block, on two
+    threads where there is a worker, into one compact (N, c_prime) array;
+    a block's sets depend only on its own rows.  At
     c_prime == C the result is a read-only ``arange(C)``, broadcast to a
     batch's shape.
     """
@@ -176,7 +200,7 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
         full = np.arange(C)
         full.flags.writeable = False
         return full if I.ndim == 1 else np.broadcast_to(full, I.shape)
-    if I.ndim != 2 or len(I) <= _ROW_BLOCK:
+    if I.ndim != 2:
         return _select(I, c_prime)
     sets = np.empty((len(I), c_prime), dtype=np.intp)
 
@@ -211,15 +235,15 @@ def truncated_posterior(I: np.ndarray, sets: np.ndarray) -> np.ndarray:
     observation or an (N, C') matrix for a batch.  Each support holds
     distinct indices, as ``select_truncation`` returns them.  The result is
     aligned with ``sets``; entries may underflow to 0.0 when activation gaps
-    within a support exceed the float64 exponent range.  A batch of more
-    than ``_ROW_BLOCK`` rows is gathered and normalized per row block, on
-    two threads where there is a worker, into one (N, C') output.
+    within a support exceed the float64 exponent range.  A batch is
+    gathered and normalized per ``_ROW_BLOCK``-row block, on two threads
+    where there is a worker, into one (N, C') output.
     """
     if sets.min() < 0 or sets.max() >= I.shape[-1]:
         raise ValueError("support indices out of range")
     if I.ndim == sets.ndim == 1:
         return softmax_inplace(I[sets])
-    if I.ndim != 2 or len(I) <= _ROW_BLOCK:
+    if I.ndim != 2:
         return softmax_inplace(np.take_along_axis(I, sets, axis=-1))
     probs = np.empty(sets.shape)
 

@@ -673,12 +673,14 @@ def test_untruncated_run_independent_of_cpu_count(tmp_path, C, n):
     assert outputs["one"] == outputs["all"]
 
 
-# Runs one training job in a fresh interpreter and prints the BLAS thread
-# count numpy started with and whether the passes have a worker thread.
-# argv: which module to import first, "one" or "all" CPUs, "train" or
-# "tvem", the output directory, then the train options or the image and
+# Runs one job in a fresh interpreter and prints the BLAS thread count
+# numpy started with and whether the passes have a worker thread.  argv:
+# which module to import first, "one" or "all" CPUs, "train", "tvem" or
+# "scores", the output directory, then the train options or the image and
 # label files.  "tvem" runs 4 iterations of run_tv_em at C'=15 from a
-# farthest-point init and saves W.npy.
+# farthest-point init and saves W.npy; "scores" saves the C'=15 class
+# scores of that init under a seeded R, as evaluate computes them, and
+# then prints the BLAS thread count again.
 RUN_SCRIPT = """
 import os, sys
 first, cpus, mode, out, *args = sys.argv[1:]
@@ -698,26 +700,35 @@ from truncmix.data import load_idx, preprocess
 from truncmix.learning import init_from_data, run_tv_em
 ds = preprocess(load_idx(*args), 900.0, 10)
 W0 = init_from_data(ds.Y, 400, 900.0, np.random.default_rng(7))
-W, _ = run_tv_em(ds.Y, W0, 15, 4, ds.lgamma_sums)
 os.makedirs(out)
-np.save(os.path.join(out, "W.npy"), W.W)
+if mode == "tvem":
+    W, _ = run_tv_em(ds.Y, W0, 15, 4, ds.lgamma_sums)
+    np.save(os.path.join(out, "W.npy"), W.W)
+    sys.exit(0)
+from truncmix.core import TopWeights
+from truncmix.harness import _class_scores
+R = TopWeights(np.random.default_rng(7).dirichlet(np.ones(400), size=10))
+np.save(os.path.join(out, "scores.npy"), _class_scores(ds.Y, W0, R, 15))
+print("blas after", lib.scipy_openblas_get_num_threads64_() if lib else None)
 """
 
 
-def run_script_outputs(tmp_path, n, c_prime, runs):
-    """Synthesize n points, run RUN_SCRIPT once per (name, env, first, cpus)
-    in ``runs`` at C=400, and return each run's stdout lines and output
-    bytes (W.npy, plus report.json for a train run)."""
+def run_script_outputs(tmp_path, n, job, runs):
+    """Synthesize n points, run RUN_SCRIPT's ``job`` (a train run's C' or
+    "tvem" or "scores") once per (name, env, first, cpus) in ``runs`` at
+    C=400, and return each run's stdout lines and output bytes (W.npy, plus
+    report.json for a train run, or scores.npy)."""
     assert main([
         "synth", "--clusters", "10", "--dim", "784", "--n", str(n),
         "--seed", "7", "--out", str(tmp_path / "d"),
     ]) == 0
     images, labels = (str(tmp_path / "d" / f) for f in ("images-idx3-ubyte", "labels-idx1-ubyte"))
-    if c_prime is None:
-        mode, args, files = "tvem", [images, labels], ("W.npy",)
+    if job in ("tvem", "scores"):
+        mode, args = job, [images, labels]
+        files = ("W.npy",) if job == "tvem" else ("scores.npy",)
     else:
         (tmp_path / "cfg.json").write_text(json.dumps({
-            "K": 10, "C": 400, "C_prime": c_prime, "A": 900.0, "D": 784,
+            "K": 10, "C": 400, "C_prime": job, "A": 900.0, "D": 784,
             "eps_W": 0.1, "eps_R": 0.0025, "theta_bvsb": 0.6, "epochs": 1, "seed": 7,
         }))
         mode, files = "train", ("W.npy", "report.json")
@@ -737,30 +748,35 @@ def run_script_outputs(tmp_path, n, c_prime, runs):
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the process has one CPU either way")
-@pytest.mark.parametrize("c_prime", [15, None], ids=["train-c15", "run_tv_em"])
-def test_batch_passes_independent_of_cpu_count(tmp_path, c_prime):
+@pytest.mark.parametrize("job", [15, "tvem"], ids=["train-c15", "run_tv_em"])
+def test_batch_passes_independent_of_cpu_count(tmp_path, job):
     # Below C'=C the trace pass, the evaluation and every TV-EM pass split
     # their fixed row blocks between two threads only where the process may
     # use two CPUs.  600 points span three 256-row blocks.
-    results = run_script_outputs(tmp_path, 600, c_prime, [
+    results = run_script_outputs(tmp_path, 600, job, [
         (cpus, os.environ, "truncmix", cpus) for cpus in ("one", "all")])
     assert "serial" in results["one"][0] and "split" in results["all"][0]
     assert results["one"][1] == results["all"][1]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="BLAS has one core either way")
-@pytest.mark.parametrize("c_prime", [15, 400, None], ids=["train-c15", "train-c400", "run_tv_em"])
-def test_numpy_first_caller_gets_pinned_bits(tmp_path, c_prime):
+@pytest.mark.parametrize("job", [15, 400, "tvem", "scores"],
+                         ids=["train-c15", "train-c400", "run_tv_em", "class-scores"])
+def test_numpy_first_caller_gets_pinned_bits(tmp_path, job):
     # A caller that imports numpy before truncmix starts OpenBLAS at the
     # environment's two threads; train and run_tv_em set one thread for the
-    # run, so W matches a run under the import-time pin.
+    # run, and every split pass (the class scores of evaluate among them)
+    # for the pass, so W and the scores match a run under the import-time
+    # pin.  The caller's count is restored afterwards.
     base = {k: v for k, v in os.environ.items()
             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    results = run_script_outputs(tmp_path, 1200, c_prime, [
+    results = run_script_outputs(tmp_path, 1200, job, [
         ("pinned", base, "truncmix", "all"),
         ("numpy-first", dict(base, OPENBLAS_NUM_THREADS="2"), "numpy", "all"),
     ])
     if "blas None" in results["pinned"][0]:
         pytest.skip("numpy's BLAS exports no scipy_openblas thread setter")
     assert "blas 1" in results["pinned"][0] and "blas 2" in results["numpy-first"][0]
+    if job == "scores":
+        assert "blas after 2" in results["numpy-first"][0]
     assert results["pinned"][1][0] == results["numpy-first"][1][0]

@@ -73,16 +73,19 @@ def test_non_finite_row_in_any_block_raises(worker, bad_row):
     assert worker.submitted == 1
 
 
-@pytest.mark.parametrize("c_prime", [15, 400])
-def test_class_scores_do_not_depend_on_batch_size(c_prime):
+@pytest.mark.parametrize("C, c_prime", [(15, 4), (15, 15), (400, 15), (400, 400), (401, 15),
+                                        (401, 401)])
+def test_class_scores_do_not_depend_on_batch_size(C, c_prime):
     # Alone, rows 256-299 form a short last block, which is padded to a full
-    # one; inside the batch they sit in a full block.  A 44-row GEMM rounds
-    # differently from a 256-row one on this BLAS, and a 6000-row product
-    # differently again, so only fixed, padded blocks give equal scores.
+    # one; inside the batch they sit in a full block.  On this BLAS a 44-row
+    # GEMM rounds differently from a 256-row one at C=15 and 401 (at C=400
+    # only below 3 rows), and a 6000-row product differently again, so only
+    # fixed, padded blocks give equal activations and scores.
     rng = np.random.default_rng(7)
-    W = random_weights(rng, 400, 784, 900.0)
-    R = TopWeights(rng.dirichlet(np.ones(400), size=10))
+    W = random_weights(rng, C, 784, 900.0)
+    R = TopWeights(rng.dirichlet(np.ones(C), size=10))
     Y = random_observations(rng, 6000, 784, 900.0)
+    assert integrate(W, Y[:300]).tobytes() == integrate(W, Y)[:300].tobytes()
     alone = _class_scores(Y[:300], W, R, c_prime)
     inside = _class_scores(Y, W, R, c_prime)[:300]
     assert alone.tobytes() == inside.tobytes()
