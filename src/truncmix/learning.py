@@ -55,15 +55,16 @@ class FreeEnergyTrace:
 
 def _update_rows(
     w: np.ndarray, logw: np.ndarray, es: np.ndarray, y: np.ndarray, lo: int, hi: int,
-    y_next: np.ndarray | None, I_next: np.ndarray | None,
+    Y_later: np.ndarray | None, I_later: np.ndarray | None,
 ):
     """Rows [lo, hi) of the full-support bottom step, their ``log W`` and,
-    given ``y_next``, their activations for it in ``I_next``.
+    given ``Y_later``, the later points' activations of these rows in
+    ``I_later``.
 
     The views are bound first, so each statement writes its rows in place
     (``w[lo:hi] *= ...`` would copy them back through ``__setitem__``).
     Every element gets the same IEEE operations whatever the range; the
-    matvec reads only the rows this call has just written.
+    product reads only the rows this call has just written.
     """
     w, logw, es = w[lo:hi], logw[lo:hi], es[lo:hi]
     w *= (1.0 - es)[:, None]
@@ -73,13 +74,13 @@ def _update_rows(
     logw *= es[:, None]
     w += logw
     np.log(w, out=logw)
-    if y_next is not None:
-        np.matmul(logw, y_next, out=I_next[lo:hi])
+    if Y_later is not None:
+        np.matmul(Y_later, logw.T, out=I_later[..., lo:hi])
 
 
 def update_bottom(
     W: BottomWeights, logw: np.ndarray, support: np.ndarray, probs: np.ndarray, y: np.ndarray,
-    eps_W: float, y_next: np.ndarray | None = None, I_next: np.ndarray | None = None,
+    eps_W: float, Y_later: np.ndarray | None = None, I_later: np.ndarray | None = None,
 ) -> BottomWeights:
     """One Hebbian step on the bottom layer, in place, with its ``log W`` refresh.
 
@@ -90,22 +91,24 @@ def update_bottom(
     logs of the written rows; at full support it is the scratch for the
     additive term before the log overwrites it.
 
-    Given the next point ``y_next``, the (C,) buffer ``I_next`` gets its
-    activations ``log W @ y_next`` from the updated weights, bit-identical
-    to the one-row GEMM ``y_next[None] @ logw.T``.
+    Given later points ``Y_later`` (m, D), or one (D,) point, their
+    activations ``I_later`` get the columns the step wrote, from the log
+    rows it holds: ``I_later[:, support] = Y_later @ log W[support].T``;
+    no other column is written, and None means no refresh.
 
     At full support the rows are split at h = C//2 rounded down to a
     multiple of 16 by ``inference._on_two_threads``: where there is a worker
     thread, the calling thread does rows [0, h) while the worker does rows
-    [h, C), each with the same statements, then the matvec of its own rows
-    while they are still in cache.  W and ``log W`` are bit-identical to the
-    serial step.  The split activations are bit-identical to the one-row
-    GEMM under the one-thread BLAS pin: a matvec split at a multiple of 16
-    rounds each row as the whole matvec does, which a split at C//2 need
-    not (the tests pin the aligned split).  The caller waits for the
-    worker's half in a ``finally``, so no write outlives the call, even when
-    either half raises.  Below full support, without a worker, or where h
-    is 0, the step is serial.
+    [h, C), each with the same statements, then the refresh of its own
+    columns while the rows are still in cache.  W and ``log W`` are
+    bit-identical to the serial step.  For one later point the split
+    activations are bit-identical to the one-row GEMM under the one-thread
+    BLAS pin: a matvec split at a multiple of 16 rounds each row as the
+    whole matvec does, which a split at C//2 need not (the tests pin the
+    aligned split).  The caller waits for the worker's half in a
+    ``finally``, so no write outlives the call, even when either half
+    raises.  Below full support, without a worker, or where h is 0, the
+    step is serial.
     """
     if eps_W * probs.max() > 1.0:
         raise ValueError("eps_W * max(s) must not exceed 1")
@@ -113,7 +116,7 @@ def update_bottom(
     es = eps_W * probs
     C = w.shape[0]
     if support.size == C and np.array_equal(support, np.arange(C)):
-        _on_two_threads(lambda lo, hi: _update_rows(w, logw, es, y, lo, hi, y_next, I_next),
+        _on_two_threads(lambda lo, hi: _update_rows(w, logw, es, y, lo, hi, Y_later, I_later),
                         C // 2 // 16 * 16, C)
     else:
         rows = w.take(support, axis=0)
@@ -121,8 +124,8 @@ def update_bottom(
         rows += es[:, None] * y
         w[support] = rows
         logw[support] = np.log(rows, out=rows)
-        if y_next is not None:
-            np.matmul(logw, y_next, out=I_next)
+        if Y_later is not None:
+            I_later[..., support] = Y_later @ rows.T
     return W
 
 
@@ -364,52 +367,45 @@ def online_epoch(
     points whose best-versus-second-best margin clears ``cfg.theta_bvsb``.
     Mutates W and R in place.  Returns the epoch's gate counts and its
     seconds per phase (integrate, select, posterior with class posterior,
-    update_bottom with the ``log W`` refresh, update_top with the gate), as
+    update_bottom with both refreshes, update_top with the gate), as
     ``report.json`` and ``timings.json`` record them.
 
-    Below C'=C, integration runs in blocks of B = min(_INTEGRATE_BLOCK,
-    C // C') consecutive points of the shuffle: at a block's first point one
-    GEMM against the current log W gives every point of the block its
-    activations, and each point recomputes by matvec only the rows that the
-    block's earlier points wrote.  Each activation is exact up to rounding.
-    At C'=C only the first point is integrated by a one-row GEMM; every
-    ``update_bottom`` call gets the next point and writes its activations
-    into the other of two (C,) buffers, bit-identical to that GEMM, so there
-    is no per-point gather and no stale row.  Every point's activations are
-    checked at the top of its sample, and a non-finite one raises
-    FloatingPointError.
+    Integration runs in blocks of B = min(_INTEGRATE_BLOCK, C // C')
+    consecutive points of the shuffle: at a block's first point one GEMM
+    against the current log W gives every point of the block its
+    activations.  Each ``update_bottom`` call then refreshes the columns it
+    wrote for the later points whose activations are held, from the log
+    rows it has just written: the rest of the block below C'=C; at C'=C,
+    where B = 1, the next point, whose activations overwrite this point's,
+    so only the epoch's first point is integrated.  Each activation is
+    exact up to rounding, and at C'=C bit-identical to the one-row GEMM.
+    Every point's activations are checked at the top of its sample, and a
+    non-finite one raises FloatingPointError.
 
-    At C'=C the bottom step and the next point's matvec split their rows
-    between this thread and one worker thread (see ``update_bottom``), which
-    this thread waits for in a ``finally``, so ``log W`` and the next
+    At C'=C the bottom step and the next point's activations split their
+    rows between this thread and one worker thread (see ``update_bottom``),
+    which this thread waits for in a ``finally``, so ``log W`` and the next
     activations are whole before the next point reads them and the result
     does not depend on the CPU count.
     """
     Y = ds.Y
     logw = np.log(W.W)
     c_prime = cfg.C_prime
-    fused = c_prime == W.C  # update_bottom computes each next point's activations
+    full = c_prime == W.C
     block = min(_INTEGRATE_BLOCK, W.C // c_prime)
-    written = np.zeros(W.C, dtype=bool)  # rows written since the block's GEMM
-    I_bufs = (np.empty(W.C), np.empty(W.C))  # the next point's activations at C'=C
     order = rng.permutation(ds.N)
-    points = order.tolist()
     gates = dict.fromkeys(("labeled_updates", "unlabeled_passed", "unlabeled_skipped"), 0)
     phases = dict.fromkeys(
         ("integrate", "select", "posterior", "update_bottom", "update_top"), 0.0)
     perf = time.perf_counter
-    for n, (i, label) in enumerate(zip(points, ds.labels[order].tolist())):
+    for n, (i, label) in enumerate(zip(order.tolist(), ds.labels[order].tolist())):
         t0 = perf()
         y = Y[i]
-        if fused and n:
-            I = I_next
-        else:
-            if n % block == 0:
-                I_block = Y[order[n : n + block]] @ logw.T
-                written.fill(False)
-            I = I_block[n % block]
-            stale = np.flatnonzero(written)
-            I[stale] = logw[stale] @ y
+        k = n % block
+        if k == 0 and not (full and n):
+            Y_block = Y[order[n : n + block]]
+            I_block = Y_block @ logw.T
+        I = I_block[k]
         if not np.isfinite(I).all():
             raise FloatingPointError(f"non-finite activation at epoch sample {n}")
         t1 = perf()
@@ -418,13 +414,12 @@ def online_epoch(
         probs = truncated_posterior(I, support)
         t = class_activation(support, probs, R, None if label == UNLABELED else label)
         t3 = perf()
-        if fused:
-            I_next = I_bufs[n % 2]
-            y_next = Y[points[n + 1]] if n + 1 < ds.N else None
-            update_bottom(W, logw, support, probs, y, cfg.eps_W, y_next, I_next)
+        if full:
+            Y_later = Y[order[n + 1 : n + 2]]
+            I_later = I_block[: len(Y_later)]
         else:
-            update_bottom(W, logw, support, probs, y, cfg.eps_W)
-            written[support] = True
+            Y_later, I_later = Y_block[k + 1 :], I_block[k + 1 :]
+        update_bottom(W, logw, support, probs, y, cfg.eps_W, Y_later, I_later)
         t4 = perf()
         if label != UNLABELED:
             update_top(R, t, support, probs, cfg.eps_R)

@@ -162,6 +162,23 @@ class TestUpdateBottom:
         update_bottom(self.W, logw, support, probs, self.y, eps_W=0.6)
         assert np.array_equal(logw, np.log(self.W.W))
 
+    @pytest.mark.parametrize("m", [0, 1, 15])
+    def test_refreshes_written_columns_of_later_points(self, m):
+        # Below full support the later points get the activations of the
+        # written rows from their new logs; every other column is left alone.
+        rng = np.random.default_rng(m)
+        W = random_weights(rng, 40, 784, 900.0)
+        y, *later = random_observations(rng, m + 1, 784, 900.0)
+        Y_later = np.array(later).reshape(m, 784)
+        support = np.sort(rng.choice(40, size=15, replace=False))
+        I_later = rng.standard_normal((m, 40))
+        before = I_later.copy()
+        update_bottom(W, np.log(W.W), support, rng.dirichlet(np.ones(15)), y, 0.5,
+                      Y_later, I_later)
+        assert I_later[:, support].tobytes() == (Y_later @ np.log(W.W[support]).T).tobytes()
+        other = np.setdiff1d(np.arange(40), support)
+        assert I_later[:, other].tobytes() == before[:, other].tobytes()
+
 
 @pytest.fixture()
 def fast_switch():
@@ -254,11 +271,12 @@ class TestSplitBottomStep:
         rng = np.random.default_rng(0)
         W = random_weights(rng, 40, 5, 15.0)
         logw = np.log(W.W)
-        y, y_next = random_observations(rng, 2, 5, 15.0)
-        I_next = np.empty(40)
-        update_bottom(W, logw, np.arange(39), rng.dirichlet(np.ones(39)), y, 0.5, y_next, I_next)
+        y, *later = random_observations(rng, 3, 5, 15.0)
+        I_later = np.empty((2, 40))
+        update_bottom(W, logw, np.arange(39), rng.dirichlet(np.ones(39)), y, 0.5,
+                      np.array(later), I_later)
         assert row_worker.submitted == 0
-        assert I_next.tobytes() == (y_next[None] @ logw.T)[0].tobytes()
+        assert I_later[:, :39].tobytes() == (np.array(later) @ logw[:39].T).tobytes()
 
     @pytest.mark.parametrize("faulty_lo", [0, 16], ids=["caller-half", "worker-half"])
     def test_fault_in_one_half_raises_after_the_other_half(
@@ -875,16 +893,17 @@ class TestOnlineEpoch:
             online_epoch(ds, W, R, cfg, np.random.default_rng(0))
 
     def test_non_finite_recomputed_row_names_the_sample(self, monkeypatch):
-        # B = min(16, C // C') = 3: sample 0's update poisons a row of log W
-        # that sample 1 recomputes from inside the same block.
+        # B = min(16, C // C') = 3: a weight poisoned before sample 0's step
+        # enters the activations that the step refreshes for sample 1, inside
+        # the same block.
         ds, cfg, W, R = online_setup()
         update_bottom = learning.update_bottom
         calls = []
 
         def poisoning_update(W, logw, support, *args):
-            update_bottom(W, logw, support, *args)
             if not calls:
-                logw[support[0], 0] = np.inf
+                W.W[support[0], 0] = np.inf
+            update_bottom(W, logw, support, *args)
             calls.append(support)
 
         monkeypatch.setattr(learning, "update_bottom", poisoning_update)
@@ -920,16 +939,17 @@ def reference_online_epoch(ds, W, R, cfg, rng, blocked=True):
     ``np.outer`` top step.
 
     Integration is blocked as in ``online_epoch``: one GEMM per 16 (at most
-    C // C') consecutive points against log W at the block's start, then
-    ``logw[d] @ y`` for the rows d that the block's earlier points wrote.
-    ``blocked=False`` integrates every point by its own ``logw @ y``.
+    C // C') consecutive points against log W at the block's start, and
+    after each bottom step the block's later points get the written columns
+    again, ``Y_later @ logw[support].T``.  ``blocked=False`` integrates
+    every point by its own ``logw @ y``.
     Returns the gate counts, the number of samples whose C'-th and
     (C'+1)-th largest activations tie, and every sample's support."""
     w, r = W.W, R.R
     logw = np.log(w)
     counts = {"labeled_updates": 0, "unlabeled_passed": 0, "unlabeled_skipped": 0}
     ties = 0
-    supports, written = [], []
+    supports = []
     block = min(16, cfg.C // cfg.C_prime)
     order = rng.permutation(ds.N)
     for n, i in enumerate(order):
@@ -939,11 +959,7 @@ def reference_online_epoch(ds, W, R, cfg, rng, blocked=True):
         else:
             if n % block == 0:
                 snapshot = ds.Y[order[n : n + block]] @ logw.T
-                written = []
             I = snapshot[n % block].copy()
-            if written:
-                d = np.unique(np.concatenate(written))
-                I[d] = logw[d] @ y
         ranked = np.argsort(-I, kind="stable")
         if cfg.C_prime < cfg.C and I[ranked[cfg.C_prime - 1]] == I[ranked[cfg.C_prime]]:
             ties += 1
@@ -965,7 +981,9 @@ def reference_online_epoch(ds, W, R, cfg, rng, blocked=True):
         w[support] *= (1.0 - es)[:, None]
         w[support] += es[:, None] * y
         logw[support] = np.log(w[support])
-        written.append(support)
+        if blocked:
+            k = n % block
+            snapshot[k + 1 :, support] = ds.Y[order[n + 1 : n - k + block]] @ logw[support].T
         top2 = np.sort(t)[-2:]
         if label != -1 or top2[1] - top2[0] > cfg.theta_bvsb:
             et = cfg.eps_R * t
