@@ -21,7 +21,7 @@ from .classifier import normalized_columns
 from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
-    _ROW_BLOCK, _block_matmul, _one_blas_thread, _row_blocks, integrate, select_truncation,
+    _ROW_BLOCK, _block_matmul, _openblas, _row_blocks, integrate, select_truncation,
     softmax_inplace, truncated_posterior,
 )
 from .learning import FreeEnergyTrace, batch_e_step, free_energy, init_weights, online_epoch
@@ -128,9 +128,9 @@ def train(
     training set scores the current bottom weights.  Pass ``trace_every=0``
     to disable tracing.  Returns the report plus the trained weights.
     ``verbose`` prints per-epoch progress to stderr; output files are
-    unaffected.  The run holds numpy's OpenBLAS at one thread and restores
-    the caller's count afterwards; the report's ``blas_threads`` records the
-    count in force, or None where the setter is missing.
+    unaffected.  Each split pass and online epoch pins BLAS to one thread
+    (``inference._one_blas_thread``); the report's ``blas_threads`` records
+    1, or None where the setter is missing.
     """
     if trace_every < 0:
         raise ConfigError(f"trace_every must be >= 0, got {trace_every}")
@@ -159,27 +159,26 @@ def train(
             sets = batch_e_step(train_ds.Y, W, cfg.C_prime)
             trace.append(epoch, free_energy(train_ds.Y, W, sets, lgam))
 
-    with _one_blas_thread() as blas_threads:
-        test_errors = [evaluate(test_ds, W, R, cfg.C_prime)]
-        record_trace(0)
-        gate_stats, timings = [], []
-        for epoch in range(1, cfg.epochs + 1):
-            try:
-                gates, phases = online_epoch(train_ds, W, R, cfg, rng)
-                W.validate()
-                R.validate()
-            except (ConfigError, FloatingPointError) as e:
-                raise FloatingPointError(f"epoch {epoch}: {e}") from e
-            gate_stats.append(gates)
-            timings.append(phases)
-            test_errors.append(evaluate(test_ds, W, R, cfg.C_prime))
-            record_trace(epoch)
-            if verbose:
-                print(
-                    f"epoch {epoch}/{cfg.epochs}  test_error={test_errors[-1]:.4f}"
-                    f"  gated={gates['unlabeled_skipped']}  [{sum(phases.values()):.1f}s]",
-                    file=sys.stderr,
-                )
+    test_errors = [evaluate(test_ds, W, R, cfg.C_prime)]
+    record_trace(0)
+    gate_stats, timings = [], []
+    for epoch in range(1, cfg.epochs + 1):
+        try:
+            gates, phases = online_epoch(train_ds, W, R, cfg, rng)
+            W.validate()
+            R.validate()
+        except (ConfigError, FloatingPointError) as e:
+            raise FloatingPointError(f"epoch {epoch}: {e}") from e
+        gate_stats.append(gates)
+        timings.append(phases)
+        test_errors.append(evaluate(test_ds, W, R, cfg.C_prime))
+        record_trace(epoch)
+        if verbose:
+            print(
+                f"epoch {epoch}/{cfg.epochs}  test_error={test_errors[-1]:.4f}"
+                f"  gated={gates['unlabeled_skipped']}  [{sum(phases.values()):.1f}s]",
+                file=sys.stderr,
+            )
 
     report = RunReport(
         config=cfg,
@@ -189,7 +188,7 @@ def train(
         trace=trace,
         gate_stats=gate_stats,
         timings=timings,
-        blas_threads=blas_threads,
+        blas_threads=1 if _openblas() else None,
     )
     return report, W, R
 

@@ -55,26 +55,21 @@ def _on_two_threads(fn, split: int, stop: int):
     """Run ``fn(0, split)`` on this thread and ``fn(split, stop)`` on the worker.
 
     Without a worker, or when either part is empty, this thread runs
-    ``fn(0, stop)`` alone.  Both parts run with numpy's OpenBLAS at one
-    thread (``_one_blas_thread``), so their GEMMs round alike whatever the
-    environment numpy was imported under.  The worker's part is waited for
-    in a ``finally``, so no write outlives the call, even when either part
-    raises.  ``fn`` must run only numpy, never a public truncmix name, so
-    that a tracer wrapping those names sees every call on the calling thread.
+    ``fn(0, stop)`` alone.  Both parts run under ``_one_blas_thread``.  The
+    worker's part is waited for in a ``finally``, so no write outlives the
+    call, even when either part raises.  ``fn`` must run only numpy, never a
+    public truncmix name, so that a tracer wrapping those names sees every
+    call on the calling thread.
     """
-    lib = _openblas()
-    if lib is not None and lib.scipy_openblas_get_num_threads64_() != 1:
-        with _one_blas_thread():
-            _on_two_threads(fn, split, stop)
-        return
-    if _WORKER is None or not 0 < split < stop:
-        fn(0, stop)
-        return
-    other = _WORKER.submit(fn, split, stop)
-    try:
-        fn(0, split)
-    finally:
-        other.result()
+    with _one_blas_thread():
+        if _WORKER is None or not 0 < split < stop:
+            fn(0, stop)
+            return
+        other = _WORKER.submit(fn, split, stop)
+        try:
+            fn(0, split)
+        finally:
+            other.result()
 
 
 def _row_blocks(kernel, n: int):
@@ -92,15 +87,18 @@ def _block_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     """``out[...] = a @ b`` for one block of at most ``_ROW_BLOCK`` rows of ``a``.
 
     A GEMM rounds a row alike only at equal row counts, so a short block is
-    padded with zero rows to a full one: each row of ``out`` then depends on
-    its own row of ``a`` and on ``b`` alone, not on the size of its batch.
+    padded to a full one with copies of its first row, which raise no
+    floating-point flag it does not (zero rows give 0 * -inf where ``log W``
+    holds -inf): each row of ``out`` depends on its own row of ``a`` and on
+    ``b`` alone, not on the size of its batch.
     """
     m = len(a)
     if m == _ROW_BLOCK:
         np.matmul(a, b, out=out)
         return
-    full = np.zeros((_ROW_BLOCK, a.shape[1]))
+    full = np.empty((_ROW_BLOCK, a.shape[1]))
     full[:m] = a
+    full[m:] = a[0]
     out[...] = (full @ b)[:m]
 
 
@@ -127,18 +125,19 @@ def _openblas():
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS at one thread and restore the
-    caller's count afterwards, whatever the environment held when numpy was
-    first imported.  Yields the thread count in force, or None where the
-    setter is missing and the count is left as it is."""
+    """Run the block with numpy's OpenBLAS at one thread, whatever the
+    environment held at numpy's first import, and restore the caller's count
+    afterwards (where the setter is missing the count is left as it is).
+    Only the two homes of truncmix's BLAS work take it: each split pass
+    (``_on_two_threads``) and each ``learning.online_epoch``."""
     lib = _openblas()
     if lib is None:
-        yield None
+        yield
         return
     before = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(1)
     try:
-        yield lib.scipy_openblas_get_num_threads64_()
+        yield
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
 
@@ -154,28 +153,26 @@ def integrate(W: BottomWeights, y: np.ndarray) -> np.ndarray:
     """Log-domain input integration: I_c = sum_d log(W_cd) * y_d.
 
     ``y`` may be a single D-vector or an (N, D) batch; returns (C,) or (N, C).
-    log W is computed once.  A batch runs one GEMM per ``_ROW_BLOCK``-row
-    block into one (N, C) output, split between two threads where there is
-    a worker and serial otherwise; a row split of one GEMM need not round as
-    the whole GEMM does, so the blocks are fixed and a short last block is
-    padded to a full one (``_block_matmul``).  A point's activations then
-    depend neither on the CPU count nor on the size of its batch.  Each
-    block is checked for finiteness while it is in cache.
+    log W is computed once.  The batch, or a single point as a one-row
+    batch, runs one GEMM per ``_ROW_BLOCK``-row block into one (N, C)
+    output, split between two threads where there is a worker and serial
+    otherwise; a row split of one GEMM need not round as the whole GEMM
+    does, so the blocks are fixed and a short last block is padded to a full
+    one (``_block_matmul``).  A point's activations then depend neither on
+    the CPU count nor on the size of its batch.  Each block is checked for
+    finiteness while it is in cache.
     """
     with np.errstate(divide="ignore"):
         logw = np.log(W.W)
-    if y.ndim != 2:
-        I = y @ logw.T
-        _check_finite(I)
-        return I
-    I = np.empty((len(y), W.C))
+    Y = np.atleast_2d(y)
+    I = np.empty((len(Y), W.C))
 
     def block(lo, hi):
-        _block_matmul(y[lo:hi], logw.T, I[lo:hi])
+        _block_matmul(Y[lo:hi], logw.T, I[lo:hi])
         _check_finite(I[lo:hi])
 
-    _row_blocks(block, len(y))
-    return I
+    _row_blocks(block, len(Y))
+    return I if y.ndim == 2 else I[0]
 
 
 def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
@@ -243,8 +240,6 @@ def truncated_posterior(I: np.ndarray, sets: np.ndarray) -> np.ndarray:
         raise ValueError("support indices out of range")
     if I.ndim == sets.ndim == 1:
         return softmax_inplace(I[sets])
-    if I.ndim != 2:
-        return softmax_inplace(np.take_along_axis(I, sets, axis=-1))
     probs = np.empty(sets.shape)
 
     def block(lo, hi):

@@ -189,11 +189,14 @@ def _free_energy_at(I, W: BottomWeights, sets, lgamma_sums) -> float:
 def free_energy(Y, W: BottomWeights, sets, lgamma_sums) -> float:
     """Truncated free energy: per point, log-sum-exp of the support joints.
 
-    ``sets`` is an (N, C') index matrix and ``lgamma_sums`` holds
-    sum_d lgamma(y_d + 1) per row of ``Y``, as ``Dataset.lgamma_sums`` does.
+    ``sets`` must be an (N, C') index matrix in [0, C), or ValueError is
+    raised; ``lgamma_sums`` holds sum_d lgamma(y_d + 1) per row of ``Y``, as
+    ``Dataset.lgamma_sums`` does.
     """
-    if sets.shape[0] != Y.shape[0]:
-        raise ValueError("need one truncation set per data point")
+    if sets.ndim != 2 or len(sets) != len(Y):
+        raise ValueError(f"sets {sets.shape} must be an (N={len(Y)}, C') index matrix")
+    if sets.min() < 0 or sets.max() >= W.C:
+        raise ValueError("support indices out of range")
     return _free_energy_at(integrate(W, Y), W, sets, lgamma_sums)
 
 
@@ -335,20 +338,17 @@ def run_tv_em(
     The trace interleaves F(sets_t, W_{t-1}) and F(sets_t, W_t); both steps
     must increase F, so the whole sequence is checked for monotonicity and a
     violation raises MonotonicityError rather than passing silently.  Each
-    weight state is integrated once.  The run holds numpy's OpenBLAS at one
-    thread and restores the caller's count afterwards (see
-    ``inference._one_blas_thread``), so its bits do not depend on the
-    environment numpy was imported under.
+    weight state is integrated once.  Every pass is a split pass under the
+    one-thread BLAS pin, ``inference._one_blas_thread``.
     """
     trace = FreeEnergyTrace()
-    with _one_blas_thread():
-        I = integrate(W, Y)
-        for it in range(1, n_iter + 1):
-            W, I, f_e, f_m, _ = tv_em_iteration(Y, W, I, c_prime, lgamma_sums)
-            trace.append(2 * it - 1, f_e)
-            trace.append(2 * it, f_m)
-            if check_monotone:
-                trace.assert_monotone()
+    I = integrate(W, Y)
+    for it in range(1, n_iter + 1):
+        W, I, f_e, f_m, _ = tv_em_iteration(Y, W, I, c_prime, lgamma_sums)
+        trace.append(2 * it - 1, f_e)
+        trace.append(2 * it, f_m)
+        if check_monotone:
+            trace.assert_monotone()
     return W, trace
 
 
@@ -386,7 +386,8 @@ def online_epoch(
     rows between this thread and one worker thread (see ``update_bottom``),
     which this thread waits for in a ``finally``, so ``log W`` and the next
     activations are whole before the next point reads them and the result
-    does not depend on the CPU count.
+    does not depend on the CPU count.  The sample loop holds the one-thread
+    BLAS pin, ``inference._one_blas_thread``.
     """
     Y = ds.Y
     logw = np.log(W.W)
@@ -398,42 +399,43 @@ def online_epoch(
     phases = dict.fromkeys(
         ("integrate", "select", "posterior", "update_bottom", "update_top"), 0.0)
     perf = time.perf_counter
-    for n, (i, label) in enumerate(zip(order.tolist(), ds.labels[order].tolist())):
-        t0 = perf()
-        y = Y[i]
-        k = n % block
-        if k == 0 and not (full and n):
-            Y_block = Y[order[n : n + block]]
-            I_block = Y_block @ logw.T
-        I = I_block[k]
-        if not np.isfinite(I).all():
-            raise FloatingPointError(f"non-finite activation at epoch sample {n}")
-        t1 = perf()
-        support = select_truncation(I, c_prime)
-        t2 = perf()
-        probs = truncated_posterior(I, support)
-        t = class_activation(support, probs, R, None if label == UNLABELED else label)
-        t3 = perf()
-        if full:
-            Y_later = Y[order[n + 1 : n + 2]]
-            I_later = I_block[: len(Y_later)]
-        else:
-            Y_later, I_later = Y_block[k + 1 :], I_block[k + 1 :]
-        update_bottom(W, logw, support, probs, y, cfg.eps_W, Y_later, I_later)
-        t4 = perf()
-        if label != UNLABELED:
-            update_top(R, t, support, probs, cfg.eps_R)
-            gates["labeled_updates"] += 1
-        elif bvsb(t) > cfg.theta_bvsb:
-            update_top(R, t, support, probs, cfg.eps_R)
-            gates["unlabeled_passed"] += 1
-        else:
-            gates["unlabeled_skipped"] += 1
-        t5 = perf()
-        phases["integrate"] += t1 - t0
-        phases["select"] += t2 - t1
-        phases["posterior"] += t3 - t2
-        phases["update_bottom"] += t4 - t3
-        phases["update_top"] += t5 - t4
+    with _one_blas_thread():
+        for n, (i, label) in enumerate(zip(order.tolist(), ds.labels[order].tolist())):
+            t0 = perf()
+            y = Y[i]
+            k = n % block
+            if k == 0 and not (full and n):
+                Y_block = Y[order[n : n + block]]
+                I_block = Y_block @ logw.T
+            I = I_block[k]
+            if not np.isfinite(I).all():
+                raise FloatingPointError(f"non-finite activation at epoch sample {n}")
+            t1 = perf()
+            support = select_truncation(I, c_prime)
+            t2 = perf()
+            probs = truncated_posterior(I, support)
+            t = class_activation(support, probs, R, None if label == UNLABELED else label)
+            t3 = perf()
+            if full:
+                Y_later = Y[order[n + 1 : n + 2]]
+                I_later = I_block[: len(Y_later)]
+            else:
+                Y_later, I_later = Y_block[k + 1 :], I_block[k + 1 :]
+            update_bottom(W, logw, support, probs, y, cfg.eps_W, Y_later, I_later)
+            t4 = perf()
+            if label != UNLABELED:
+                update_top(R, t, support, probs, cfg.eps_R)
+                gates["labeled_updates"] += 1
+            elif bvsb(t) > cfg.theta_bvsb:
+                update_top(R, t, support, probs, cfg.eps_R)
+                gates["unlabeled_passed"] += 1
+            else:
+                gates["unlabeled_skipped"] += 1
+            t5 = perf()
+            phases["integrate"] += t1 - t0
+            phases["select"] += t2 - t1
+            phases["posterior"] += t3 - t2
+            phases["update_bottom"] += t4 - t3
+            phases["update_top"] += t5 - t4
     gates["bottom_writes"] = ds.N * c_prime * W.D  # matrix entries the bottom updates wrote
     return gates, phases

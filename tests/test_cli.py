@@ -675,12 +675,13 @@ def test_untruncated_run_independent_of_cpu_count(tmp_path, C, n):
 
 # Runs one job in a fresh interpreter and prints the BLAS thread count
 # numpy started with and whether the passes have a worker thread.  argv:
-# which module to import first, "one" or "all" CPUs, "train", "tvem" or
-# "scores", the output directory, then the train options or the image and
-# label files.  "tvem" runs 4 iterations of run_tv_em at C'=15 from a
-# farthest-point init and saves W.npy; "scores" saves the C'=15 class
-# scores of that init under a seeded R, as evaluate computes them, and
-# then prints the BLAS thread count again.
+# which module to import first, "one" or "all" CPUs, "train", "tvem",
+# "scores" or "online", the output directory, then the train options or the
+# image and label files.  "tvem" runs 4 iterations of run_tv_em at C'=15
+# from a farthest-point init and saves W.npy; "scores" saves the C'=15 class
+# scores of that init under a seeded R, as evaluate computes them; "online"
+# runs one C'=15 online_epoch from that init and R and saves W.npy.  The
+# last two then print the BLAS thread count again.
 RUN_SCRIPT = """
 import os, sys
 first, cpus, mode, out, *args = sys.argv[1:]
@@ -705,27 +706,34 @@ if mode == "tvem":
     W, _ = run_tv_em(ds.Y, W0, 15, 4, ds.lgamma_sums)
     np.save(os.path.join(out, "W.npy"), W.W)
     sys.exit(0)
-from truncmix.core import TopWeights
+from truncmix.core import ModelConfig, TopWeights
 from truncmix.harness import _class_scores
+from truncmix.learning import online_epoch
 R = TopWeights(np.random.default_rng(7).dirichlet(np.ones(400), size=10))
-np.save(os.path.join(out, "scores.npy"), _class_scores(ds.Y, W0, R, 15))
+if mode == "scores":
+    np.save(os.path.join(out, "scores.npy"), _class_scores(ds.Y, W0, R, 15))
+else:
+    cfg = ModelConfig(K=10, C=400, C_prime=15, A=900.0, D=784, eps_W=0.1, eps_R=0.0025,
+                      theta_bvsb=0.6, epochs=1, seed=7)
+    online_epoch(ds, W0, R, cfg, np.random.default_rng(7))
+    np.save(os.path.join(out, "W.npy"), W0.W)
 print("blas after", lib.scipy_openblas_get_num_threads64_() if lib else None)
 """
 
 
 def run_script_outputs(tmp_path, n, job, runs):
     """Synthesize n points, run RUN_SCRIPT's ``job`` (a train run's C' or
-    "tvem" or "scores") once per (name, env, first, cpus) in ``runs`` at
-    C=400, and return each run's stdout lines and output bytes (W.npy, plus
-    report.json for a train run, or scores.npy)."""
+    "tvem", "scores" or "online") once per (name, env, first, cpus) in
+    ``runs`` at C=400, and return each run's stdout lines and output bytes
+    (W.npy, plus report.json for a train run, or scores.npy)."""
     assert main([
         "synth", "--clusters", "10", "--dim", "784", "--n", str(n),
         "--seed", "7", "--out", str(tmp_path / "d"),
     ]) == 0
     images, labels = (str(tmp_path / "d" / f) for f in ("images-idx3-ubyte", "labels-idx1-ubyte"))
-    if job in ("tvem", "scores"):
+    if job in ("tvem", "scores", "online"):
         mode, args = job, [images, labels]
-        files = ("W.npy",) if job == "tvem" else ("scores.npy",)
+        files = ("scores.npy",) if job == "scores" else ("W.npy",)
     else:
         (tmp_path / "cfg.json").write_text(json.dumps({
             "K": 10, "C": 400, "C_prime": job, "A": 900.0, "D": 784,
@@ -760,14 +768,16 @@ def test_batch_passes_independent_of_cpu_count(tmp_path, job):
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="BLAS has one core either way")
-@pytest.mark.parametrize("job", [15, 400, "tvem", "scores"],
-                         ids=["train-c15", "train-c400", "run_tv_em", "class-scores"])
+@pytest.mark.parametrize("job", [15, 400, "tvem", "scores", "online"],
+                         ids=["train-c15", "train-c400", "run_tv_em", "class-scores",
+                              "online-epoch-c15"])
 def test_numpy_first_caller_gets_pinned_bits(tmp_path, job):
     # A caller that imports numpy before truncmix starts OpenBLAS at the
-    # environment's two threads; train and run_tv_em set one thread for the
-    # run, and every split pass (the class scores of evaluate among them)
-    # for the pass, so W and the scores match a run under the import-time
-    # pin.  The caller's count is restored afterwards.
+    # environment's two threads; every split pass (the class scores of
+    # evaluate among them) and every online epoch sets one thread for its
+    # span, so W and the scores match a run under the import-time pin, also
+    # when the caller calls online_epoch itself.  The caller's count is
+    # restored afterwards.
     base = {k: v for k, v in os.environ.items()
             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     results = run_script_outputs(tmp_path, 1200, job, [
@@ -777,6 +787,6 @@ def test_numpy_first_caller_gets_pinned_bits(tmp_path, job):
     if "blas None" in results["pinned"][0]:
         pytest.skip("numpy's BLAS exports no scipy_openblas thread setter")
     assert "blas 1" in results["pinned"][0] and "blas 2" in results["numpy-first"][0]
-    if job == "scores":
+    if job in ("scores", "online"):
         assert "blas after 2" in results["numpy-first"][0]
     assert results["pinned"][1][0] == results["numpy-first"][1][0]

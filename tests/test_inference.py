@@ -148,11 +148,14 @@ class TestIntegrate:
         for n in range(7):
             np.testing.assert_allclose(I[n], integrate(W, Y[n]), rtol=1e-14)
 
-    def test_nonfinite_activation_rejected(self):
+    @pytest.mark.parametrize("shape", [(2,), (1, 2)], ids=["point", "batch"])
+    def test_nonfinite_activation_rejected(self, shape):
+        # A short block's pad rows must not turn the -inf of log 0 into a
+        # NaN warning (0 * -inf) before the finiteness check names it.
         W = BottomWeights(np.ones((1, 2)), 2.0)
         W.W[0, 0] = 0.0  # mutated in place past its positivity invariant
         with pytest.raises(DataError, match="non-finite"):
-            integrate(W, np.array([1.0, 1.0]))
+            integrate(W, np.ones(shape))
 
     @pytest.mark.parametrize("bad,I_bad", [
         ([np.nan, 1.0], np.nan),

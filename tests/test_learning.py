@@ -448,6 +448,23 @@ class TestFreeEnergy:
         assert free_energy(Y, W, sets, lg) == f
         assert sets.tobytes() == sets_bytes
 
+    @pytest.mark.parametrize("bad, match", [
+        ("negative", "out of range"),  # -1 took the last column of the row before
+        ("equal-C", "out of range"),   # C ran past the end of the flat activations
+        ("vector", "index matrix"),    # broadcast to an (n, n) set matrix per block
+    ])
+    def test_rejects_sets_that_are_not_an_index_matrix_in_range(self, bad, match):
+        rng = np.random.default_rng(21)
+        W = random_weights(rng, 12, 9, 20.0)
+        Y = random_observations(rng, 300, 9, 20.0)
+        sets, lg = batch_e_step(Y, W, 3).copy(), lgamma_sums(Y)
+        if bad == "vector":
+            sets = sets[:, 0]
+        else:
+            sets[-1, 0] = -1 if bad == "negative" else W.C
+        with pytest.raises(ValueError, match=match):
+            free_energy(Y, W, sets, lg)
+
     @pytest.mark.parametrize("sets_from", ["given", "e_step"])
     def test_full_sets_peak_is_one_activation_matrix_plus_blocks(self, sets_from):
         # The unblocked pass peaked at about seven (N, C) arrays, I included.

@@ -80,12 +80,19 @@ def test_class_scores_do_not_depend_on_batch_size(C, c_prime):
     # one; inside the batch they sit in a full block.  On this BLAS a 44-row
     # GEMM rounds differently from a 256-row one at C=15 and 401 (at C=400
     # only below 3 rows), and a 6000-row product differently again, so only
-    # fixed, padded blocks give equal activations and scores.
+    # fixed, padded blocks give equal activations and scores.  A single
+    # point is the first row of a padded one-row batch, so its activations
+    # equal its batch row's.  Not tested: rows 252-255 of a block, whose last
+    # C mod 8 columns this BLAS rounds differently from the block's other
+    # rows at C >= 398.
     rng = np.random.default_rng(7)
     W = random_weights(rng, C, 784, 900.0)
     R = TopWeights(rng.dirichlet(np.ones(C), size=10))
     Y = random_observations(rng, 6000, 784, 900.0)
-    assert integrate(W, Y[:300]).tobytes() == integrate(W, Y)[:300].tobytes()
+    I = integrate(W, Y)
+    assert integrate(W, Y[:300]).tobytes() == I[:300].tobytes()
+    for n in (0, 1, 43, 251, 256, 299, 5999):
+        assert integrate(W, Y[n]).tobytes() == I[n].tobytes()
     alone = _class_scores(Y[:300], W, R, c_prime)
     inside = _class_scores(Y, W, R, c_prime)[:300]
     assert alone.tobytes() == inside.tobytes()
