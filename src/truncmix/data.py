@@ -62,7 +62,7 @@ class Dataset:
             raise DataError("K must be positive")
         if np.any(self.labels >= self.K) or np.any(self.labels < UNLABELED):
             raise DataError(f"labels must lie in [0, {self.K}) or be -1")
-        if np.any(self.Y < 1.0):
+        if self.Y.min(initial=1.0) < 1.0:
             raise DataError("normalized observations must be >= 1 componentwise")
         sums = self.Y.sum(axis=1)
         if not np.allclose(sums, self.A, rtol=OBS_SUM_RTOL, atol=0.0):
@@ -198,9 +198,12 @@ def normalize_input(raw, A: float) -> np.ndarray:
     D = y.shape[-1]
     if A <= D:
         raise DataError("A must exceed D")
-    _reject_rows(~np.isfinite(y), "raw input has non-finite components")
-    _reject_rows(y < 0.0, "raw input has negative components")
+    # The row sums and the min check the entries; a mask only names the row.
     total = y.sum(axis=-1, keepdims=True)
+    if not np.isfinite(total).all():
+        _reject_rows(~np.isfinite(y), "raw input has non-finite components")
+    if y.min(initial=0.0) < 0.0:
+        _reject_rows(y < 0.0, "raw input has negative components")
     _reject_rows(total <= 0.0, "degenerate input: zero total mass")
     y *= A - D
     y /= total

@@ -142,36 +142,39 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(before)
 
 
-def _check_finite(I: np.ndarray):
-    # Every entry is finite exactly when the max and the min are (a NaN
-    # propagates to both), so no boolean array is needed.
-    if I.size and not (np.isfinite(I.max()) and np.isfinite(I.min())):
-        raise DataError("non-finite log activation (W must be positive, y finite)")
+def _activation_blocks(W: BottomWeights, Y: np.ndarray, consume, out=None):
+    """Hand each ``_ROW_BLOCK``-row block's activations to ``consume(lo, hi, I)``,
+    the blocks split as in ``_row_blocks``.  log W is taken once.  Each
+    block's padded GEMM (``_block_matmul``) goes into its thread's one
+    scratch block, or into ``out[lo:hi]``, and is checked while in cache."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(W.W)
+
+    def run(lo, hi):
+        scratch = np.empty((_ROW_BLOCK, W.C)) if out is None else None
+        for b in range(lo, hi, _ROW_BLOCK):
+            e = min(b + _ROW_BLOCK, hi)
+            I = scratch[: e - b] if out is None else out[b:e]
+            _block_matmul(Y[b:e], logw.T, I)
+            # Every entry is finite exactly when the max and the min are (a
+            # NaN propagates to both), so no boolean array is needed.
+            if I.size and not (np.isfinite(I.max()) and np.isfinite(I.min())):
+                raise DataError("non-finite log activation (W must be positive, y finite)")
+            consume(b, e, I)
+
+    _on_two_threads(run, (-(-len(Y) // _ROW_BLOCK) + 1) // 2 * _ROW_BLOCK, len(Y))
 
 
 def integrate(W: BottomWeights, y: np.ndarray) -> np.ndarray:
     """Log-domain input integration: I_c = sum_d log(W_cd) * y_d.
 
-    ``y`` may be a single D-vector or an (N, D) batch; returns (C,) or (N, C).
-    log W is computed once.  The batch, or a single point as a one-row
-    batch, runs one GEMM per ``_ROW_BLOCK``-row block into one (N, C)
-    output, split between two threads where there is a worker and serial
-    otherwise; a row split of one GEMM need not round as the whole GEMM
-    does, so the blocks are fixed and a short last block is padded to a full
-    one (``_block_matmul``).  A point's activations then depend neither on
-    the CPU count nor on the size of its batch.  Each block is checked for
-    finiteness while it is in cache.
-    """
-    with np.errstate(divide="ignore"):
-        logw = np.log(W.W)
+    ``y`` is a D-vector (a one-row batch) or an (N, D) batch; returns (C,) or
+    (N, C), which ``_activation_blocks`` writes block by block.  Its blocks
+    are fixed and padded, so a point's activations depend neither on the
+    CPU count nor on the size of its batch."""
     Y = np.atleast_2d(y)
     I = np.empty((len(Y), W.C))
-
-    def block(lo, hi):
-        _block_matmul(Y[lo:hi], logw.T, I[lo:hi])
-        _check_finite(I[lo:hi])
-
-    _row_blocks(block, len(Y))
+    _activation_blocks(W, Y, lambda lo, hi, block: None, out=I)
     return I if y.ndim == 2 else I[0]
 
 

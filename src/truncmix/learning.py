@@ -22,11 +22,11 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .classifier import bvsb, class_activation
-from .core import BottomWeights, ModelConfig, MonotonicityError, TopWeights
+from .core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
-    _ROW_BLOCK, _on_two_threads, _one_blas_thread, _row_blocks, integrate, logsumexp_inplace,
-    select_truncation, truncated_posterior,
+    _activation_blocks, _on_two_threads, _one_blas_thread, _select, integrate, logsumexp_inplace,
+    select_truncation, softmax_inplace, truncated_posterior,
 )
 
 MONOTONE_RSLACK = 1e-8
@@ -156,34 +156,20 @@ def update_top(
     return R
 
 
-def _free_energy_at(I, W: BottomWeights, sets, lgamma_sums) -> float:
-    """Truncated free energy from the activations ``I = integrate(W, Y)``.
-
-    The support joints are formed per ``_ROW_BLOCK``-row block, the blocks
-    of the other batch passes, on two threads where there is a worker; only
-    the per-point log-sum-exp vector spans all N, and it is summed once, in
-    point order.  Each block's joints are taken from ``I`` into one buffer,
-    which ``logsumexp_inplace`` reduces without a scipy call.  ``I`` must be
-    finite, as ``integrate`` checks; neither it nor ``sets`` is written.
-    """
+def _support_lse(I, s, row_sums, lgamma_sums, probs=None) -> np.ndarray:
+    """Per row of a block of activations ``I``, the log-sum-exp of the joints
+    on its support ``s``; given ``probs``, its truncated posterior goes there."""
+    # One flat take: row r's support s[r] sits at r * C + s[r] of the block.
+    joints = np.take(I.ravel(), s + np.arange(0, I.size, I.shape[1])[:, None])
+    if probs is not None:
+        probs[...] = joints
+        softmax_inplace(probs)
     # Joints differ from activations only by terms constant across clusters
     # (row sums all equal A, lgamma term depends on the point alone).
-    C = W.C
-    row_sums = W.W.sum(axis=1)
-    per_point = np.empty(len(sets))
-    # One flat take: row r's support s[r] sits at r * C + s[r] of its block.
-    offsets = np.arange(0, _ROW_BLOCK * C, C)[:, None]
-
-    def block(lo, hi):
-        s = sets[lo:hi]
-        joints = np.take(I[lo:hi].ravel(), s + offsets[: hi - lo])
-        joints -= np.take(row_sums, s)
-        joints -= lgamma_sums[lo:hi, None]
-        joints -= np.log(C)
-        per_point[lo:hi] = logsumexp_inplace(joints)
-
-    _row_blocks(block, len(sets))
-    return float(per_point.sum())
+    joints -= np.take(row_sums, s)
+    joints -= lgamma_sums[:, None]
+    joints -= np.log(len(row_sums))
+    return logsumexp_inplace(joints)
 
 
 def free_energy(Y, W: BottomWeights, sets, lgamma_sums) -> float:
@@ -191,13 +177,46 @@ def free_energy(Y, W: BottomWeights, sets, lgamma_sums) -> float:
 
     ``sets`` must be an (N, C') index matrix in [0, C), or ValueError is
     raised; ``lgamma_sums`` holds sum_d lgamma(y_d + 1) per row of ``Y``, as
-    ``Dataset.lgamma_sums`` does.
-    """
+    ``Dataset.lgamma_sums`` does.  No points give 0.0.  Each row block of
+    activations is reduced in cache (``inference._activation_blocks``); the
+    per-point vector is summed once, in order."""
     if sets.ndim != 2 or len(sets) != len(Y):
         raise ValueError(f"sets {sets.shape} must be an (N={len(Y)}, C') index matrix")
-    if sets.min() < 0 or sets.max() >= W.C:
+    if sets.size and (sets.min() < 0 or sets.max() >= W.C):
         raise ValueError("support indices out of range")
-    return _free_energy_at(integrate(W, Y), W, sets, lgamma_sums)
+    row_sums = W.W.sum(axis=1)
+    per_point = np.empty(len(sets))
+
+    def block(lo, hi, I):
+        per_point[lo:hi] = _support_lse(I, sets[lo:hi], row_sums, lgamma_sums[lo:hi])
+
+    _activation_blocks(W, Y, block)
+    return float(per_point.sum())
+
+
+def _tv_em_pass(Y, W: BottomWeights, c_prime: int, lgamma_sums, prev_sets=None):
+    """One TV-EM pass at ``W``, each row block reduced in cache: returns the
+    E-step ``(sets, probs, F(sets, W))`` and F(prev_sets, W), or None without
+    ``prev_sets``.  Bit for bit, these are ``select_truncation`` (at C'=C a
+    broadcast ``arange(C)``), ``truncated_posterior`` and ``free_energy``."""
+    N, C = len(Y), W.C
+    if not 1 <= c_prime <= C:
+        raise ValueError(f"c_prime must lie in [1, {C}], got {c_prime}")
+    row_sums = W.W.sum(axis=1)
+    sets = (np.broadcast_to(np.arange(C), (N, C)) if c_prime == C
+            else np.empty((N, c_prime), dtype=np.intp))
+    probs, f, f_prev = np.empty((N, c_prime)), np.empty(N), np.empty(N)
+
+    def block(lo, hi, I):
+        if prev_sets is not None:
+            f_prev[lo:hi] = _support_lse(I, prev_sets[lo:hi], row_sums, lgamma_sums[lo:hi])
+        if c_prime < C:
+            sets[lo:hi] = _select(I, c_prime)
+        f[lo:hi] = _support_lse(I, sets[lo:hi], row_sums, lgamma_sums[lo:hi], probs[lo:hi])
+
+    _activation_blocks(W, Y, block)
+    f_prev = None if prev_sets is None else float(f_prev.sum())
+    return (sets, probs, float(f.sum())), f_prev
 
 
 def batch_e_step(Y, W: BottomWeights, c_prime: int) -> np.ndarray:
@@ -207,8 +226,7 @@ def batch_e_step(Y, W: BottomWeights, c_prime: int) -> np.ndarray:
     choice maximizes the free energy at fixed weights, because the log joint
     ranking equals the activation ranking for mass-normalized rows.
     """
-    I = integrate(W, Y)
-    return select_truncation(I, c_prime)
+    return select_truncation(integrate(W, Y), c_prime)
 
 
 def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, int]:
@@ -309,20 +327,17 @@ def init_from_data(Y, n_clusters: int, A: float, rng: np.random.Generator) -> Bo
 
 
 def tv_em_iteration(
-    Y, W: BottomWeights, I, c_prime: int, lgamma_sums
-) -> tuple[BottomWeights, np.ndarray, float, float, int]:
-    """One batch EM iteration: re-select sets, then refit the support rows.
+    Y, W: BottomWeights, E, c_prime: int, lgamma_sums
+) -> tuple[BottomWeights, tuple, float, float, int]:
+    """One batch EM iteration: refit the support rows, then re-select sets.
 
-    ``I`` is ``integrate(W, Y)``.  Returns (W_new, integrate(W_new, Y),
-    F(new sets, old W), F(new sets, W_new), dead clusters); the returned
-    activations are the next iteration's ``I``.
-    """
-    sets = select_truncation(I, c_prime)
-    f_e = _free_energy_at(I, W, sets, lgamma_sums)
-    W_new, dead = batch_m_step(Y, (sets, truncated_posterior(I, sets)), W)
-    I_new = integrate(W_new, Y)
-    f_m = _free_energy_at(I_new, W_new, sets, lgamma_sums)
-    return W_new, I_new, f_e, f_m, dead
+    ``E = (sets, probs, F(sets, W))`` is the E-step at ``W``; one pass at
+    W_new (``_tv_em_pass``) gives F(sets, W_new) and the next E-step.
+    Returns (W_new, E_new, F(sets, W), F(sets, W_new), dead clusters)."""
+    sets, probs, f_e = E
+    W_new, dead = batch_m_step(Y, (sets, probs), W)
+    E_new, f_m = _tv_em_pass(Y, W_new, c_prime, lgamma_sums, sets)
+    return W_new, E_new, f_e, f_m, dead
 
 
 def run_tv_em(
@@ -338,13 +353,16 @@ def run_tv_em(
     The trace interleaves F(sets_t, W_{t-1}) and F(sets_t, W_t); both steps
     must increase F, so the whole sequence is checked for monotonicity and a
     violation raises MonotonicityError rather than passing silently.  Each
-    weight state is integrated once.  Every pass is a split pass under the
-    one-thread BLAS pin, ``inference._one_blas_thread``.
+    weight state is integrated once, in row blocks reduced in cache, so the
+    run holds O(N*C') state, no (N, C) activation matrix.  Every pass is a
+    split pass under the one-thread BLAS pin, ``inference._one_blas_thread``.
     """
+    if len(Y) == 0:
+        raise DataError("training set is empty")
     trace = FreeEnergyTrace()
-    I = integrate(W, Y)
+    E, _ = _tv_em_pass(Y, W, c_prime, lgamma_sums)
     for it in range(1, n_iter + 1):
-        W, I, f_e, f_m, _ = tv_em_iteration(Y, W, I, c_prime, lgamma_sums)
+        W, E, f_e, f_m, _ = tv_em_iteration(Y, W, E, c_prime, lgamma_sums)
         trace.append(2 * it - 1, f_e)
         trace.append(2 * it, f_m)
         if check_monotone:

@@ -170,6 +170,21 @@ class TestPreprocess:
             tracemalloc.stop()
         assert peak < out.nbytes + 2 * _ROW_BLOCK * ds.D * 8
 
+    def test_peak_is_the_float64_copy(self):
+        # The load checks test finiteness, sign and >= 1 by min and max; the
+        # (N, D) boolean masks they built took the peak to 1.125 copies.
+        from truncmix.data import RawDataset
+        rng = np.random.default_rng(5)
+        raw = RawDataset(rng.integers(0, 256, size=(6000, 784), dtype=np.uint8),
+                         np.zeros(6000, dtype=int))
+        tracemalloc.start()
+        try:
+            preprocess(raw, 900.0, K=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * raw.X.size * 8
+
     def test_examples_view(self):
         raw, _ = generate_mixture(3, 6, 10, seed=3)
         ds = preprocess(raw, 24.0, K=3)

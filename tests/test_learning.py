@@ -19,9 +19,9 @@ from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
 from truncmix import inference, learning
-from truncmix.core import BottomWeights, ModelConfig, MonotonicityError, TopWeights
+from truncmix.core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
 from truncmix.data import Dataset, generate_mixture, preprocess
-from truncmix.inference import integrate, select_truncation
+from truncmix.inference import integrate, select_truncation, truncated_posterior
 from truncmix.learning import (
     FreeEnergyTrace,
     batch_e_step,
@@ -62,6 +62,14 @@ def mp_free_energy(Y, W_arr, sets, C):
             mass += mp.e ** mp_log_joint(W_arr[c], Y[n], C)
         total += mp.log(mass)
     return float(total)
+
+
+def unfused_e_step(Y, W, c_prime, lg):
+    """The E-step ``tv_em_iteration`` takes, from the unfused public passes:
+    (sets, truncated posteriors, F(sets, W))."""
+    I = integrate(W, Y)
+    sets = select_truncation(I, c_prime)
+    return sets, truncated_posterior(I, sets), free_energy(Y, W, sets, lg)
 
 
 def mp_dense_posterior(W_arr, y, C):
@@ -436,17 +444,26 @@ class TestFreeEnergy:
         assert free_energy(Y, W, sets, lg) == float(logsumexp(lj, axis=1).sum())
 
     @pytest.mark.parametrize("c_prime", [1, 3, 12])
-    def test_activations_and_sets_left_untouched(self, c_prime):
+    def test_inputs_and_sets_left_untouched(self, c_prime):
+        # free_energy and the fused TV-EM pass read the same sets, and
+        # neither writes them or the observations.
         rng = np.random.default_rng(20)
         W = random_weights(rng, 12, 9, 20.0)
         Y = random_observations(rng, 513, 9, 20.0)
-        I, lg = integrate(W, Y), lgamma_sums(Y)
-        sets = select_truncation(I, c_prime)
-        I_bytes, sets_bytes = I.tobytes(), sets.tobytes()
-        f = learning._free_energy_at(I, W, sets, lg)
-        assert I.tobytes() == I_bytes and sets.tobytes() == sets_bytes
-        assert free_energy(Y, W, sets, lg) == f
-        assert sets.tobytes() == sets_bytes
+        sets, lg = batch_e_step(Y, W, c_prime), lgamma_sums(Y)
+        Y_bytes, sets_bytes = Y.tobytes(), sets.tobytes()
+        f = free_energy(Y, W, sets, lg)
+        assert Y.tobytes() == Y_bytes and sets.tobytes() == sets_bytes
+        (_, _, f_new), f_prev = learning._tv_em_pass(Y, W, c_prime, lg, sets)
+        assert f_prev == f_new == f
+        assert Y.tobytes() == Y_bytes and sets.tobytes() == sets_bytes
+
+    def test_no_points_give_the_empty_sum(self):
+        # The range check reduced an empty index matrix and raised numpy's
+        # zero-size error.
+        W = random_weights(np.random.default_rng(22), 12, 9, 20.0)
+        Y = np.empty((0, 9))
+        assert free_energy(Y, W, np.empty((0, 3), dtype=np.intp), np.empty(0)) == 0.0
 
     @pytest.mark.parametrize("bad, match", [
         ("negative", "out of range"),  # -1 took the last column of the row before
@@ -649,8 +666,8 @@ class TestTvEm:
         ds, _ = self.make_data(3)
         rng = np.random.default_rng(4)
         W = random_weights(rng, 6, 12, 48.0)
-        W_new, I_new, f_e, f_m, _ = tv_em_iteration(
-            ds.Y, W, integrate(W, ds.Y), 2, ds.lgamma_sums
+        W_new, E_new, f_e, f_m, _ = tv_em_iteration(
+            ds.Y, W, unfused_e_step(ds.Y, W, 2, ds.lgamma_sums), 2, ds.lgamma_sums
         )
         # E-step reading uses the new sets with the old weights; M-step
         # reading re-scores the same sets with the refit weights.
@@ -662,11 +679,13 @@ class TestTvEm:
             free_energy(ds.Y, W_new, sets, ds.lgamma_sums), rel=1e-14
         )
         assert f_m >= f_e
-        np.testing.assert_array_equal(I_new, integrate(W_new, ds.Y))
+        fresh = unfused_e_step(ds.Y, W_new, 2, ds.lgamma_sums)
+        for got, want in zip(E_new, fresh):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("cp", [1, 2, 6])
     def test_carried_activations_are_never_stale(self, cp):
-        # run_tv_em carries integrate(W_t, Y) from one iteration to the next;
+        # run_tv_em carries the E-step at W_t from one iteration to the next;
         # every trace entry must equal F rescored from scratch on the weights
         # it claims, so a stale or skipped activation update breaks equality.
         ds, _ = self.make_data(13, n=120)
@@ -686,7 +705,8 @@ class TestTvEm:
         W = random_weights(np.random.default_rng(6), 4, 6, 24.0)
         for _ in range(5):
             post_oracle, W_oracle = dense_em_iteration_oracle(ds.Y, W.W, 4)
-            W_new, *_ = tv_em_iteration(ds.Y, W, integrate(W, ds.Y), 4, ds.lgamma_sums)
+            W_new, *_ = tv_em_iteration(
+                ds.Y, W, unfused_e_step(ds.Y, W, 4, ds.lgamma_sums), 4, ds.lgamma_sums)
             sets = batch_e_step(ds.Y, W, 4)
             vals = np.take_along_axis(
                 np.asarray(ds.Y @ np.log(W.W).T), sets, axis=1
@@ -702,7 +722,7 @@ class TestTvEm:
         ds, _ = self.make_data(8, n=20, clusters=4, dim=8)
         W = random_weights(rng, 12, 8, 32.0)
         W_new, _, _, _, dead_clusters = tv_em_iteration(
-            ds.Y, W, integrate(W, ds.Y), 1, ds.lgamma_sums
+            ds.Y, W, unfused_e_step(ds.Y, W, 1, ds.lgamma_sums), 1, ds.lgamma_sums
         )
         assert dead_clusters >= 1
         sets = batch_e_step(ds.Y, W, 1)
@@ -729,15 +749,38 @@ class TestTvEm:
         W = random_weights(np.random.default_rng(12), 5, 10, 40.0)
         full = np.tile(np.arange(5), (ds.N, 1))
         for _ in range(10):
-            W, _, _, f_m, _ = tv_em_iteration(ds.Y, W, integrate(W, ds.Y), 2, ds.lgamma_sums)
+            W, _, _, f_m, _ = tv_em_iteration(
+                ds.Y, W, unfused_e_step(ds.Y, W, 2, ds.lgamma_sums), 2, ds.lgamma_sums)
             ll = free_energy(ds.Y, W, full, ds.lgamma_sums)
             assert f_m <= ll + 1e-9 * abs(ll)
         # With full sets the bound is tight.
         W_full, _, _, f_full, _ = tv_em_iteration(
-            ds.Y, W, integrate(W, ds.Y), 5, ds.lgamma_sums
+            ds.Y, W, unfused_e_step(ds.Y, W, 5, ds.lgamma_sums), 5, ds.lgamma_sums
         )
         ll = free_energy(ds.Y, W_full, full, ds.lgamma_sums)
         assert f_full == pytest.approx(ll, rel=1e-13)
+
+    def test_run_peaks_below_one_activation_matrix(self):
+        # The run held two (N, C) activation matrices at every M-step and
+        # peaked at 2.1 of them here; its passes now reduce each row block in
+        # cache and keep only the (N, C') sets and posteriors (0.39).
+        rng = np.random.default_rng(23)
+        N, C, D = 8000, 100, 8
+        W = random_weights(rng, C, D, 20.0)
+        Y = random_observations(rng, N, D, 20.0)
+        lg = lgamma_sums(Y)
+        tracemalloc.start()
+        try:
+            run_tv_em(Y, W, 5, 3, lg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < N * C * 8
+
+    def test_no_points_is_a_data_error(self):
+        W = random_weights(np.random.default_rng(24), 6, 12, 48.0)
+        with pytest.raises(DataError, match="training set is empty"):
+            run_tv_em(np.empty((0, 12)), W, 2, 3, np.empty(0))
 
     def test_monotonicity_violation_raises(self):
         trace = FreeEnergyTrace()

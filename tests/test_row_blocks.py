@@ -9,12 +9,13 @@ depend on how many other points share its batch.
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from truncmix import inference
 from truncmix.core import DataError, TopWeights
 from truncmix.harness import _class_scores, predict_batch
 from truncmix.inference import _ROW_BLOCK, integrate, select_truncation, truncated_posterior
-from truncmix.learning import _free_energy_at, batch_m_step
+from truncmix.learning import _tv_em_pass, batch_m_step, free_energy, run_tv_em
 
 from conftest import CountingExecutor, lgamma_sums, random_observations, random_weights
 
@@ -28,17 +29,30 @@ def worker(monkeypatch):
     pool.shutdown(wait=True)
 
 
+def per_point_formula(I, W, sets, lg) -> str:
+    """F from whole activations: per point, scipy's log-sum-exp of the support joints."""
+    lj = (np.take_along_axis(I, sets, axis=1) - W.W.sum(axis=1)[sets] - lg[:, None]
+          - np.log(W.C))
+    return repr(float(logsumexp(lj, axis=1).sum()))
+
+
 def run_passes(Y, W, R, c_prime) -> dict:
     """Every batch pass over Y, as the bytes (or value) it returns."""
     I = integrate(W, Y)
     sets = select_truncation(I, c_prime)
     probs = truncated_posterior(I, sets)
     W_new, dead = batch_m_step(Y, (sets, probs), W)
+    lg = lgamma_sums(Y)
+    prev = (sets + 1) % W.C  # other sets, for the M-step reading of the fused pass
+    (e_sets, e_probs, f), f_prev = _tv_em_pass(Y, W, c_prime, lg, prev)
     return {
         "integrate": I.tobytes(),
         "select_truncation": np.ascontiguousarray(sets).tobytes(),
         "truncated_posterior": probs.tobytes(),
-        "_free_energy_at": repr(_free_energy_at(I, W, sets, lgamma_sums(Y))),
+        "formula": (per_point_formula(I, W, sets, lg), per_point_formula(I, W, prev, lg)),
+        "free_energy": (repr(free_energy(Y, W, sets, lg)), repr(free_energy(Y, W, prev, lg))),
+        "_tv_em_pass": (np.ascontiguousarray(e_sets).tobytes(), e_probs.tobytes(),
+                        repr(f), repr(f_prev)),
         "batch_m_step": (W_new.W.tobytes(), dead),
         "class_scores": _class_scores(Y, W, R, c_prime).tobytes(),
         "predict_batch": predict_batch(Y, W, R, c_prime).tobytes(),
@@ -60,6 +74,12 @@ def test_worker_and_serial_passes_write_equal_bytes(worker, monkeypatch, N, C, c
     monkeypatch.setattr(inference, "_WORKER", None)
     serial = run_passes(Y, W, R, c_prime)
     assert [k for k in split if split[k] != serial[k]] == []
+    # The fused passes reduce each block in cache and equal the unfused
+    # passes over the whole activation matrix, with and without the worker.
+    for passes in (split, serial):
+        assert passes["free_energy"] == passes["formula"]
+        assert passes["_tv_em_pass"] == (passes["select_truncation"],
+                                         passes["truncated_posterior"], *passes["formula"])
 
 
 @pytest.mark.parametrize("bad_row", [3, 300, 599], ids=["caller", "caller-2nd-block", "worker"])
@@ -70,6 +90,22 @@ def test_non_finite_row_in_any_block_raises(worker, bad_row):
     Y[bad_row, 2] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         integrate(W, Y)
+    assert worker.submitted == 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda W, Y: free_energy(Y, W, np.zeros((len(Y), 2), dtype=np.intp), lgamma_sums(Y)),
+    lambda W, Y: run_tv_em(Y, W, 2, 3, lgamma_sums(Y)),
+], ids=["free_energy", "run_tv_em"])
+@pytest.mark.parametrize("bad_row", [3, 300, 599], ids=["caller", "caller-2nd-block", "worker"])
+def test_fused_passes_raise_on_non_finite_row(worker, bad_row, run):
+    # The fused passes check each activation block as integrate does.
+    rng = np.random.default_rng(6)
+    W = random_weights(rng, 7, 5, 15.0)
+    Y = random_observations(rng, 600, 5, 15.0)
+    Y[bad_row, 2] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        run(W, Y)
     assert worker.submitted == 1
 
 
