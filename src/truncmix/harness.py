@@ -22,7 +22,7 @@ from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
     _ROW_BLOCK, _block_matmul, _openblas, _row_blocks, integrate, select_truncation,
-    softmax_inplace, truncated_posterior,
+    softmax_inplace,
 )
 from .learning import FreeEnergyTrace, batch_e_step, free_energy, init_weights, online_epoch
 
@@ -63,15 +63,15 @@ def _class_scores(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
     each point's truncated posterior over all C clusters and mix the
     column-normalized R.
 
-    Each chunk of ``_CHUNK`` rows gets its activation matrix I, which becomes
-    its posterior matrix S in place: below C'=C the truncated posterior is
-    scattered into the zeroed I; at C'=C the support is every cluster, so I
-    takes its row softmax directly, with no select, gather or scatter.  The
-    scatter, the softmax and the scores run per ``_ROW_BLOCK``-row block, on
-    two threads where there is a worker.  As in ``integrate``, a short last
-    block's GEMM is padded to a full block (``inference._block_matmul``), so
-    a point's scores depend on its own row and the weights alone, not on
-    the size of its batch.
+    Each chunk of ``_CHUNK`` rows gets its activation matrix I and, below
+    C'=C, its truncation sets.  One ``_row_blocks`` pass then turns each
+    ``_ROW_BLOCK``-row block of I into its posterior block S in place: below
+    C'=C the block's supports are gathered and normalized, and the
+    posteriors scattered into the zeroed block; at C'=C the support is every
+    cluster, so the block takes its row softmax directly.  The block's scores
+    follow.  As in ``integrate``, a short last block's GEMM is padded to a
+    full block (``inference._block_matmul``), so a point's scores depend on
+    its own row and the weights alone, not on the size of its batch.
     """
     mix_T = normalized_columns(R.R).T  # (C, K)
     scores = np.empty((Y.shape[0], R.K))
@@ -79,17 +79,16 @@ def _class_scores(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
         hi = min(Y.shape[0], lo + _CHUNK)
         S = integrate(W, Y[lo:hi])
         full = c_prime == S.shape[1]
-        if not full:
-            sets = select_truncation(S, c_prime)
-            probs = truncated_posterior(S, sets)
+        sets = None if full else select_truncation(S, c_prime)
 
         def block(b, e):
             rows = S[b:e]
             if full:
                 softmax_inplace(rows)
             else:
+                probs = softmax_inplace(np.take_along_axis(rows, sets[b:e], axis=1))
                 rows.fill(0.0)
-                np.put_along_axis(rows, sets[b:e], probs[b:e], axis=1)
+                np.put_along_axis(rows, sets[b:e], probs, axis=1)
             _block_matmul(rows, mix_T, scores[lo + b : lo + e])
 
         _row_blocks(block, hi - lo)

@@ -10,9 +10,9 @@ clusters, ranking clusters by log joint is the same as ranking them by the
 linear activation I_c = sum_d log(W_cd) * y_d.  Truncated inference keeps the
 C' largest activations and renormalizes the posterior on that support.
 
-All functions here operate on the last axis, so a single call handles one
-observation or a whole batch.  All but the two ``*_inplace`` functions are
-pure.
+The functions here operate on the last axis, so a single call handles one
+observation or a whole batch; ``truncated_posterior`` takes one observation.
+All but the two ``*_inplace`` functions are pure.
 
 A 2-D batch pass runs in fixed blocks of ``_ROW_BLOCK`` rows.  Where the
 process may run on at least 2 CPUs, the calling thread takes the first half
@@ -143,26 +143,23 @@ def _one_blas_thread():
 
 
 def _activation_blocks(W: BottomWeights, Y: np.ndarray, consume, out=None):
-    """Hand each ``_ROW_BLOCK``-row block's activations to ``consume(lo, hi, I)``,
-    the blocks split as in ``_row_blocks``.  log W is taken once.  Each
-    block's padded GEMM (``_block_matmul``) goes into its thread's one
-    scratch block, or into ``out[lo:hi]``, and is checked while in cache."""
+    """Hand each ``_ROW_BLOCK``-row block's activations to ``consume(lo, hi, I)``
+    through ``_row_blocks``.  log W is taken once.  Each block's padded GEMM
+    (``_block_matmul``) goes into a block of its own, or into ``out[lo:hi]``,
+    and is checked while in cache."""
     with np.errstate(divide="ignore"):
         logw = np.log(W.W)
 
-    def run(lo, hi):
-        scratch = np.empty((_ROW_BLOCK, W.C)) if out is None else None
-        for b in range(lo, hi, _ROW_BLOCK):
-            e = min(b + _ROW_BLOCK, hi)
-            I = scratch[: e - b] if out is None else out[b:e]
-            _block_matmul(Y[b:e], logw.T, I)
-            # Every entry is finite exactly when the max and the min are (a
-            # NaN propagates to both), so no boolean array is needed.
-            if I.size and not (np.isfinite(I.max()) and np.isfinite(I.min())):
-                raise DataError("non-finite log activation (W must be positive, y finite)")
-            consume(b, e, I)
+    def block(lo, hi):
+        I = np.empty((hi - lo, W.C)) if out is None else out[lo:hi]
+        _block_matmul(Y[lo:hi], logw.T, I)
+        # Every entry is finite exactly when the max and the min are (a
+        # NaN propagates to both), so no boolean array is needed.
+        if I.size and not (np.isfinite(I.max()) and np.isfinite(I.min())):
+            raise DataError("non-finite log activation (W must be positive, y finite)")
+        consume(lo, hi, I)
 
-    _on_two_threads(run, (-(-len(Y) // _ROW_BLOCK) + 1) // 2 * _ROW_BLOCK, len(Y))
+    _row_blocks(block, len(Y))
 
 
 def integrate(W: BottomWeights, y: np.ndarray) -> np.ndarray:
@@ -229,29 +226,20 @@ def _select(I: np.ndarray, c_prime: int) -> np.ndarray:
 
 
 def truncated_posterior(I: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Softmax of ``I`` restricted to ``sets``, in the log domain.
+    """Softmax of one observation's activations ``I`` restricted to ``sets``,
+    in the log domain.
 
-    ``sets`` indexes the last axis of ``I``: a 1-D support for one
-    observation or an (N, C') matrix for a batch.  Each support holds
-    distinct indices, as ``select_truncation`` returns them.  The result is
-    aligned with ``sets``; entries may underflow to 0.0 when activation gaps
-    within a support exceed the float64 exponent range.  A batch is
-    gathered and normalized per ``_ROW_BLOCK``-row block, on two threads
-    where there is a worker, into one (N, C') output.
+    ``I`` is a C-vector and ``sets`` a 1-D support of distinct indices into
+    it, as ``select_truncation`` returns them; a 2-D ``I`` or ``sets`` raises
+    ValueError (a batch would index into an (N, C', C) array).  The result
+    is aligned with ``sets``; entries may underflow to 0.0 when activation
+    gaps within the support exceed the float64 exponent range.
     """
-    if sets.min() < 0 or sets.max() >= I.shape[-1]:
+    if I.ndim != 1 or sets.ndim != 1:
+        raise ValueError(f"one point's activations and support, got {I.shape} and {sets.shape}")
+    if sets.min() < 0 or sets.max() >= len(I):
         raise ValueError("support indices out of range")
-    if I.ndim == sets.ndim == 1:
-        return softmax_inplace(I[sets])
-    probs = np.empty(sets.shape)
-
-    def block(lo, hi):
-        out = probs[lo:hi]
-        out[...] = np.take_along_axis(I[lo:hi], sets[lo:hi], axis=-1)
-        softmax_inplace(out)
-
-    _row_blocks(block, len(I))
-    return probs
+    return softmax_inplace(I[sets])
 
 
 def softmax_inplace(x: np.ndarray) -> np.ndarray:

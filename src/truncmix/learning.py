@@ -198,7 +198,7 @@ def _tv_em_pass(Y, W: BottomWeights, c_prime: int, lgamma_sums, prev_sets=None):
     """One TV-EM pass at ``W``, each row block reduced in cache: returns the
     E-step ``(sets, probs, F(sets, W))`` and F(prev_sets, W), or None without
     ``prev_sets``.  Bit for bit, these are ``select_truncation`` (at C'=C a
-    broadcast ``arange(C)``), ``truncated_posterior`` and ``free_energy``."""
+    broadcast ``arange(C)``), ``truncated_posterior`` per row and ``free_energy``."""
     N, C = len(Y), W.C
     if not 1 <= c_prime <= C:
         raise ValueError(f"c_prime must lie in [1, {C}], got {c_prime}")

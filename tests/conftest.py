@@ -9,6 +9,7 @@ from scipy.special import gammaln
 
 from truncmix.core import BottomWeights
 from truncmix.data import normalize_input
+from truncmix.inference import truncated_posterior
 
 MNIST_FILES = (
     "train-images-idx3-ubyte",
@@ -62,6 +63,15 @@ def random_observations(rng, N, D, A) -> np.ndarray:
 def lgamma_sums(Y) -> np.ndarray:
     """sum_d lgamma(y_d + 1) per row of Y, the argument ``free_energy`` takes."""
     return gammaln(Y + 1.0).sum(axis=1)
+
+
+def posteriors_by_row(I, sets) -> np.ndarray:
+    """The (N, C') truncated posteriors of a batch, one ``truncated_posterior``
+    call per row."""
+    probs = np.empty(sets.shape)
+    for n in range(len(sets)):
+        probs[n] = truncated_posterior(I[n], sets[n])
+    return probs
 
 
 def log_joint(W_row, y, C: int) -> float:

@@ -1,12 +1,17 @@
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import truncmix
 from truncmix import cli, harness
@@ -14,6 +19,8 @@ from truncmix.cli import main
 from truncmix.core import DataError, MonotonicityError
 from truncmix.harness import load_weights, save_run
 from truncmix.data import load_idx, write_idx_images, write_idx_labels
+
+from conftest import write_csv
 
 
 CFG = {
@@ -599,6 +606,100 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert "usage" in proc.stderr
+
+
+ERROR_LINE = re.compile(r"truncmix( \w+)?: (config error|data error|numeric failure|error): ")
+
+
+# At most one fault per example: a config value out of its range, or a row of
+# the training or test data that is wrong (an unlabeled row only in the test
+# data, which must be fully labeled).
+CONFIG_FAULTS = {
+    "K=1": lambda cfg: {"K": 1},
+    "C'=0": lambda cfg: {"C_prime": 0},
+    "C'=C+1": lambda cfg: {"C_prime": cfg["C"] + 1},
+    "A=D": lambda cfg: {"A": float(cfg["D"])},
+    "eps_W=0": lambda cfg: {"eps_W": 0.0},
+    "eps_R=1.5": lambda cfg: {"eps_R": 1.5},
+}
+ROW_FAULTS = ("empty", "zero mass", "negative", "label K", "unlabeled")
+
+
+@st.composite
+def csv_data(draw, D, K, max_rows, unlabeled, fault):
+    """Raw rows of small counts and their labels, in [-1, K) with ``unlabeled``
+    and in [0, K) without, broken by one of ``ROW_FAULTS`` if given."""
+    n = draw(st.integers(1, max_rows))
+    X = draw(arrays(np.int64, (n, D), elements=st.integers(0, 9), fill=st.nothing()))
+    X = X.astype(np.float64)
+    labels = draw(arrays(np.int64, n, elements=st.integers(-1 if unlabeled else 0, K - 1),
+                         fill=st.nothing()))
+    r = draw(st.integers(0, n - 1))
+    if fault == "empty":
+        X, labels = X[:0], labels[:0]
+    elif fault == "zero mass":
+        X[r] = 0.0
+    elif fault == "negative":
+        X[r, r % D] = -1.0
+    elif fault in ("label K", "unlabeled"):
+        labels[r] = K if fault == "label K" else -1
+    return X, labels
+
+
+def run_cli(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def assert_documented_exit(rc, err):
+    assert rc in (0, 1, 2, 3), (rc, err)
+    if rc:
+        assert len([line for line in err.splitlines() if ERROR_LINE.match(line)]) == 1, err
+
+
+class TestErrorContract:
+    """``train`` and then ``eval`` over small, often broken, data and configs:
+    every call returns a documented exit code and raises nothing; a failure
+    says so in one error line and leaves no loadable run behind."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), D=st.integers(2, 4), K=st.integers(2, 4), C=st.integers(1, 5),
+           epochs=st.integers(0, 2),
+           fault=st.none() | st.sampled_from(list(CONFIG_FAULTS))
+           | st.tuples(st.sampled_from(["train", "test"]), st.sampled_from(ROW_FAULTS)))
+    def test_every_failure_is_a_documented_exit(self, data, D, K, C, epochs, fault):
+        # Valid values reach the extremes: A up to 1e300, rates down to 1e-9.
+        cfg = {
+            "K": K, "C": C, "D": D, "theta_bvsb": 0.6, "epochs": epochs, "seed": 0,
+            "C_prime": data.draw(st.integers(1, C), label="C_prime"),
+            "A": data.draw(st.floats(D + 1.0, 1e300) | st.just(1e300), label="A"),
+            "eps_W": data.draw(st.floats(1e-9, 1.0) | st.just(1e-9), label="eps_W"),
+            "eps_R": data.draw(st.floats(1e-9, 1.0) | st.just(1e-9), label="eps_R"),
+        }
+        cfg.update(CONFIG_FAULTS[fault](cfg) if fault in CONFIG_FAULTS else {})
+        part, kind = fault if isinstance(fault, tuple) else (None, None)
+        train_rows = data.draw(csv_data(D, K, 12, True, kind if part == "train" else None),
+                               label="train")
+        test_rows = data.draw(csv_data(D, K, 6, False, kind if part == "test" else None),
+                              label="test")
+        with tempfile.TemporaryDirectory() as tmp:
+            ws = Path(tmp)
+            write_csv(ws / "train.csv", *train_rows)
+            write_csv(ws / "test.csv", *test_rows)
+            (ws / "cfg.json").write_text(json.dumps(cfg))
+            rc, err = run_cli(["train", "--config", str(ws / "cfg.json"),
+                               "--images", str(ws / "train.csv"),
+                               "--test-images", str(ws / "test.csv"), "--out", str(ws / "run")])
+            assert_documented_exit(rc, err)
+            if rc:
+                with pytest.raises(DataError):
+                    load_weights(ws / "run")
+                return
+            rc, err = run_cli(["eval", "--weights", str(ws / "run"),
+                               "--test-images", str(ws / "test.csv")])
+            assert_documented_exit(rc, err)
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="BLAS has one core either way")

@@ -21,7 +21,7 @@ from truncmix.harness import (
 )
 from truncmix.inference import select_truncation, truncated_posterior, integrate
 
-from conftest import random_observations, random_weights
+from conftest import posteriors_by_row, random_observations, random_weights
 
 
 def small_problem(seed=0, n_train=240, n_test=120):
@@ -91,7 +91,7 @@ class TestEvaluate:
             assert np.count_nonzero(I[0] >= np.sort(I[0])[-c_prime]) > c_prime
         sets = select_truncation(I, c_prime)
         S = np.zeros_like(I)
-        np.put_along_axis(S, sets, truncated_posterior(I, sets), axis=1)
+        np.put_along_axis(S, sets, posteriors_by_row(I, sets), axis=1)
         want = np.argmax(S @ normalized_columns(R.R).T, axis=1)
         before = [a.copy() for a in (Y, W.W, R.R)]
         got = predict_batch(Y, W, R, c_prime)

@@ -12,9 +12,11 @@ from truncmix.data import normalize_input
 from truncmix.inference import (
     integrate, logsumexp_inplace, select_truncation, softmax_inplace, truncated_posterior,
 )
-from truncmix.learning import free_energy
+from truncmix.learning import _support_lse, free_energy
 
-from conftest import lgamma_sums, log_joint, random_observations, random_weights
+from conftest import (
+    lgamma_sums, log_joint, posteriors_by_row, random_observations, random_weights,
+)
 
 
 def sort_oracle_top_k(I, k):
@@ -377,12 +379,22 @@ class TestPosteriors:
         with pytest.raises(ValueError, match="out of range"):
             truncated_posterior(np.zeros(3), np.array([0, 3]))
 
+    @pytest.mark.parametrize("I_shape, sets_shape", [((2, 3), (2, 2)), ((2, 3), (2,)),
+                                                     ((3,), (1, 2))])
+    def test_only_one_point_is_taken(self, I_shape, sets_shape):
+        # A batch would index into an (N, C', C) array, not give (N, C') posteriors.
+        I = np.zeros(I_shape)
+        sets = np.zeros(sets_shape, dtype=np.intp)
+        with pytest.raises(ValueError, match="one point"):
+            truncated_posterior(I, sets)
+
     @pytest.mark.parametrize("shape", [(40,), (5, 40)])
     def test_input_left_untouched(self, shape):
         I = np.random.default_rng(17).normal(scale=30.0, size=shape)
         before = I.copy()
         for c_prime in (1, 7, 40):
-            truncated_posterior(I, select_truncation(I, c_prime))
+            # One call per point; a 1-D I is the one row of its 2-D view.
+            posteriors_by_row(np.atleast_2d(I), np.atleast_2d(select_truncation(I, c_prime)))
             assert np.array_equal(I, before), c_prime
 
     @pytest.mark.parametrize("shape", [(40,), (5, 40)])
@@ -430,13 +442,15 @@ class TestLogSumExpInplace:
 
 
 def _assert_batch_equals_rows(I):
-    """truncated_posterior on the (N, C') batch must equal its 1-D
-    per-sample call bit for bit, at every truncation size."""
-    for c_prime in range(1, I.shape[1] + 1):
+    """The block posterior of ``learning._support_lse`` must equal the 1-D
+    per-sample ``truncated_posterior`` bit for bit, at every truncation size."""
+    N, C = I.shape
+    for c_prime in range(1, C + 1):
         sets = select_truncation(I, c_prime)
-        batch = truncated_posterior(I, sets)
+        batch = np.empty(sets.shape)
+        _support_lse(I, sets, np.zeros(C), np.zeros(N), batch)
         assert batch.shape == sets.shape
-        for n in range(I.shape[0]):
+        for n in range(N):
             row = truncated_posterior(I[n], sets[n])
             assert np.array_equal(batch[n], row), (c_prime, n)
 

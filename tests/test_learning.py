@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 from truncmix import inference, learning
 from truncmix.core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
 from truncmix.data import Dataset, generate_mixture, preprocess
-from truncmix.inference import integrate, select_truncation, truncated_posterior
+from truncmix.inference import integrate, select_truncation
 from truncmix.learning import (
     FreeEnergyTrace,
     batch_e_step,
@@ -36,8 +36,8 @@ from truncmix.learning import (
     update_top,
 )
 
-from conftest import (CountingExecutor, lgamma_sums, log_joint, random_observations,
-                      random_weights, worst_relative_decrease)
+from conftest import (CountingExecutor, lgamma_sums, log_joint, posteriors_by_row,
+                      random_observations, random_weights, worst_relative_decrease)
 
 mp.mp.dps = 50
 
@@ -69,7 +69,7 @@ def unfused_e_step(Y, W, c_prime, lg):
     (sets, truncated posteriors, F(sets, W))."""
     I = integrate(W, Y)
     sets = select_truncation(I, c_prime)
-    return sets, truncated_posterior(I, sets), free_energy(Y, W, sets, lg)
+    return sets, posteriors_by_row(I, sets), free_energy(Y, W, sets, lg)
 
 
 def mp_dense_posterior(W_arr, y, C):

@@ -13,11 +13,13 @@ from scipy.special import logsumexp
 
 from truncmix import inference
 from truncmix.core import DataError, TopWeights
-from truncmix.harness import _class_scores, predict_batch
-from truncmix.inference import _ROW_BLOCK, integrate, select_truncation, truncated_posterior
+from truncmix.harness import _CHUNK, _class_scores, predict_batch
+from truncmix.inference import _ROW_BLOCK, integrate, select_truncation
 from truncmix.learning import _tv_em_pass, batch_m_step, free_energy, run_tv_em
 
-from conftest import CountingExecutor, lgamma_sums, random_observations, random_weights
+from conftest import (
+    CountingExecutor, lgamma_sums, posteriors_by_row, random_observations, random_weights,
+)
 
 
 @pytest.fixture()
@@ -40,7 +42,7 @@ def run_passes(Y, W, R, c_prime) -> dict:
     """Every batch pass over Y, as the bytes (or value) it returns."""
     I = integrate(W, Y)
     sets = select_truncation(I, c_prime)
-    probs = truncated_posterior(I, sets)
+    probs = posteriors_by_row(I, sets)
     W_new, dead = batch_m_step(Y, (sets, probs), W)
     lg = lgamma_sums(Y)
     prev = (sets + 1) % W.C  # other sets, for the M-step reading of the fused pass
@@ -107,6 +109,23 @@ def test_fused_passes_raise_on_non_finite_row(worker, bad_row, run):
     with pytest.raises(DataError, match="non-finite"):
         run(W, Y)
     assert worker.submitted == 1
+
+
+@pytest.mark.parametrize("serial", [False, True], ids=["worker", "serial"])
+@pytest.mark.parametrize("c_prime", [4, 15])
+def test_class_scores_across_the_chunk_boundary(worker, monkeypatch, c_prime, serial):
+    # Each _CHUNK of rows gets its own activation matrix and block pass, so
+    # the rows on either side of a chunk boundary score as they do alone.
+    if serial:
+        monkeypatch.setattr(inference, "_WORKER", None)
+    rng = np.random.default_rng(c_prime)
+    W = random_weights(rng, 15, 12, 36.0)
+    R = TopWeights(rng.dirichlet(np.ones(15), size=3))
+    Y = random_observations(rng, _CHUNK + 300, 12, 36.0)
+    scores = _class_scores(Y, W, R, c_prime)
+    assert scores[:_CHUNK].tobytes() == _class_scores(Y[:_CHUNK], W, R, c_prime).tobytes()
+    assert scores[_CHUNK:].tobytes() == _class_scores(Y[_CHUNK:], W, R, c_prime).tobytes()
+    assert (worker.submitted > 0) != serial
 
 
 @pytest.mark.parametrize("C, c_prime", [(15, 4), (15, 15), (400, 15), (400, 400), (401, 15),
