@@ -6,17 +6,16 @@ cluster posterior:
     t_k = sum_c [ R_kc / sum_k' R_k'c ] * s_c        (unlabeled)
     t_k = 1[k == label]                              (labeled)
 
-Only support columns of R are read, so the unlabeled branch costs O(K * C').
+R's columns are normalized once per write of R, and only the support columns
+of the result are read, so the unlabeled branch costs O(K * C').
 """
 
 import numpy as np
 
-from .core import TopWeights
-
 
 def normalized_columns(cols: np.ndarray) -> np.ndarray:
     """Columns of the top layer R (all C, or a support's) rescaled to sum to
-    one over the K classes.
+    one over the K classes, in the memory order of ``cols``.
 
     A column summing to zero gets the uniform 1/K fallback.  Such columns
     occur at eps_R = 1, where a labeled update resets its class row to the
@@ -25,22 +24,25 @@ def normalized_columns(cols: np.ndarray) -> np.ndarray:
     sums = cols.sum(axis=0)
     if sums.all():
         return cols / sums
-    return np.divide(cols, sums, out=np.full(cols.shape, 1.0 / cols.shape[0]), where=sums != 0.0)
+    return np.divide(cols, sums, out=np.full_like(cols, 1.0 / cols.shape[0]), where=sums != 0.0)
 
 
-def class_activation(support, probs, R: TopWeights, label: int | None = None) -> np.ndarray:
+def class_activation(support, probs, mix: np.ndarray, label: int | None = None) -> np.ndarray:
     """Class posterior t for one observation; sums to one in both branches.
 
-    ``probs`` is the cluster posterior on ``support`` (distinct indices).
+    ``probs`` is the cluster posterior on ``support`` (distinct indices);
+    ``mix`` is ``normalized_columns(np.asfortranarray(R.R))``, of which a
+    labeled point reads only K.  Gathered at every C', the Fortran-ordered
+    columns sum and multiply as ``normalized_columns(R.R[:, support])`` does.
     """
-    K = R.K
+    K = len(mix)
     if label is not None:
         if not 0 <= label < K:
             raise ValueError(f"label {label} out of range for K={K}")
         t = np.zeros(K)
         t[label] = 1.0
         return t
-    return normalized_columns(R.R[:, support]) @ probs
+    return mix[:, support] @ probs
 
 
 def bvsb(t: np.ndarray) -> float:

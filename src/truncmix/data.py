@@ -156,13 +156,16 @@ def load_csv(path) -> RawDataset:
     """
     with open(path, "r") as f:
         header = f.readline().strip()
+        start = f.tell()
+        # Without a data row np.loadtxt warns rather than raises.
+        if not any(line.split("#", 1)[0].strip() for line in f):
+            raise DataError(f"empty CSV: {path}")
+        f.seek(start)
         try:
             body = np.loadtxt(f, delimiter=",", ndmin=2)
         except ValueError as e:
             raise DataError(f"malformed CSV {path}: {e}") from e
     names = header.split(",")
-    if body.size == 0:
-        raise DataError(f"empty CSV: {path}")
     D = body.shape[1] - 1
     expected = ["label"] + [f"p{d}" for d in range(D)]
     if names != expected:

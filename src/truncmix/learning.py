@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_array
 
-from .classifier import bvsb, class_activation
+from .classifier import bvsb, class_activation, normalized_columns
 from .core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
@@ -68,10 +68,7 @@ def _update_rows(
     """
     w, logw, es = w[lo:hi], logw[lo:hi], es[lo:hi]
     w *= (1.0 - es)[:, None]
-    # es * y in place: a copy and an in-place product beat the broadcast
-    # product into ``out``, with the same bits.
-    np.copyto(logw, y)
-    logw *= es[:, None]
+    np.einsum("i,j->ij", es, y, out=logw)  # bit-identical to es[:, None] * y
     w += logw
     np.log(w, out=logw)
     if Y_later is not None:
@@ -88,8 +85,8 @@ def update_bottom(
     where ``probs`` holds s on ``support`` (distinct indices); rows outside
     the support are untouched.  Row sums are conserved because both y and
     every W row carry the same mass A.  ``logw`` holds log(W) and gets the
-    logs of the written rows; at full support it is the scratch for the
-    additive term before the log overwrites it.
+    logs of the written rows.  The additive term eps*s ⊗ y is one
+    ``np.einsum`` product, into ``logw`` as scratch at full support.
 
     Given later points ``Y_later`` (m, D), or one (D,) point, their
     activations ``I_later`` get the columns the step wrote, from the log
@@ -121,7 +118,7 @@ def update_bottom(
     else:
         rows = w.take(support, axis=0)
         rows *= (1.0 - es)[:, None]
-        rows += es[:, None] * y
+        rows += np.einsum("i,j->ij", es, y)
         w[support] = rows
         logw[support] = np.log(rows, out=rows)
         if Y_later is not None:
@@ -400,6 +397,9 @@ def online_epoch(
     Every point's activations are checked at the top of its sample, and a
     non-finite one raises FloatingPointError.
 
+    R's normalized columns (``class_activation``) are rebuilt only before an
+    unlabeled point that follows an ``update_top`` write.
+
     At C'=C the bottom step and the next point's activations split their
     rows between this thread and one worker thread (see ``update_bottom``),
     which this thread waits for in a ``finally``, so ``log W`` and the next
@@ -416,6 +416,7 @@ def online_epoch(
     gates = dict.fromkeys(("labeled_updates", "unlabeled_passed", "unlabeled_skipped"), 0)
     phases = dict.fromkeys(
         ("integrate", "select", "posterior", "update_bottom", "update_top"), 0.0)
+    mix, fresh = R.R, False  # the class-posterior cache; a labeled point reads only K
     perf = time.perf_counter
     with _one_blas_thread():
         for n, (i, label) in enumerate(zip(order.tolist(), ds.labels[order].tolist())):
@@ -432,7 +433,9 @@ def online_epoch(
             support = select_truncation(I, c_prime)
             t2 = perf()
             probs = truncated_posterior(I, support)
-            t = class_activation(support, probs, R, None if label == UNLABELED else label)
+            if label == UNLABELED and not fresh:
+                mix, fresh = normalized_columns(np.asfortranarray(R.R)), True
+            t = class_activation(support, probs, mix, None if label == UNLABELED else label)
             t3 = perf()
             if full:
                 Y_later = Y[order[n + 1 : n + 2]]
@@ -442,13 +445,13 @@ def online_epoch(
             update_bottom(W, logw, support, probs, y, cfg.eps_W, Y_later, I_later)
             t4 = perf()
             if label != UNLABELED:
-                update_top(R, t, support, probs, cfg.eps_R)
-                gates["labeled_updates"] += 1
-            elif bvsb(t) > cfg.theta_bvsb:
-                update_top(R, t, support, probs, cfg.eps_R)
-                gates["unlabeled_passed"] += 1
+                gate = "labeled_updates"
             else:
-                gates["unlabeled_skipped"] += 1
+                gate = "unlabeled_passed" if bvsb(t) > cfg.theta_bvsb else "unlabeled_skipped"
+            gates[gate] += 1
+            if gate != "unlabeled_skipped":
+                update_top(R, t, support, probs, cfg.eps_R)
+                fresh = False
             t5 = perf()
             phases["integrate"] += t1 - t0
             phases["select"] += t2 - t1

@@ -6,6 +6,11 @@ from truncmix.core import TopWeights
 from truncmix.learning import update_top
 
 
+def mixture(R):
+    """R's normalized columns as ``online_epoch`` caches them."""
+    return normalized_columns(np.asfortranarray(R.R))
+
+
 def posterior(support, probs):
     """A (support, probs) pair as the online path passes it."""
     return np.asarray(support, dtype=np.intp), np.asarray(probs, dtype=np.float64)
@@ -15,7 +20,7 @@ class TestClassActivation:
     def test_labeled_branch_is_one_hot(self):
         R = TopWeights(np.full((10, 6), 1.0 / 6))
         s = posterior([0, 1], [0.5, 0.5])
-        t = class_activation(*s, R, label=3)
+        t = class_activation(*s, mixture(R), label=3)
         expected = np.zeros(10)
         expected[3] = 1.0
         np.testing.assert_array_equal(t, expected)
@@ -26,13 +31,13 @@ class TestClassActivation:
         for _ in range(10):
             p = rng.dirichlet(np.ones(3))
             sup = np.sort(rng.choice(8, size=3, replace=False))
-            t = class_activation(*posterior(sup, p), R)
+            t = class_activation(*posterior(sup, p), mixture(R))
             np.testing.assert_allclose(t, 0.25, rtol=1e-12)
 
     def test_hand_evaluated_two_class_mix(self):
         # Columns 0 and 1 point deterministically at classes 0 and 1.
         R = TopWeights(np.eye(2))
-        t = class_activation(*posterior([0, 1], [0.5, 0.5]), R)
+        t = class_activation(*posterior([0, 1], [0.5, 0.5]), mixture(R))
         np.testing.assert_allclose(t, [0.5, 0.5], rtol=1e-15)
 
     def test_sums_to_one_in_both_branches(self):
@@ -42,8 +47,8 @@ class TestClassActivation:
             p = rng.dirichlet(np.ones(4))
             sup = np.sort(rng.choice(12, size=4, replace=False))
             s = posterior(sup, p)
-            assert class_activation(*s, R).sum() == pytest.approx(1.0, abs=1e-12)
-            assert class_activation(*s, R, label=2).sum() == 1.0
+            assert class_activation(*s, mixture(R)).sum() == pytest.approx(1.0, abs=1e-12)
+            assert class_activation(*s, mixture(R), label=2).sum() == 1.0
 
     def test_column_scale_invariance(self):
         rng = np.random.default_rng(2)
@@ -54,14 +59,14 @@ class TestClassActivation:
         sup = np.array([1, 3, 4, 6, 8])
         s = posterior(sup, p)
         # A scaled column breaks R's row sums, so it goes through the
-        # column normalization that class_activation applies.
+        # column normalization of the cached mixture.
         t_scaled = normalized_columns(scaled[:, sup]) @ p
-        np.testing.assert_allclose(class_activation(*s, R), t_scaled, rtol=0.0, atol=1e-12)
-        assert np.argmax(class_activation(*s, R)) == np.argmax(t_scaled)
+        np.testing.assert_allclose(class_activation(*s, mixture(R)), t_scaled, rtol=0.0, atol=1e-12)
+        assert np.argmax(class_activation(*s, mixture(R))) == np.argmax(t_scaled)
 
     def test_zero_column_falls_back_to_uniform(self):
         R = TopWeights(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        t = class_activation(*posterior([0, 1], [0.4, 0.6]), R)
+        t = class_activation(*posterior([0, 1], [0.4, 0.6]), mixture(R))
         np.testing.assert_allclose(t, [0.5, 0.5], rtol=1e-15)
         cols = normalized_columns(R.R)
         np.testing.assert_allclose(cols[:, 1], 0.5)
@@ -74,13 +79,13 @@ class TestClassActivation:
         update_top(R, np.array([0.0, 1.0]), np.array([1, 2]), np.array([0.4, 0.6]), eps_R=1.0)
         assert not R.R[:, 3:].any()
         for c in range(3, 6):
-            t = class_activation(*posterior([c], [1.0]), R)
+            t = class_activation(*posterior([c], [1.0]), mixture(R))
             np.testing.assert_array_equal(t, [0.5, 0.5])
 
     def test_bad_label_rejected(self):
         R = TopWeights(np.full((3, 4), 0.25))
         with pytest.raises(ValueError, match="label"):
-            class_activation(*posterior([0], [1.0]), R, label=3)
+            class_activation(*posterior([0], [1.0]), mixture(R), label=3)
 
 
 class TestBvsb:
@@ -117,9 +122,9 @@ class TestPredict:
 
     def test_uniform_ties_break_to_class_zero(self):
         R = TopWeights(np.full((10, 6), 1.0 / 6))
-        assert np.argmax(class_activation(*posterior([0, 5], [0.7, 0.3]), R)) == 0
+        assert np.argmax(class_activation(*posterior([0, 5], [0.7, 0.3]), mixture(R))) == 0
 
     def test_hand_evaluated_prediction(self):
         R = TopWeights(np.eye(2))
-        assert np.argmax(class_activation(*posterior([0, 1], [0.9, 0.1]), R)) == 0
-        assert np.argmax(class_activation(*posterior([0, 1], [0.1, 0.9]), R)) == 1
+        assert np.argmax(class_activation(*posterior([0, 1], [0.9, 0.1]), mixture(R))) == 0
+        assert np.argmax(class_activation(*posterior([0, 1], [0.1, 0.9]), mixture(R))) == 1

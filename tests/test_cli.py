@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"data error: malformed CSV {csv}: {message}" in err
         assert err.count("\n") == 1
+        assert not (workspace / "x").exists()
+
+    @pytest.mark.parametrize("body", ["", "\n \n# no rows\n"], ids=["header-only", "blank"])
+    def test_csv_without_rows_is_data_error_without_warning(self, workspace, capsys, body):
+        csv = workspace / "empty.csv"
+        csv.write_text("label,p0,p1\n" + body)
+        args = train_args(workspace, workspace / "x")
+        i = args.index("--labels")
+        del args[i : i + 2]
+        args[args.index("--images") + 1] = str(csv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        assert capsys.readouterr().err == f"truncmix: data error: empty CSV: {csv}\n"
         assert not (workspace / "x").exists()
 
     def test_eval_on_data_of_other_dimension_is_data_error(self, workspace, square_run, capsys):

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,14 @@ class TestCsv:
         (tmp_path / "bad.csv").write_text("label,x0,x1\n0,1.0,2.0\n")
         with pytest.raises(DataError, match="header"):
             load_csv(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("body", ["", "\n \n# no rows\n"], ids=["header-only", "blank"])
+    def test_no_rows_rejected_without_warning(self, tmp_path, body):
+        (tmp_path / "e.csv").write_text("label,p0,p1\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="empty CSV"):
+                load_csv(tmp_path / "e.csv")
 
     def test_non_integer_label_rejected(self, tmp_path):
         (tmp_path / "bad.csv").write_text("label,p0,p1\n0,1.0,2.0\n1.7,3.0,4.0\n2,1.0,1.0\n")

@@ -74,10 +74,11 @@ class TestEvaluate:
         raw, _ = generate_mixture(4, 7, 50, seed=3)
         ds = preprocess(raw, 15.0, K=4)
         batch = predict_batch(ds.Y, W, R, 3)
+        mix = normalized_columns(R.R)
         for n in range(ds.N):
             I = integrate(W, ds.Y[n])
             sup = select_truncation(I, 3)
-            assert batch[n] == np.argmax(class_activation(sup, truncated_posterior(I, sup), R))
+            assert batch[n] == np.argmax(class_activation(sup, truncated_posterior(I, sup), mix))
 
     @pytest.mark.parametrize("c_prime", [1, 3, 9])
     def test_batch_predictions_equal_reference_construction(self, c_prime):

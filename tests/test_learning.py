@@ -19,6 +19,7 @@ from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
 from truncmix import inference, learning
+from truncmix.classifier import class_activation, normalized_columns
 from truncmix.core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
 from truncmix.data import Dataset, generate_mixture, preprocess
 from truncmix.inference import integrate, select_truncation
@@ -1132,3 +1133,56 @@ class TestOnlineEpochOracle:
                 np.testing.assert_allclose(W.W, W_ref.W, rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(R.R, R_ref.R, rtol=1e-12, atol=0.0)
         assert counts["unlabeled_passed"] and counts["unlabeled_skipped"]
+
+    @pytest.mark.parametrize("c_prime", [1, 3, 12])
+    def test_class_posterior_cache_built_only_when_read_after_a_write(self, c_prime, monkeypatch):
+        # R's normalized columns are rebuilt before an unlabeled point only
+        # if update_top (labeled or passed) wrote R since the last build.
+        calls = []
+
+        def counting(cols):
+            calls.append(1)
+            return normalized_columns(cols)
+
+        monkeypatch.setattr(learning, "normalized_columns", counting)
+        ds, cfg, W, R = self.make_state(c_prime)
+        labeled = Dataset(ds.Y, np.arange(ds.N) % 4, 4, 32.0)
+        gates, _ = online_epoch(labeled, W, R, cfg, np.random.default_rng(0))
+        assert gates["labeled_updates"] == ds.N and not calls
+        ds, cfg, W, R = self.make_state(c_prime)
+        gates, _ = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
+        assert gates["unlabeled_passed"]
+        assert 1 <= len(calls) <= 1 + gates["labeled_updates"] + gates["unlabeled_passed"]
+
+    @pytest.mark.parametrize("zero_cols", [0, 4])
+    @pytest.mark.parametrize("K", [4, 10])
+    @pytest.mark.parametrize("c_prime", [3, 12])
+    def test_cached_class_posterior_rounds_as_per_support_normalization(
+        self, K, c_prime, zero_cols, monkeypatch
+    ):
+        # The cache is normalized from a Fortran-ordered R, so its column sums
+        # (pairwise over K >= 8) and the gathered (K, C') matvec round as
+        # normalizing the support's own columns does, at C'=C too.  A
+        # C-ordered cache fails here, read through a gather or as mix @ probs.
+        # Zero-sum columns take the 1/K fallback in the order of the input.
+        raw, _ = generate_mixture(K, 16, 240, seed=3)
+        ds = preprocess(raw, 32.0, K=K)
+        ds = Dataset(ds.Y, np.where(np.arange(ds.N) % 4 == 0, ds.labels, -1), K, 32.0)
+        cfg = ModelConfig(K=K, C=12, C_prime=c_prime, A=32.0, D=16,
+                          eps_W=0.05, eps_R=0.05, theta_bvsb=0.02, epochs=1, seed=0)
+        W = BottomWeights(ds.Y[:12].copy(), 32.0)
+        R0 = np.random.default_rng(3).random((K, 12)) + 0.1
+        R0[:, :zero_cols] = 0.0
+        R = TopWeights(R0 / R0.sum(axis=1, keepdims=True))
+        checked = []
+
+        def checking(support, probs, mix, label=None):
+            t = class_activation(support, probs, mix, label)
+            if label is None:
+                assert np.array_equal(t, normalized_columns(R.R[:, support]) @ probs)
+                checked.append(1)
+            return t
+
+        monkeypatch.setattr(learning, "class_activation", checking)
+        gates, _ = online_epoch(ds, W, R, cfg, np.random.default_rng(0))
+        assert gates["unlabeled_passed"] and len(checked) == ds.N - gates["labeled_updates"]
