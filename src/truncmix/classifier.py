@@ -17,13 +17,13 @@ def normalized_columns(cols: np.ndarray) -> np.ndarray:
     """Columns of the top layer R (all C, or a support's) rescaled to sum to
     one over the K classes, in the memory order of ``cols``.
 
+    Each column is summed over a Fortran-ordered copy (numpy's pairwise sum
+    over K), so it gets the same bits from all of R as from a support's.
     A column summing to zero gets the uniform 1/K fallback.  Such columns
     occur at eps_R = 1, where a labeled update resets its class row to the
     posterior: once every row was reset, columns outside those supports are 0.
     """
-    sums = cols.sum(axis=0)
-    if sums.all():
-        return cols / sums
+    sums = np.asfortranarray(cols).sum(axis=0)
     return np.divide(cols, sums, out=np.full_like(cols, 1.0 / cols.shape[0]), where=sums != 0.0)
 
 
@@ -31,9 +31,9 @@ def class_activation(support, probs, mix: np.ndarray, label: int | None = None) 
     """Class posterior t for one observation; sums to one in both branches.
 
     ``probs`` is the cluster posterior on ``support`` (distinct indices);
-    ``mix`` is ``normalized_columns(np.asfortranarray(R.R))``, of which a
-    labeled point reads only K.  Gathered at every C', the Fortran-ordered
-    columns sum and multiply as ``normalized_columns(R.R[:, support])`` does.
+    ``mix`` is ``normalized_columns(R.R)``, of which a labeled point reads
+    only K.  Gathered at every C', its columns sum and multiply as
+    ``normalized_columns(R.R[:, support])`` does; evaluation reads them too.
     """
     K = len(mix)
     if label is not None:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import ConfigError, DataError
-from .inference import _ROW_BLOCK
+from .inference import _row_blocks
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -80,16 +80,17 @@ class Dataset:
     def lgamma_sums(self) -> np.ndarray:
         """sum_d lgamma(y_d + 1) per observation; constant across training.
 
-        Computed ``_ROW_BLOCK`` rows at a time in one scratch block; each
-        row's sum is the same as in one pass over all of Y.
+        Per block of ``inference._row_blocks``, taken in two halves so the two
+        threads hold one block of scratch; bit-identical to one pass over Y.
         """
         out = np.empty(self.N)
-        buf = np.empty((min(self.N, _ROW_BLOCK), self.D))
-        for lo in range(0, self.N, _ROW_BLOCK):
-            rows = self.Y[lo : lo + _ROW_BLOCK]
-            b = buf[: len(rows)]
-            gammaln(np.add(rows, 1.0, out=b), out=b)
-            out[lo : lo + len(rows)] = b.sum(axis=1)
+
+        def block(lo, hi):
+            for a, b in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi)):
+                rows = self.Y[a:b] + 1.0
+                np.sum(gammaln(rows, out=rows), axis=1, out=out[a:b])
+
+        _row_blocks(block, self.N)
         return out
 
     @property

@@ -54,30 +54,25 @@ class FreeEnergyTrace:
 
 
 def _update_rows(
-    w: np.ndarray, logw: np.ndarray, es: np.ndarray, y: np.ndarray, lo: int, hi: int,
-    Y_later: np.ndarray | None, I_later: np.ndarray | None,
+    w: np.ndarray, logw: np.ndarray, es: np.ndarray, y: np.ndarray, Y_later: np.ndarray,
+    I_later: np.ndarray,
 ):
-    """Rows [lo, hi) of the full-support bottom step, their ``log W`` and,
-    given ``Y_later``, the later points' activations of these rows in
-    ``I_later``.
+    """The bottom step on the rows ``w``, in place, their logs into ``logw``
+    and the later points' activations of these rows into ``I_later``.
 
-    The views are bound first, so each statement writes its rows in place
-    (``w[lo:hi] *= ...`` would copy them back through ``__setitem__``).
-    Every element gets the same IEEE operations whatever the range; the
+    Every element gets the same IEEE operations whatever the rows; the
     product reads only the rows this call has just written.
     """
-    w, logw, es = w[lo:hi], logw[lo:hi], es[lo:hi]
     w *= (1.0 - es)[:, None]
     np.einsum("i,j->ij", es, y, out=logw)  # bit-identical to es[:, None] * y
     w += logw
     np.log(w, out=logw)
-    if Y_later is not None:
-        np.matmul(Y_later, logw.T, out=I_later[..., lo:hi])
+    np.matmul(Y_later, logw.T, out=I_later)
 
 
 def update_bottom(
     W: BottomWeights, logw: np.ndarray, support: np.ndarray, probs: np.ndarray, y: np.ndarray,
-    eps_W: float, Y_later: np.ndarray | None = None, I_later: np.ndarray | None = None,
+    eps_W: float, Y_later: np.ndarray, I_later: np.ndarray,
 ) -> BottomWeights:
     """One Hebbian step on the bottom layer, in place, with its ``log W`` refresh.
 
@@ -85,27 +80,21 @@ def update_bottom(
     where ``probs`` holds s on ``support`` (distinct indices); rows outside
     the support are untouched.  Row sums are conserved because both y and
     every W row carry the same mass A.  ``logw`` holds log(W) and gets the
-    logs of the written rows.  The additive term eps*s ⊗ y is one
-    ``np.einsum`` product, into ``logw`` as scratch at full support.
+    logs of the written rows; the later points ``Y_later`` (m, D), m >= 0,
+    get ``I_later[:, support] = Y_later @ log W[support].T`` in their
+    activations ``I_later`` (m, C), and no other column.
 
-    Given later points ``Y_later`` (m, D), or one (D,) point, their
-    activations ``I_later`` get the columns the step wrote, from the log
-    rows it holds: ``I_later[:, support] = Y_later @ log W[support].T``;
-    no other column is written, and None means no refresh.
-
-    At full support the rows are split at h = C//2 rounded down to a
-    multiple of 16 by ``inference._on_two_threads``: where there is a worker
-    thread, the calling thread does rows [0, h) while the worker does rows
-    [h, C), each with the same statements, then the refresh of its own
-    columns while the rows are still in cache.  W and ``log W`` are
-    bit-identical to the serial step.  For one later point the split
-    activations are bit-identical to the one-row GEMM under the one-thread
-    BLAS pin: a matvec split at a multiple of 16 rounds each row as the
-    whole matvec does, which a split at C//2 need not (the tests pin the
-    aligned split).  The caller waits for the worker's half in a
-    ``finally``, so no write outlives the call, even when either half
-    raises.  Below full support, without a worker, or where h is 0, the
-    step is serial.
+    One kernel, ``_update_rows``, runs the step at every C': below full
+    support on the gathered support rows, then scattered back with their
+    logs and activations; at full support in place, split at h = C//2
+    rounded down to a multiple of 16 by ``inference._on_two_threads``, the
+    calling thread doing rows [0, h) while a worker does rows [h, C), each
+    half with the refresh of its own columns while its rows are in cache.
+    W and ``log W`` are bit-identical to the serial step, and for one later
+    point the activations to the one-row GEMM under the one-thread BLAS pin:
+    a matvec split at a multiple of 16 rounds each row as the whole matvec
+    does, which a split at C//2 need not.  The caller waits for the worker's
+    half in a ``finally``, so no write outlives the call, even when a half raises.
     """
     if eps_W * probs.max() > 1.0:
         raise ValueError("eps_W * max(s) must not exceed 1")
@@ -113,16 +102,14 @@ def update_bottom(
     es = eps_W * probs
     C = w.shape[0]
     if support.size == C and np.array_equal(support, np.arange(C)):
-        _on_two_threads(lambda lo, hi: _update_rows(w, logw, es, y, lo, hi, Y_later, I_later),
-                        C // 2 // 16 * 16, C)
+        # Views, so each half writes W, log W and the activations in place.
+        _on_two_threads(lambda lo, hi: _update_rows(
+            w[lo:hi], logw[lo:hi], es[lo:hi], y, Y_later, I_later[:, lo:hi]), C // 2 // 16 * 16, C)
     else:
         rows = w.take(support, axis=0)
-        rows *= (1.0 - es)[:, None]
-        rows += np.einsum("i,j->ij", es, y)
-        w[support] = rows
-        logw[support] = np.log(rows, out=rows)
-        if Y_later is not None:
-            I_later[..., support] = Y_later @ rows.T
+        log_rows, I_rows = np.empty_like(rows), np.empty((len(I_later), support.size))
+        _update_rows(rows, log_rows, es, y, Y_later, I_rows)
+        w[support], logw[support], I_later[:, support] = rows, log_rows, I_rows
     return W
 
 
@@ -434,7 +421,7 @@ def online_epoch(
             t2 = perf()
             probs = truncated_posterior(I, support)
             if label == UNLABELED and not fresh:
-                mix, fresh = normalized_columns(np.asfortranarray(R.R)), True
+                mix, fresh = normalized_columns(R.R), True
             t = class_activation(support, probs, mix, None if label == UNLABELED else label)
             t3 = perf()
             if full:

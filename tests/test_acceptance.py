@@ -148,7 +148,7 @@ def test_criterion_05_conservation():
         y = random_observations(rng, 1, D, A)[0]
         t = rng.dirichlet(np.ones(K))
         eps = float(rng.uniform(1e-4, 1.0))
-        update_bottom(W, np.log(W.W), sup, probs, y, eps)
+        update_bottom(W, np.log(W.W), sup, probs, y, eps, np.empty((0, D)), np.empty((0, C)))
         update_top(R, t, sup, probs, eps)
     w_dev = float(np.max(np.abs(W.W.sum(axis=1) - A))) / A
     r_dev = float(np.max(np.abs(R.R.sum(axis=1) - 1.0)))
@@ -295,7 +295,8 @@ def test_criterion_09_complexity():
         footprint = np.zeros(W.W.shape, dtype=bool)
         footprint[sup] = True
         update_bottom(W, np.log(W.W), sup, probs,
-                         random_observations(rng, 1, 30, 60.0)[0], 0.5)
+                         random_observations(rng, 1, 30, 60.0)[0], 0.5,
+                         np.empty((0, 30)), np.empty((0, 40)))
         exact = exact and int(footprint.sum()) == size * 30
         exact = exact and np.array_equal(W.W[~footprint], before[~footprint])
     ratio = times[15] / times[400]

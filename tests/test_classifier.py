@@ -8,7 +8,7 @@ from truncmix.learning import update_top
 
 def mixture(R):
     """R's normalized columns as ``online_epoch`` caches them."""
-    return normalized_columns(np.asfortranarray(R.R))
+    return normalized_columns(R.R)
 
 
 def posterior(support, probs):

@@ -10,6 +10,7 @@ from truncmix.classifier import class_activation, normalized_columns
 from truncmix.core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
 from truncmix.data import Dataset, generate_mixture, preprocess, subsample_labels
 from truncmix.harness import (
+    _class_scores,
     aggregate,
     compare_truncation,
     evaluate,
@@ -100,6 +101,23 @@ class TestEvaluate:
         assert len(set(want)) > 1
         for a, b in zip((Y, W.W, R.R), before):
             assert np.array_equal(a, b)
+
+    def test_class_scores_read_the_training_mixture_bit_for_bit(self):
+        # Evaluation and the online class posterior normalize R's columns by
+        # one rule.  At C'=1 each posterior is one-hot, so the score GEMM is
+        # exact and a row of scores is its cluster's normalized column: the
+        # one a support's gather normalizes, as at training time.
+        rng = np.random.default_rng(5)
+        W = random_weights(rng, 400, 16, 48.0)
+        R = TopWeights(rng.dirichlet(np.ones(400), size=10))
+        Y = random_observations(rng, 300, 16, 48.0)
+        scores = _class_scores(Y, W, R, 1)
+        sets = select_truncation(integrate(W, Y), 1)
+        mix = normalized_columns(R.R)
+        one = np.array([1.0])
+        for n, s in enumerate(sets):
+            assert scores[n].tobytes() == class_activation(s, one, mix).tobytes()
+            assert scores[n].tobytes() == (normalized_columns(R.R[:, s]) @ one).tobytes()
 
 
 class TestTrain:

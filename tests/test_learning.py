@@ -103,11 +103,12 @@ class TestUpdateBottom:
         rng = np.random.default_rng(0)
         self.W = random_weights(rng, 6, 5, 15.0)
         self.y = random_observations(rng, 1, 5, 15.0)[0]
+        self.no_later = np.empty((0, 5)), np.empty((0, 6))  # (0, D) points, (0, C) activations
 
     def test_rows_outside_support_untouched(self):
         before = self.W.W.copy()
         s = np.array([1, 3]), np.array([0.25, 0.75])
-        update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=0.5)
+        update_bottom(self.W, np.log(self.W.W), *s, self.y, 0.5, *self.no_later)
         untouched = [0, 2, 4, 5]
         assert np.array_equal(self.W.W[untouched], before[untouched])
         assert not np.array_equal(self.W.W[[1, 3]], before[[1, 3]])
@@ -120,46 +121,58 @@ class TestUpdateBottom:
         mask[support] = True
         assert mask.sum() == support.size * self.W.D
         before = self.W.W.copy()
-        update_bottom(self.W, np.log(self.W.W), support, np.array([0.5, 0.5]), self.y,
-                      eps_W=0.3)
+        update_bottom(self.W, np.log(self.W.W), support, np.array([0.5, 0.5]), self.y, 0.3,
+                      *self.no_later)
         assert np.array_equal(self.W.W[~mask], before[~mask])
 
     def test_fixed_point_when_row_equals_input(self):
         self.W.W[2] = self.y
         before = self.W.W[2].copy()
         s = np.array([2]), np.array([1.0])
-        update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=0.7)
+        update_bottom(self.W, np.log(self.W.W), *s, self.y, 0.7, *self.no_later)
         np.testing.assert_allclose(self.W.W[2], before, rtol=1e-14)
 
     def test_row_sums_conserved(self):
         s = np.array([0, 1, 2]), np.array([0.2, 0.3, 0.5])
-        update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=0.9)
+        update_bottom(self.W, np.log(self.W.W), *s, self.y, 0.9, *self.no_later)
         np.testing.assert_allclose(self.W.W.sum(axis=1), 15.0, rtol=1e-12)
 
     def test_positivity_preserved_at_full_rate(self):
         s = np.array([1]), np.array([1.0])
-        update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=1.0)
+        update_bottom(self.W, np.log(self.W.W), *s, self.y, 1.0, *self.no_later)
         assert np.all(self.W.W > 0.0)
         np.testing.assert_allclose(self.W.W[1], self.y, rtol=1e-14)
 
     def test_rate_precondition(self):
         s = np.array([1]), np.array([1.0])
         with pytest.raises(ValueError, match="eps_W"):
-            update_bottom(self.W, np.log(self.W.W), *s, self.y, eps_W=1.0 + 1e-9)
+            update_bottom(self.W, np.log(self.W.W), *s, self.y, 1.0 + 1e-9, *self.no_later)
 
-    def test_full_support_fast_path_matches_fancy_path(self):
+    @pytest.mark.parametrize("C, D, m", [(5, 4, 2), (40, 784, 1), (40, 784, 15), (400, 784, 1)])
+    def test_full_support_fast_path_matches_fancy_path(self, C, D, m):
+        # The sorted full support takes the split path; the same support in
+        # another order takes the gathered one.  Both run the one kernel.
         rng = np.random.default_rng(1)
-        Wa = random_weights(rng, 5, 4, 10.0)
-        wb = Wa.W.copy()
-        y = random_observations(rng, 1, 4, 10.0)[0]
-        probs = rng.dirichlet(np.ones(5))
-        update_bottom(Wa, np.log(Wa.W), np.arange(5), probs, y, 0.4)
-        # Same support presented in an order that defeats the fast path.
+        Wa = random_weights(rng, C, D, 2.5 * D)
+        Wb = BottomWeights(Wa.W.copy(), Wa.A)
+        wc = Wa.W.copy()
+        y, *later = random_observations(rng, m + 1, D, 2.5 * D)
+        Y_later = np.array(later).reshape(m, D)
+        probs = rng.dirichlet(np.ones(C))
+        logw_a, I_a = np.log(Wa.W), np.full((m, C), np.nan)
+        update_bottom(Wa, logw_a, np.arange(C), probs, y, 0.4, Y_later, I_a)
+        rows = rng.permutation(C)
+        assert not np.array_equal(rows, np.arange(C))
+        logw_b, I_b = np.log(Wb.W), np.full((m, C), np.nan)
+        update_bottom(Wb, logw_b, rows, probs[rows], y, 0.4, Y_later, I_b)
+        assert Wa.W.tobytes() == Wb.W.tobytes()
+        assert logw_a.tobytes() == logw_b.tobytes()
+        assert I_a.tobytes() == I_b.tobytes()
+        # Both equal the step written out on the permuted rows.
         es = 0.4 * probs
-        rows = np.array([4, 2, 0, 1, 3])
-        wb[rows] *= (1.0 - es[rows])[:, None]
-        wb[rows] += es[rows][:, None] * y
-        np.testing.assert_array_equal(Wa.W, wb)
+        wc[rows] *= (1.0 - es[rows])[:, None]
+        wc[rows] += es[rows][:, None] * y
+        np.testing.assert_array_equal(Wa.W, wc)
 
     @pytest.mark.parametrize("support", [[1, 3], [0, 1, 2, 3, 4, 5]])
     def test_refreshes_log_w_bit_for_bit(self, support):
@@ -168,21 +181,23 @@ class TestUpdateBottom:
         support = np.array(support)
         probs = np.random.default_rng(3).dirichlet(np.ones(support.size))
         logw = np.log(self.W.W)
-        update_bottom(self.W, logw, support, probs, self.y, eps_W=0.6)
+        update_bottom(self.W, logw, support, probs, self.y, 0.6, *self.no_later)
         assert np.array_equal(logw, np.log(self.W.W))
 
+    @pytest.mark.parametrize("c_prime", [15, 40])
     @pytest.mark.parametrize("m", [0, 1, 15])
-    def test_refreshes_written_columns_of_later_points(self, m):
-        # Below full support the later points get the activations of the
-        # written rows from their new logs; every other column is left alone.
+    def test_refreshes_written_columns_of_later_points(self, m, c_prime):
+        # The later points get the activations of the written rows from
+        # their new logs; every other column is left alone.  At C'=C the
+        # split step writes every column.
         rng = np.random.default_rng(m)
         W = random_weights(rng, 40, 784, 900.0)
         y, *later = random_observations(rng, m + 1, 784, 900.0)
         Y_later = np.array(later).reshape(m, 784)
-        support = np.sort(rng.choice(40, size=15, replace=False))
+        support = np.sort(rng.choice(40, size=c_prime, replace=False))
         I_later = rng.standard_normal((m, 40))
         before = I_later.copy()
-        update_bottom(W, np.log(W.W), support, rng.dirichlet(np.ones(15)), y, 0.5,
+        update_bottom(W, np.log(W.W), support, rng.dirichlet(np.ones(c_prime)), y, 0.5,
                       Y_later, I_later)
         assert I_later[:, support].tobytes() == (Y_later @ np.log(W.W[support]).T).tobytes()
         other = np.setdiff1d(np.arange(40), support)
@@ -262,17 +277,18 @@ class TestSplitBottomStep:
         ys = random_observations(rng, 5, D, 3.0 * D)
         for k in range(4):
             # The epoch's last step has no next point and writes no activations.
-            y_next = ys[k + 1] if k < 3 else None
-            I_next = np.full(C, np.nan)
+            Y_next = ys[k + 1 : k + 2] if k < 3 else np.empty((0, D))
+            I_next = np.full((1, C), np.nan)
             probs = rng.dirichlet(np.ones(C))
-            update_bottom(W, logw, np.arange(C), probs, ys[k], 0.9, y_next, I_next)
+            update_bottom(W, logw, np.arange(C), probs, ys[k], 0.9, Y_next,
+                          I_next[: len(Y_next)])
             logw_ref = self.serial_step(w_ref, 0.9 * probs, ys[k])
             assert W.W.tobytes() == w_ref.tobytes()
             assert logw.tobytes() == logw_ref.tobytes()
-            if y_next is None:
+            if not len(Y_next):
                 assert np.isnan(I_next).all()
             else:
-                assert I_next.tobytes() == (y_next[None] @ logw_ref.T)[0].tobytes()
+                assert I_next[0].tobytes() == (Y_next @ logw_ref.T)[0].tobytes()
         # Below 32 rows the aligned half is empty, so nothing is submitted.
         assert row_worker.submitted == (4 if split and aligned_half(C) > 0 else 0)
 
@@ -297,11 +313,12 @@ class TestSplitBottomStep:
         rows = learning._update_rows
         finished = []
 
-        def faulty_rows(w, logw, es, y, lo, hi, *next_point):
+        def faulty_rows(w, *args):
+            lo, hi = (0, 16) if len(w) == 16 else (16, 40)  # the caller's or the worker's rows
             if lo == faulty_lo:
                 raise RowFault(f"rows {lo}:{hi}")
             time.sleep(0.2)  # the sound half is still writing when the fault is raised
-            rows(w, logw, es, y, lo, hi, *next_point)
+            rows(w, *args)
             finished.append((lo, hi))
 
         monkeypatch.setattr(learning, "_update_rows", faulty_rows)
@@ -310,7 +327,8 @@ class TestSplitBottomStep:
         before = W.W.copy()
         with pytest.raises(RowFault, match=f"rows {faulty_lo}:"):
             update_bottom(W, np.log(W.W), np.arange(40), rng.dirichlet(np.ones(40)),
-                          random_observations(rng, 1, 5, 15.0)[0], 0.5)
+                          random_observations(rng, 1, 5, 15.0)[0], 0.5,
+                          np.empty((0, 5)), np.empty((0, 40)))
         sound = (16, 40) if faulty_lo == 0 else (0, 16)
         assert finished == [sound]
         faulty = slice(0, 16) if faulty_lo == 0 else slice(16, 40)
@@ -324,7 +342,8 @@ class TestSplitBottomStep:
         # its own its first split step would wait forever.
         rng = np.random.default_rng(0)
         W = random_weights(rng, 40, 5, 15.0)
-        step = (np.log(W.W), np.arange(40), np.full(40, 1 / 40), np.full(5, 3.0), 0.5)
+        step = (np.log(W.W), np.arange(40), np.full(40, 1 / 40), np.full(5, 3.0), 0.5,
+                np.empty((0, 5)), np.empty((0, 40)))
         update_bottom(W, *step)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
@@ -1160,11 +1179,11 @@ class TestOnlineEpochOracle:
     def test_cached_class_posterior_rounds_as_per_support_normalization(
         self, K, c_prime, zero_cols, monkeypatch
     ):
-        # The cache is normalized from a Fortran-ordered R, so its column sums
-        # (pairwise over K >= 8) and the gathered (K, C') matvec round as
-        # normalizing the support's own columns does, at C'=C too.  A
-        # C-ordered cache fails here, read through a gather or as mix @ probs.
-        # Zero-sum columns take the 1/K fallback in the order of the input.
+        # The cache's column sums run over a Fortran-ordered copy of R
+        # (pairwise over K >= 8), so they and the gathered (K, C') matvec
+        # round as normalizing the support's own columns does, at C'=C too.
+        # Column sums taken in R's C order fail here.  Zero-sum columns take
+        # the 1/K fallback in the order of the input.
         raw, _ = generate_mixture(K, 16, 240, seed=3)
         ds = preprocess(raw, 32.0, K=K)
         ds = Dataset(ds.Y, np.where(np.arange(ds.N) % 4 == 0, ds.labels, -1), K, 32.0)
