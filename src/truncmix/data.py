@@ -80,14 +80,17 @@ class Dataset:
     def lgamma_sums(self) -> np.ndarray:
         """sum_d lgamma(y_d + 1) per observation; constant across training.
 
-        Per block of ``inference._row_blocks``, taken in two halves so the two
-        threads hold one block of scratch; bit-identical to one pass over Y.
+        Per block of ``inference._row_blocks``, taken in two halves through
+        one half-block of scratch, so the two threads hold one block of
+        scratch; bit-identical to one pass over Y.
         """
         out = np.empty(self.N)
 
         def block(lo, hi):
-            for a, b in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi)):
-                rows = self.Y[a:b] + 1.0
+            mid = (lo + hi) // 2
+            scratch = np.empty((hi - mid, self.D))
+            for a, b in ((lo, mid), (mid, hi)):
+                rows = np.add(self.Y[a:b], 1.0, out=scratch[: b - a])
                 np.sum(gammaln(rows, out=rows), axis=1, out=out[a:b])
 
         _row_blocks(block, self.N)

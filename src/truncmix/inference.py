@@ -90,7 +90,11 @@ def _block_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     padded to a full one with copies of its first row, which raise no
     floating-point flag it does not (zero rows give 0 * -inf where ``log W``
     holds -inf): each row of ``out`` depends on its own row of ``a`` and on
-    ``b`` alone, not on the size of its batch.
+    ``b`` alone, not on the size of its batch.  Except where ``b`` has a
+    column count C with C mod 8 != 0: there OpenBLAS 0.3.31 (Haswell
+    kernels) rounds the last C mod 8 columns of a block's last rows apart
+    from its others (rows 252-255 at C near 400), so a row's bits depend on
+    its place in its block, and so on the batch's start and size.
     """
     m = len(a)
     if m == _ROW_BLOCK:
@@ -167,8 +171,9 @@ def integrate(W: BottomWeights, y: np.ndarray) -> np.ndarray:
 
     ``y`` is a D-vector (a one-row batch) or an (N, D) batch; returns (C,) or
     (N, C), which ``_activation_blocks`` writes block by block.  Its blocks
-    are fixed and padded, so a point's activations depend neither on the
-    CPU count nor on the size of its batch."""
+    are fixed and padded, so a point's activations do not depend on the CPU
+    count, nor, at C mod 8 == 0, on its batch; at other C its last bits may
+    (see ``_block_matmul``)."""
     Y = np.atleast_2d(y)
     I = np.empty((len(Y), W.C))
     _activation_blocks(W, Y, lambda lo, hi, block: None, out=I)
@@ -180,15 +185,17 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
 
     Ties go to the smaller index and the indices are ascending, so the
     result is a deterministic function of I, of shape I.shape[:-1] +
-    (c_prime,).  One ``argpartition`` gives each row's top set and its
-    threshold (the c_prime-th largest value).  When no row has an entry
-    outside its top set equal to the threshold, the sets are unique and are
-    returned sorted; otherwise the first c_prime of a stable descending sort
-    are.  A 2-D batch is selected per ``_ROW_BLOCK``-row block, on two
-    threads where there is a worker, into one compact (N, c_prime) array;
-    a block's sets depend only on its own rows.  At
-    c_prime == C the result is a read-only ``arange(C)``, broadcast to a
-    batch's shape.
+    (c_prime,).  I must be NaN-free, as every caller checks (a NaN would
+    rank below every number, as in a stable sort of -I).  One
+    ``np.partition``, which moves values only, gives each row's threshold
+    (its c_prime-th largest value), and the entries at or above it are taken
+    in index order.  When every row has exactly c_prime of them, the sets
+    are unique and are returned as they are; otherwise the first c_prime of
+    a stable descending sort are.  A 2-D batch is selected per
+    ``_ROW_BLOCK``-row block, on two threads where there is a worker, into
+    one compact (N, c_prime) array; a block's sets depend only on its own
+    rows.  At c_prime == C the result is a read-only ``arange(C)``,
+    broadcast to a batch's shape, and I is not read.
     """
     C = I.shape[-1]
     if not 1 <= c_prime <= C:
@@ -211,16 +218,19 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
 def _select(I: np.ndarray, c_prime: int) -> np.ndarray:
     """``select_truncation`` of one vector or one block of rows, 1 <= c_prime < C."""
     C = I.shape[-1]
-    top = np.argpartition(I, C - c_prime, axis=-1)[..., C - c_prime:]
+    thresh = np.partition(I, C - c_prime, axis=-1)[..., C - c_prime, None]
+    hits = (I >= thresh).ravel().nonzero()[0]
     if I.ndim == 1:
-        thresh = I[top[0]]
-        if np.count_nonzero(I >= thresh) == c_prime:
-            top.sort()
-            return top
-    else:
-        thresh = np.take_along_axis(I, top[..., :1], axis=-1)
-        if np.all(np.count_nonzero(I >= thresh, axis=-1) == c_prime):
-            return np.sort(top, axis=-1)
+        if hits.size == c_prime:
+            return hits
+    elif hits.size == len(I) * c_prime:
+        # The hits ascend, so every row holds exactly c_prime of them when
+        # each run of c_prime starts and ends in its own row (a row with a
+        # NaN may hold fewer and leave the count right).
+        sets = hits.reshape(-1, c_prime)
+        sets -= np.arange(0, I.size, C)[:, None]
+        if sets[:, 0].min() >= 0 and sets[:, -1].max() < C:
+            return sets
     # A stable sort of -I puts larger values first and equal ones in index order.
     return np.sort(np.argsort(-I, axis=-1, kind="stable")[..., :c_prime], axis=-1)
 

@@ -151,6 +151,26 @@ class TestTrain:
         report, _, _ = train(train_ds, test_ds, cfg, trace_every=0)
         assert report.trace.entries == []
 
+    def test_full_truncation_trace_pass_is_one_gemm_pass(self, monkeypatch):
+        # At C'=C the E-step computes no activations, so a trace pass runs
+        # one padded GEMM per row block, free_energy's, not two.
+        train_ds, test_ds, cfg = small_problem(n_train=600)
+        cfg = replace(cfg, epochs=0, C_prime=cfg.C)
+        calls = []
+        block_matmul = inference._block_matmul
+
+        def counting(*args):
+            calls.append(1)
+            block_matmul(*args)
+
+        monkeypatch.setattr(inference, "_block_matmul", counting)
+        counts = []
+        for trace_every in (0, 1):
+            calls.clear()
+            train(train_ds, test_ds, cfg, trace_every=trace_every)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == -(-train_ds.N // inference._ROW_BLOCK) == 3
+
     def test_report_json_excludes_timings(self):
         train_ds, test_ds, cfg = small_problem()
         report, _, _ = train(train_ds, test_ds, cfg)

@@ -10,7 +10,8 @@ from scipy.special import gammaln, logsumexp
 from truncmix.core import BottomWeights, DataError
 from truncmix.data import normalize_input
 from truncmix.inference import (
-    integrate, logsumexp_inplace, select_truncation, softmax_inplace, truncated_posterior,
+    _select, integrate, logsumexp_inplace, select_truncation, softmax_inplace,
+    truncated_posterior,
 )
 from truncmix.learning import _support_lse, free_energy
 
@@ -299,6 +300,46 @@ class TestSelectTruncation:
                 assert np.array_equal(row, np.arange(48))
             else:
                 assert sets.base is None or sets.base.size == sets.size
+
+    def test_select_kernel_equals_stable_sort_reference(self, monkeypatch):
+        # Integer-valued rows, on a narrow range (ties straddle the threshold,
+        # so the stable-sort fallback runs) or a wide one (unique sets, so
+        # the partition branch does), among +-inf entries, at c' = 1, C - 1
+        # or between; 1-D and 2-D with 1-300 rows.
+        argsort = np.argsort
+        fallbacks = []
+
+        def counting_argsort(*args, **kwargs):
+            fallbacks.append(1)
+            return argsort(*args, **kwargs)
+
+        def reference(I, c_prime):
+            return np.sort(argsort(-I, axis=-1, kind="stable")[..., :c_prime], axis=-1)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        rng = np.random.default_rng(31)
+        took = set()
+        for case in range(600):
+            C = int(rng.integers(2, 41))
+            shape = (C,) if case % 2 else (int(rng.integers(1, 301)), C)
+            span = 3 if case % 4 < 2 else 10**6
+            I = rng.integers(-span, span + 1, size=shape).astype(np.float64)
+            u = rng.random(shape)
+            I[u < 0.03] = np.inf
+            I[u > 0.97] = -np.inf
+            c_prime = (1, C - 1, int(rng.integers(1, C)))[case % 3]
+            want = reference(I, c_prime)
+            before = len(fallbacks)
+            got = _select(I, c_prime)
+            assert np.array_equal(got, want), (case, c_prime)
+            took.add((I.ndim, len(fallbacks) > before))
+        assert took == {(1, False), (1, True), (2, False), (2, True)}
+        # Out of contract, a NaN ranks below every number, as in the sort.
+        # Here row 0 has no entry at or above its threshold (NaN) and row 1
+        # four, so the block's hit count is right but its rows are not.
+        I = np.array([[np.nan, np.nan, 1.0, 2.0], [5.0, 5.0, 5.0, 5.0]])
+        assert np.array_equal(_select(I, 2), [[2, 3], [0, 1]])
+        assert np.array_equal(_select(I[0], 2), [2, 3])
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):

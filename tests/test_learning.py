@@ -528,6 +528,29 @@ class TestBatchESet:
         Y = random_observations(rng, 6, 4, 9.0)
         np.testing.assert_array_equal(batch_e_step(Y, W, 5), np.tile(np.arange(5), (6, 1)))
 
+    def test_full_truncation_builds_no_activations(self):
+        # At C'=C every set is all clusters whatever the activations, so the
+        # E-step computes none; integrate's (N, C) output alone would be one array.
+        rng = np.random.default_rng(20)
+        N, C, D = 8000, 100, 8
+        W = random_weights(rng, C, D, 20.0)
+        Y = random_observations(rng, N, D, 20.0)
+        tracemalloc.start()
+        try:
+            sets = batch_e_step(Y, W, C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * N * C * 8
+        assert np.array_equal(sets, np.tile(np.arange(C), (N, 1)))
+
+    @pytest.mark.parametrize("c_prime", [2, 5])
+    def test_dimension_mismatch_raises(self, c_prime):
+        rng = np.random.default_rng(21)
+        W = random_weights(rng, 5, 4, 9.0)
+        with pytest.raises(ValueError):
+            batch_e_step(random_observations(rng, 6, 3, 9.0), W, c_prime)
+
     def test_matches_exhaustive_enumeration(self):
         # Independent oracle: try every (6 choose 2) support per point and
         # keep the one with the largest truncated mass.
