@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import ConfigError, DataError
-from .inference import _row_blocks
+from .inference import _ROW_BLOCK, _row_blocks
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -43,7 +43,8 @@ class Dataset:
     """Normalized observations, labels, and class count.
 
     ``labels`` uses -1 for unlabeled examples.  ``Y`` rows each sum to A and
-    are componentwise >= 1.
+    are componentwise >= 1, which the constructor checks per block of
+    ``inference._row_blocks``, on both threads where there is a worker.
     """
 
     Y: np.ndarray        # (N, D) float64
@@ -62,9 +63,17 @@ class Dataset:
             raise DataError("K must be positive")
         if np.any(self.labels >= self.K) or np.any(self.labels < UNLABELED):
             raise DataError(f"labels must lie in [0, {self.K}) or be -1")
-        if self.Y.min(initial=1.0) < 1.0:
+        # A block's min is NaN where it holds a NaN, and so is the min of
+        # them all, as over the whole of Y.
+        mins, sums = np.empty(-(-self.N // _ROW_BLOCK)), np.empty(self.N)
+
+        def block(lo, hi):
+            mins[lo // _ROW_BLOCK] = self.Y[lo:hi].min(initial=1.0)
+            np.sum(self.Y[lo:hi], axis=1, out=sums[lo:hi])
+
+        _row_blocks(block, self.N)
+        if mins.min(initial=1.0) < 1.0:
             raise DataError("normalized observations must be >= 1 componentwise")
-        sums = self.Y.sum(axis=1)
         if not np.allclose(sums, self.A, rtol=OBS_SUM_RTOL, atol=0.0):
             raise DataError("normalized observations must sum to A")
 
@@ -182,15 +191,8 @@ def load_csv(path) -> RawDataset:
     return RawDataset(body[:, 1:], labels.astype(np.int64))
 
 
-def _reject_rows(bad: np.ndarray, what: str):
-    """Raise DataError if any entry of ``bad`` is set, naming the first
-    offending row of a batch."""
-    if not np.any(bad):
-        return
-    if bad.ndim == 1:
-        raise DataError(what)
-    first = int(np.nonzero(bad.any(axis=-1).ravel())[0][0])
-    raise DataError(f"{what} at index {first}")
+_RAW_FAULTS = ("raw input has non-finite components", "raw input has negative components",
+               "degenerate input: zero total mass", "raw input too large to scale to mass A")
 
 
 def normalize_input(raw, A: float) -> np.ndarray:
@@ -198,29 +200,55 @@ def normalize_input(raw, A: float) -> np.ndarray:
 
     y_d = (A - D) * raw_d / sum(raw) + 1, applied along the last axis.  The
     output sums to A and every component is >= 1, which keeps Poisson rates
-    learned from such data strictly positive.  ``raw`` is copied once into
-    the float64 output, which is then checked and rescaled in place.
+    learned from such data strictly positive.  Per row block of
+    ``inference._row_blocks``, on both threads where there is a worker,
+    ``raw`` is cast into its slice of the float64 output, checked and
+    rescaled in place, with the bits of one pass over the whole array.  A
+    block with a faulty row is left unscaled.  Of the ``_RAW_FAULTS`` that
+    some row has (a non-finite or a negative entry, zero mass, a row sum or
+    a scaled entry beyond float64), the first is a DataError naming its
+    first row over all blocks (a single D-vector is not named).
     """
-    y = np.array(raw, dtype=np.float64)
+    x = np.asarray(raw)
+    y = np.empty(x.shape)
     D = y.shape[-1]
     if A <= D:
         raise DataError("A must exceed D")
-    # The row sums and the min check the entries; a mask only names the row.
-    total = y.sum(axis=-1, keepdims=True)
-    if not np.isfinite(total).all():
-        _reject_rows(~np.isfinite(y), "raw input has non-finite components")
-    if y.min(initial=0.0) < 0.0:
-        _reject_rows(y < 0.0, "raw input has negative components")
-    _reject_rows(total <= 0.0, "degenerate input: zero total mass")
-    y *= A - D
-    y /= total
-    y += 1.0
+    n = math.prod(y.shape[:-1])
+    xs, ys, scale = x.reshape(n, D), y.reshape(n, D), A - D
+    found = []  # per faulty block, its first row of each fault, or n
+
+    def block(lo, hi):
+        b = ys[lo:hi]
+        b[...] = xs[lo:hi]
+        # The scaled row sums and the min check the entries; masks only
+        # name the rows.  A nonnegative entry overflows when scaled only
+        # where its row sum does.
+        with np.errstate(over="ignore"):
+            total = b.sum(axis=1, keepdims=True)
+            big = ~np.isfinite(total[:, 0] * scale)
+            if big.any() or b.min(initial=0.0) < 0.0 or total.min(initial=1.0) <= 0.0:
+                masks = (~np.isfinite(b).all(axis=1), (b < 0.0).any(axis=1), total[:, 0] <= 0.0,
+                         np.isinf(total[:, 0]) | np.isinf(b.max(axis=1, initial=0.0) * scale))
+                rows = [lo + int(m.argmax()) if m.any() else n for m in masks]
+                if min(rows) < n:
+                    found.append(rows)
+                    return
+        b *= scale
+        b /= total
+        b += 1.0
+
+    _row_blocks(block, n)
+    for what, first in zip(_RAW_FAULTS, np.min(found, axis=0) if found else ()):
+        if first < n:
+            raise DataError(what if x.ndim == 1 else f"{what} at index {first}")
     return y
 
 
 def preprocess(raw: RawDataset, A: float, K: int) -> Dataset:
     """Normalize every example to mass A and wrap it into a Dataset of K
-    classes.  All-zero rows are rejected with the offending index."""
+    classes: two split passes over row blocks, ``normalize_input``'s and the
+    Dataset checks'.  A faulty raw row is rejected with its index."""
     return Dataset(normalize_input(raw.X, A), raw.labels, K, float(A))
 
 

@@ -30,7 +30,7 @@ from .inference import (
 )
 
 MONOTONE_RSLACK = 1e-8
-_REFRESH = 16  # chosen rows per bound refresh of init_from_data
+_REFRESH = 32  # chosen rows per bound refresh of init_from_data
 _INTEGRATE_BLOCK = 16  # samples per integrate GEMM of online_epoch below C'=C
 
 
@@ -229,9 +229,10 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
     matrices with support indices in [0, C).
 
     S.T @ Y runs over a point-major sparse S, so the M-step costs O(N*C'*D),
-    not the O(N*C*D) of a dense S: 45 against 113 ms at C'=15, N=6000,
-    C=400, D=784, one BLAS thread.  Above about C'=40 a dense GEMM is
-    faster (113 against 128 ms at C'=50, 0.12 against 1.13 s at C'=C).
+    not the O(N*C*D) of a dense S: 16.5 against 38 ms at C'=15, N=6000,
+    C=400, D=784, one thread on a 2-core x86-64 VM with OpenBLAS 0.3.31.
+    Above about C'=40 a dense GEMM is faster (38 against 52 ms at C'=50,
+    0.47 s for the sparse product at C'=C).
     W's C rows are split in two halves, one per thread where there is a
     worker, each the product of S's columns for its clusters with the whole
     Y; every W entry still sums over the points in order, so the split is

@@ -637,7 +637,7 @@ CONFIG_FAULTS = {
     "eps_W=0": lambda cfg: {"eps_W": 0.0},
     "eps_R=1.5": lambda cfg: {"eps_R": 1.5},
 }
-ROW_FAULTS = ("empty", "zero mass", "negative", "label K", "unlabeled")
+ROW_FAULTS = ("empty", "zero mass", "negative", "huge", "label K", "unlabeled")
 
 
 @st.composite
@@ -656,6 +656,8 @@ def csv_data(draw, D, K, max_rows, unlabeled, fault):
         X[r] = 0.0
     elif fault == "negative":
         X[r, r % D] = -1.0
+    elif fault == "huge":  # the row sum overflows float64
+        X[r, :2] = 1e308
     elif fault in ("label K", "unlabeled"):
         labels[r] = K if fault == "label K" else -1
     return X, labels

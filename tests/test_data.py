@@ -155,6 +155,27 @@ class TestPreprocess:
         with pytest.raises(DataError, match="index 3"):
             preprocess(RawDataset(X, np.zeros(5, dtype=int)), 10.0, K=1)
 
+    @pytest.mark.parametrize("row", ["1,1e308,1e308,1,1", "1,1e307,1,1,1"],
+                             ids=["row-sum", "scaled-entry"])
+    def test_overflowing_row_names_index_without_warning(self, tmp_path, row):
+        # 1e308 + 1e308 overflows the row sum; 1e307 * (A - D) overflows
+        # although the row sum is finite.
+        (tmp_path / "d.csv").write_text(f"label,p0,p1,p2,p3\n0,1,2,3,4\n{row}\n2,5,5,5,5\n")
+        raw = load_csv(tmp_path / "d.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^raw input too large to scale to mass A at index 1$"):
+                preprocess(raw, 900.0, K=3)
+
+    def test_row_whose_scaled_sum_overflows_is_normalized(self):
+        # total * (A - D) = 2.4e308 overflows, but no entry scales past
+        # float64, so the row is valid.
+        from truncmix.data import RawDataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = preprocess(RawDataset(np.full((2, 4), 1e307), np.zeros(2, dtype=int)), 10.0, K=1)
+        np.testing.assert_array_equal(ds.Y, 2.5)
+
     def test_class_count_given(self):
         from truncmix.data import RawDataset
         raw = RawDataset(np.ones((4, 3)), np.array([0, 2, -1, 1]))

@@ -854,9 +854,9 @@ def eager_farthest_point(Y, clusters, rng):
 
 
 class TestInitFromData:
-    @pytest.mark.parametrize("n,clusters", [(150, 7), (64, 64), (5, 1)])
+    @pytest.mark.parametrize("n,clusters", [(150, 7), (128, 128), (5, 1)])
     def test_matches_unblocked_farthest_point_loop(self, n, clusters):
-        # 64 clusters refresh bounds across four 16-row chunks.
+        # 128 clusters refresh bounds across four 32-row chunks.
         Y = random_observations(np.random.default_rng(n), n, 9, 40.0)
         W = init_from_data(Y, clusters, 40.0, np.random.default_rng(3))
         assert np.array_equal(W.W, eager_farthest_point(Y, clusters, np.random.default_rng(3)))
@@ -866,7 +866,8 @@ class TestInitFromData:
     def test_matches_eager_loop_with_duplicate_rows_and_tied_distances(self, data):
         # Rows of 1 + (counts of m units over D columns) are small integers
         # summing to A = D + m: duplicates and equal distances are common.
-        N = data.draw(st.integers(1, 40), label="N")
+        # Past 33 clusters a refresh can span more than one 32-row chunk.
+        N = data.draw(st.integers(1, 100), label="N")
         D = data.draw(st.integers(1, 5), label="D")
         m = data.draw(st.integers(0, 6), label="m")
         units = data.draw(arrays(np.int64, (N, m), elements=st.integers(0, D - 1)), label="units")

@@ -4,8 +4,12 @@ Every pass over more than ``_ROW_BLOCK`` rows runs per block, the first half
 of the blocks on the calling thread and the rest on the worker thread.  The
 blocks, not the CPU count, define the bits: each pass must write the same
 bytes with the worker and without it, and a point's class scores must not
-depend on how many other points share its batch.
+depend on how many other points share its batch.  The load-time passes
+(``normalize_input`` and the ``Dataset`` checks) run on the same blocks and
+name the same faulty row as one pass over the whole array.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from scipy.special import logsumexp
 
 from truncmix import inference
 from truncmix.core import DataError, TopWeights
+from truncmix.data import Dataset, normalize_input
 from truncmix.harness import _CHUNK, _class_scores, predict_batch
 from truncmix.inference import _ROW_BLOCK, integrate, select_truncation
 from truncmix.learning import _tv_em_pass, batch_m_step, free_energy, run_tv_em
@@ -90,6 +95,7 @@ def test_non_finite_row_in_any_block_raises(worker, bad_row):
     W = random_weights(rng, 7, 5, 15.0)
     Y = random_observations(rng, 600, 5, 15.0)
     Y[bad_row, 2] = np.nan
+    worker.submitted = 0  # normalizing Y submitted a block pass too
     with pytest.raises(DataError, match="non-finite"):
         integrate(W, Y)
     assert worker.submitted == 1
@@ -106,6 +112,7 @@ def test_fused_passes_raise_on_non_finite_row(worker, bad_row, run):
     W = random_weights(rng, 7, 5, 15.0)
     Y = random_observations(rng, 600, 5, 15.0)
     Y[bad_row, 2] = np.nan
+    worker.submitted = 0  # normalizing Y submitted a block pass too
     with pytest.raises(DataError, match="non-finite"):
         run(W, Y)
     assert worker.submitted == 1
@@ -151,3 +158,92 @@ def test_class_scores_do_not_depend_on_batch_size(C, c_prime):
     alone = _class_scores(Y[:300], W, R, c_prime)
     inside = _class_scores(Y, W, R, c_prime)[:300]
     assert alone.tobytes() == inside.tobytes()
+
+
+def unblocked_normalize(raw, A) -> np.ndarray:
+    """``normalize_input``'s formula over the whole array at once."""
+    x = np.asarray(raw, dtype=np.float64)
+    return (A - x.shape[-1]) * x / x.sum(axis=-1, keepdims=True) + 1.0
+
+
+@pytest.mark.parametrize("kind", ["uint8", "strided"])
+@pytest.mark.parametrize("N", [1, 255, 256, 257, 6000])
+def test_normalize_and_dataset_write_equal_bytes(worker, monkeypatch, N, kind):
+    # uint8 counts as load_idx gives them, and the strided float64 view
+    # body[:, 1:] that load_csv gives.
+    rng = np.random.default_rng(N)
+    if kind == "uint8":
+        raw = rng.integers(0, 256, size=(N, 784), dtype=np.uint8)
+    else:
+        raw = rng.uniform(0.0, 9.0, size=(N, 785))[:, 1:]
+    expected = unblocked_normalize(raw, 900.0).tobytes()
+    labels = np.zeros(N, dtype=np.int64)
+    Y = normalize_input(raw, 900.0)
+    assert Dataset(Y, labels, 1, 900.0).Y.tobytes() == expected
+    assert (worker.submitted > 0) == (N > _ROW_BLOCK)
+    monkeypatch.setattr(inference, "_WORKER", None)
+    Y = normalize_input(raw, 900.0)
+    assert Dataset(Y, labels, 1, 900.0).Y.tobytes() == expected
+
+
+@pytest.mark.parametrize("D", [1, 5, 784])
+def test_normalize_one_point_equals_formula(worker, D):
+    raw = np.random.default_rng(D).uniform(0.0, 9.0, size=D)
+    assert normalize_input(raw, 2.5 * D).tobytes() == unblocked_normalize(raw, 2.5 * D).tobytes()
+    assert worker.submitted == 0
+
+
+def raw_with_faults(faults) -> np.ndarray:
+    """600 rows of 5 raw values: rows 0-511 form the caller's two blocks and
+    rows 512-599 the worker's one; ``faults`` maps a row to its fault."""
+    x = np.random.default_rng(8).uniform(0.5, 9.0, size=(600, 5))
+    for row, fault in faults.items():
+        if fault == "nan":
+            x[row, 2] = np.nan
+        elif fault == "negative":
+            x[row, 3] = -1.0
+        elif fault == "zero":
+            x[row] = 0.0
+        elif fault == "huge":
+            x[row, :2] = 1e308
+    return x
+
+
+@pytest.mark.parametrize("serial", [False, True], ids=["worker", "serial"])
+@pytest.mark.parametrize("faults, message", [
+    ({3: "negative", 599: "nan"}, "raw input has non-finite components at index 599"),
+    ({550: "negative", 590: "negative"}, "raw input has negative components at index 550"),
+    ({599: "nan", 530: "nan"}, "raw input has non-finite components at index 530"),
+    ({300: "zero"}, "degenerate input: zero total mass at index 300"),
+    ({520: "zero", 400: "zero", 10: "huge"}, "degenerate input: zero total mass at index 400"),
+    ({540: "huge", 560: "negative"}, "raw input has negative components at index 560"),
+    ({540: "huge"}, "raw input too large to scale to mass A at index 540"),
+], ids=["caller-negative-worker-nan", "worker-negative", "worker-nan", "zero-300",
+        "zero-before-huge", "negative-before-huge", "worker-huge"])
+def test_normalize_names_the_first_row_of_the_first_fault(worker, monkeypatch, serial, faults,
+                                                           message):
+    # Non-finite, then negative, then zero mass, then too large; each names
+    # its first row over the whole array, whichever block holds it.
+    if serial:
+        monkeypatch.setattr(inference, "_WORKER", None)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        normalize_input(raw_with_faults(faults), 50.0)
+    assert worker.submitted == (0 if serial else 1)
+
+
+@pytest.mark.parametrize("serial", [False, True], ids=["worker", "serial"])
+@pytest.mark.parametrize("faults, message", [
+    ({550: 0.5}, "must be >= 1 componentwise"),
+    ({3: np.nan, 550: 0.5}, "must sum to A"),
+    ({550: 1.5}, "must sum to A"),
+], ids=["worker-below-one", "caller-nan-worker-below-one", "worker-sum"])
+def test_dataset_checks_find_a_fault_in_any_block(worker, monkeypatch, serial, faults, message):
+    # A NaN anywhere hides a value below 1 from the min check, as over the
+    # whole of Y; the row sums still catch it.
+    if serial:
+        monkeypatch.setattr(inference, "_WORKER", None)
+    Y = normalize_input(raw_with_faults({}), 50.0)
+    for row, value in faults.items():
+        Y[row, 0] = value
+    with pytest.raises(DataError, match=message):
+        Dataset(Y, np.zeros(600, dtype=np.int64), 1, 50.0)
