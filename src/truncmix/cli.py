@@ -112,7 +112,8 @@ def cmd_compare(args) -> int:
             "final_error": report.test_errors[-1],
             "final_free_energy": report.trace.entries[-1][1] if report.trace.entries else None,
         }
-    (out / "compare.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    with replace_together(out / "compare.json") as (summary_json,):
+        summary_json.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.out}/compare.json ({len(results)} settings)")
     return EXIT_OK
 

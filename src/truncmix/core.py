@@ -157,7 +157,3 @@ class TopWeights:
     @property
     def K(self) -> int:
         return self.R.shape[0]
-
-    @property
-    def C(self) -> int:
-        return self.R.shape[1]

@@ -7,6 +7,7 @@ meaning unlabeled.  Raw intensities are normalized to mass A at preprocess
 time; any positive rescaling of the raw data is absorbed by that step.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -271,7 +272,11 @@ def subsample_labels(ds: Dataset, labels_per_class: int, seed: int) -> Dataset:
             )
         chosen = rng.choice(candidates, size=labels_per_class, replace=False)
         keep[chosen] = k
-    return Dataset(ds.Y, keep, ds.K, ds.A)
+    # A copy skips the Dataset checks, which cannot fail: Y is ds's, already
+    # checked, and the loop above made every label -1 or a class below K.
+    out = copy.copy(ds)
+    out.labels = keep
+    return out
 
 
 def generate_mixture(

@@ -91,10 +91,10 @@ def _block_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     floating-point flag it does not (zero rows give 0 * -inf where ``log W``
     holds -inf): each row of ``out`` depends on its own row of ``a`` and on
     ``b`` alone, not on the size of its batch.  Except where ``b`` has a
-    column count C with C mod 8 != 0: there OpenBLAS 0.3.31 (Haswell
-    kernels) rounds the last C mod 8 columns of a block's last rows apart
-    from its others (rows 252-255 at C near 400), so a row's bits depend on
-    its place in its block, and so on the batch's start and size.
+    column count C with C mod 8 != 0: there OpenBLAS 0.3.31 (SkylakeX
+    kernels, AVX-512) rounds the last C mod 8 columns of a block's last rows
+    apart from its others (rows 252-255 at C near 400), so a row's bits
+    depend on its place in its block, and so on the batch's start and size.
     """
     m = len(a)
     if m == _ROW_BLOCK:

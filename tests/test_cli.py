@@ -158,6 +158,25 @@ class TestCompareAndTools:
         assert saved == [workspace / "cmp" / "cprime_1"]
         assert not (workspace / "cmp" / "compare.json").exists()
 
+    def test_failed_summary_write_leaves_no_compare_json(self, workspace, monkeypatch):
+        args = train_args(workspace, workspace / "cmp")
+        args = args[:1] + ["--cprime-list", "1,2"] + args[1:]
+        args[0] = "compare"
+        write_text = Path.write_text
+
+        def half_summary(path, text, *rest, **kwargs):
+            if "compare.json" not in path.name:
+                return write_text(path, text, *rest, **kwargs)
+            write_text(path, text[: len(text) // 2], *rest, **kwargs)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_summary)
+        assert main(args) == 2
+        monkeypatch.undo()
+        assert (workspace / "cmp" / "cprime_2" / "config.json").exists()
+        assert not (workspace / "cmp" / "compare.json").exists()
+        assert not list((workspace / "cmp").glob(".*.tmp"))
+
     def test_export_weights(self, workspace, square_run):
         assert main([
             "export-weights", "--weights", str(square_run),
@@ -524,6 +543,22 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(args) == 1
         assert "config D=8 but test data has D=9" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
+    def test_empty_cprime_list_is_usage_error(self, workspace, capsys):
+        args = train_args(workspace, workspace / "cmp")
+        args[0] = "compare"
+        assert main(args[:1] + ["--cprime-list", ","] + args[1:]) == 1
+        assert "config error: --cprime-list is empty" in capsys.readouterr().err
+        assert not (workspace / "cmp").exists()
+
+    def test_idx_images_without_labels_is_usage_error(self, workspace, capsys):
+        args = train_args(workspace, workspace / "x")
+        i = args.index("--labels")
+        del args[i : i + 2]
+        assert main(args) == 1
+        assert ("config error: IDX input needs both an images and a labels path"
+                in capsys.readouterr().err)
         assert not (workspace / "x").exists()
 
     def test_repeated_cprime_is_usage_error(self, workspace, capsys):

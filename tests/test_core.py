@@ -146,6 +146,13 @@ class TestWeightContainers:
         with pytest.raises(ConfigError, match="row 0"):
             TopWeights(np.array([[0.5, 0.6]]))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["1-D", "3-D"])
+    def test_containers_reject_other_ranks(self, shape):
+        with pytest.raises(ConfigError, match="^W must be a C x D matrix$"):
+            BottomWeights(np.full(shape, 2.0), 4.0)
+        with pytest.raises(ConfigError, match="^R must be a K x C matrix$"):
+            TopWeights(np.full(shape, 0.5))
+
     def test_row_sum_messages_print_plain_numbers(self):
         with pytest.raises(ConfigError) as e:
             BottomWeights(np.full((1, 4), 2.25), 10.0)

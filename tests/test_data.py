@@ -98,6 +98,11 @@ class TestIdxLoading:
         np.testing.assert_array_equal(raw.X, X)
         np.testing.assert_array_equal(raw.labels, labels)
 
+    def test_image_writer_rejects_wrong_row_width(self, tmp_path):
+        with pytest.raises(DataError, match=r"^images must be \(N, rows\*cols\)$"):
+            write_idx_images(tmp_path / "i", np.zeros((2, 6)), 2, 2)
+        assert not (tmp_path / "i").exists()
+
     def test_writer_rejects_out_of_range(self, tmp_path):
         with pytest.raises(DataError, match="0, 255"):
             write_idx_images(tmp_path / "i", np.array([[300]]), 1, 1)
@@ -183,6 +188,24 @@ class TestPreprocess:
         with pytest.raises(DataError):
             preprocess(raw, 9.0, K=2)  # label 2 out of range
 
+    @pytest.mark.parametrize("X,labels", [
+        (np.ones(4), np.zeros(4, dtype=int)),
+        (np.ones((3, 4)), np.zeros(2, dtype=int)),
+    ], ids=["1-D-X", "misaligned-labels"])
+    def test_raw_dataset_rejects_bad_shapes(self, X, labels):
+        from truncmix.data import RawDataset
+        with pytest.raises(DataError, match=r"^raw data must be \(N, D\) with N labels$"):
+            RawDataset(X, labels)
+
+    @pytest.mark.parametrize("Y,labels,K,message", [
+        (np.full(4, 2.5), np.zeros(4, dtype=int), 1, r"^Y must be an \(N, D\) matrix$"),
+        (np.full((3, 4), 2.5), np.zeros(2, dtype=int), 1, "^labels must align with Y rows$"),
+        (np.full((3, 4), 2.5), np.full(3, -1), 0, "^K must be positive$"),
+    ], ids=["1-D-Y", "misaligned-labels", "K=0"])
+    def test_dataset_rejects_bad_shapes_and_class_count(self, Y, labels, K, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(Y, labels, K, 10.0)
+
     def test_lgamma_cache_matches_direct(self):
         # 513 rows: the last 256-row block holds one row.  Bit for bit.
         raw, _ = generate_mixture(3, 150, 513, seed=2)
@@ -249,6 +272,24 @@ class TestSubsampleLabels:
         assert sub.Y is base.Y
         kept = sub.labels != UNLABELED
         np.testing.assert_array_equal(sub.labels[kept], base.labels[kept])
+
+    def test_shares_checked_rows_without_rechecking(self, monkeypatch):
+        # preprocess checked Y already, and every new label is -1 or below K.
+        import truncmix.data as data
+        base = self.make_ds()
+        before = base.labels.copy()
+        calls, row_blocks = [], data._row_blocks
+
+        def counted(kernel, n):
+            calls.append(n)
+            return row_blocks(kernel, n)
+
+        monkeypatch.setattr(data, "_row_blocks", counted)
+        sub = subsample_labels(base, 3, seed=4)
+        assert calls == []
+        assert sub.Y is base.Y
+        np.testing.assert_array_equal(base.labels, before)
+        assert sub.labels is not base.labels and sub.n_labeled == 12
 
     def test_full_supervision_boundary(self):
         base = self.make_ds(n_per_class=7)

@@ -6,6 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import digests  # noqa: E402
+from truncmix import inference  # noqa: E402
 
 
 def test_digests_of_tiny_draw_repeat(tmp_path, monkeypatch):
@@ -21,3 +22,15 @@ def test_digests_of_tiny_draw_repeat(tmp_path, monkeypatch):
     assert all(len(h) == 16 and int(h, 16) >= 0 for h in hexes)
     # A second run in a fresh directory prints the same line.
     assert digests.digests(tmp_path / "b") == first
+
+
+def test_blas_core_names_the_kernels():
+    core = digests.blas_core()
+    assert isinstance(core, str) and core
+    if inference._openblas() is None:
+        assert core == "unknown"
+
+
+def test_blas_core_without_openblas_is_unknown(monkeypatch):
+    monkeypatch.setattr(inference, "_openblas", lambda: None)
+    assert digests.blas_core() == "unknown"

@@ -825,6 +825,13 @@ class TestTvEm:
         with pytest.raises(DataError, match="training set is empty"):
             run_tv_em(np.empty((0, 12)), W, 2, 3, np.empty(0))
 
+    @pytest.mark.parametrize("c_prime", [0, 7])
+    def test_truncation_size_outside_range_is_value_error(self, c_prime):
+        ds, _ = self.make_data(25, n=40)
+        W = random_weights(np.random.default_rng(25), 6, 12, 48.0)
+        with pytest.raises(ValueError, match=rf"^c_prime must lie in \[1, 6\], got {c_prime}$"):
+            run_tv_em(ds.Y, W, c_prime, 1, ds.lgamma_sums)
+
     def test_monotonicity_violation_raises(self):
         trace = FreeEnergyTrace()
         trace.append(1, -100.0)

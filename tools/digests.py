@@ -11,8 +11,12 @@ first 16 hex digits of the sha256 of each online run's ``report.json``,
 ``W.npy`` and ``R.npy``, and of the tvem rep's digest.  Two checkouts print
 the same line exactly when these outputs are byte-identical.  Only reads
 ``perfbench/``.
+
+The bits also depend on the OpenBLAS kernels that ran, so ``main`` prints
+their core name (such as ``SkylakeX``) as one line on stderr.
 """
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -24,7 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import truncmix  # noqa: E402,F401  (first: its one-thread BLAS pin must precede numpy's import)
 import numpy as np  # noqa: E402
-from truncmix import learning  # noqa: E402
+from truncmix import inference, learning  # noqa: E402
 
 import gen  # noqa: E402
 import workloads  # noqa: E402
@@ -35,6 +39,17 @@ ONLINE = ("semi-c15", "semi-c400", "sup-c15")
 
 def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def blas_core() -> str:
+    """The core name of numpy's OpenBLAS, or ``unknown`` where
+    ``inference._openblas()`` finds none or it does not report one."""
+    lib = inference._openblas()
+    name = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if name is None:
+        return "unknown"
+    name.restype = ctypes.c_char_p
+    return name().decode()
 
 
 def digests(work: Path) -> dict:
@@ -62,6 +77,7 @@ def digests(work: Path) -> dict:
 
 
 def main() -> int:
+    print(f"OpenBLAS core: {blas_core()}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as work:
         print(json.dumps(digests(Path(work)), sort_keys=True))
     return 0
