@@ -23,8 +23,6 @@ from .data import (
 )
 from .harness import (
     aggregate,
-    check_c_prime_list,
-    compare_truncation,
     evaluate,
     export_weight_grid,
     load_weights,
@@ -89,19 +87,33 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_config(args)
+def _c_prime_list(text: str, C: int) -> list[int]:
+    """The C' values of ``--cprime-list`` ("C" stands for C).  A bad token, an empty
+    list, then every repeated value, then every one outside [1, C] is a ConfigError."""
     values = []
-    for token in filter(None, map(str.strip, args.cprime_list.split(","))):
+    for token in filter(None, map(str.strip, text.split(","))):
         try:
-            values.append(cfg.C if token.upper() == "C" else int(token))
+            values.append(C if token.upper() == "C" else int(token))
         except ValueError:
             raise ConfigError(f"bad --cprime-list entry {token!r}") from None
     if not values:
         raise ConfigError("--cprime-list is empty")
-    check_c_prime_list(values, cfg.C)
+    repeated = sorted({cp for cp in values if values.count(cp) > 1})
+    if repeated:
+        raise ConfigError(f"C' values listed more than once: {', '.join(map(str, repeated))}")
+    outside = sorted({cp for cp in values if not 1 <= cp <= C})
+    if outside:
+        raise ConfigError(f"C' values out of range [1, {C}]: {', '.join(map(str, outside))}")
+    return values
+
+
+def cmd_compare(args) -> int:
+    cfg = _load_config(args)
+    values = _c_prime_list(args.cprime_list, cfg.C)
     train_ds, test_ds = _load_data(args, cfg)
-    results = compare_truncation(train_ds, test_ds, cfg, values, trace_every=args.trace_every)
+    # The runs share their init: init_weights reads nothing that C' changes.
+    results = {cp: train(train_ds, test_ds, replace(cfg, C_prime=cp), trace_every=args.trace_every)
+               for cp in values}
     out = Path(args.out)
     # A summary from an earlier compare must not outlive a save that fails.
     (out / "compare.json").unlink(missing_ok=True)

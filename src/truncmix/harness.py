@@ -1,4 +1,4 @@
-"""Experiment orchestration: training runs, evaluation, comparisons, export.
+"""Experiment orchestration: training runs, evaluation, reports, export.
 
 Everything here is deterministic given (data files, config, seed): reports
 serialize to byte-identical JSON and CSV across identical invocations.
@@ -12,7 +12,7 @@ import math
 import resource
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -189,34 +189,6 @@ def train(
         timings=timings,
     )
     return report, W, R
-
-
-def check_c_prime_list(c_prime_list: list[int], C: int):
-    """Raise ConfigError naming every repeated C' value, then every one outside [1, C]."""
-    repeated = sorted({cp for cp in c_prime_list if c_prime_list.count(cp) > 1})
-    if repeated:
-        raise ConfigError(f"C' values listed more than once: {', '.join(map(str, repeated))}")
-    outside = sorted({cp for cp in c_prime_list if not 1 <= cp <= C})
-    if outside:
-        raise ConfigError(f"C' values out of range [1, {C}]: {', '.join(map(str, outside))}")
-
-
-def compare_truncation(
-    train_ds: Dataset,
-    test_ds: Dataset,
-    cfg: ModelConfig,
-    c_prime_list: list[int],
-    trace_every: int = 1,
-) -> dict:
-    """Train once per truncation size with identical seed and initial weights.
-
-    Returns {c_prime: (report, W, R)}.  The runs share their init with no
-    runtime check: ``init_weights`` reads only C, K, A, the data and an rng
-    seeded from ``cfg.seed``, none of which C' changes.
-    """
-    check_c_prime_list(c_prime_list, cfg.C)
-    return {cp: train(train_ds, test_ds, replace(cfg, C_prime=cp), trace_every=trace_every)
-            for cp in c_prime_list}
 
 
 def _scale_panel(values: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ class FreeEnergyTrace:
 
     def assert_monotone(self):
         for (_, a), (it, b) in zip(self.entries, self.entries[1:]):
-            if b < a - MONOTONE_RSLACK * abs(a):
+            if not b >= a - MONOTONE_RSLACK * abs(a):  # a NaN at either end fails too
                 raise MonotonicityError(
                     f"free energy fell from {a!r} to {b!r} at trace index {it}"
                 )
@@ -73,8 +73,9 @@ def _update_rows(
 def update_bottom(
     W: BottomWeights, logw: np.ndarray, support: np.ndarray, probs: np.ndarray, y: np.ndarray,
     eps_W: float, Y_later: np.ndarray, I_later: np.ndarray,
-) -> BottomWeights:
-    """One Hebbian step on the bottom layer, in place, with its ``log W`` refresh.
+) -> None:
+    """One Hebbian step on the bottom layer, in place, with its ``log W`` refresh;
+    returns nothing.
 
     W_cd <- (1 - eps*s_c) W_cd + eps*s_c * y_d for the support rows only,
     where ``probs`` holds s on ``support`` (distinct indices); rows outside
@@ -110,13 +111,12 @@ def update_bottom(
         log_rows, I_rows = np.empty_like(rows), np.empty((len(I_later), support.size))
         _update_rows(rows, log_rows, es, y, Y_later, I_rows)
         w[support], logw[support], I_later[:, support] = rows, log_rows, I_rows
-    return W
 
 
 def update_top(
     R: TopWeights, t: np.ndarray, support: np.ndarray, probs: np.ndarray, eps_R: float
-) -> TopWeights:
-    """One Hebbian step on the top layer, in place.
+) -> None:
+    """One Hebbian step on the top layer, in place; returns nothing.
 
     R_kc <- R_kc + eps*t_k*(s_c - R_kc), where ``probs`` holds s on
     ``support`` (distinct indices).  The decay term is dense in c (zero s_c
@@ -134,10 +134,9 @@ def update_top(
         k = hit[0]
         r[k] *= 1.0 - et[k]
         r[k, support] += et[k] * probs
-        return R
-    r *= (1.0 - et)[:, None]
-    r[:, support] += np.outer(et, probs)
-    return R
+    else:
+        r *= (1.0 - et)[:, None]
+        r[:, support] += np.outer(et, probs)
 
 
 def _support_lse(I, s, row_sums, lgamma_sums, probs=None) -> np.ndarray:
@@ -159,15 +158,17 @@ def _support_lse(I, s, row_sums, lgamma_sums, probs=None) -> np.ndarray:
 def free_energy(Y, W: BottomWeights, sets, lgamma_sums) -> float:
     """Truncated free energy: per point, log-sum-exp of the support joints.
 
-    ``sets`` must be an (N, C') index matrix in [0, C), or ValueError is
-    raised; ``lgamma_sums`` holds sum_d lgamma(y_d + 1) per row of ``Y``, as
-    ``Dataset.lgamma_sums`` does.  No points give 0.0.  Each row block of
-    activations is reduced in cache (``inference._activation_blocks``); the
-    per-point vector is summed once, in order."""
+    ``sets`` must be an (N, C') index matrix in [0, C) and ``lgamma_sums`` an
+    (N,) vector of sum_d lgamma(y_d + 1) per row of ``Y``, as in
+    ``Dataset.lgamma_sums``, or ValueError is raised.  No points give 0.0.
+    Each row block of activations is reduced in cache
+    (``inference._activation_blocks``); the per-point vector is summed once, in order."""
     if sets.ndim != 2 or len(sets) != len(Y):
         raise ValueError(f"sets {sets.shape} must be an (N={len(Y)}, C') index matrix")
     if sets.size and (sets.min() < 0 or sets.max() >= W.C):
         raise ValueError("support indices out of range")
+    if np.shape(lgamma_sums) != (len(Y),):
+        raise ValueError(f"lgamma_sums {np.shape(lgamma_sums)} must be (N={len(Y)},)")
     row_sums = W.W.sum(axis=1)
     per_point = np.empty(len(sets))
 
@@ -186,6 +187,8 @@ def _tv_em_pass(Y, W: BottomWeights, c_prime: int, lgamma_sums, prev_sets=None):
     N, C = len(Y), W.C
     if not 1 <= c_prime <= C:
         raise ValueError(f"c_prime must lie in [1, {C}], got {c_prime}")
+    if np.shape(lgamma_sums) != (N,):
+        raise ValueError(f"lgamma_sums {np.shape(lgamma_sums)} must be (N={N},)")
     row_sums = W.W.sum(axis=1)
     sets = (np.broadcast_to(np.arange(C), (N, C)) if c_prime == C
             else np.empty((N, c_prime), dtype=np.intp))

@@ -123,6 +123,20 @@ class TestCompareAndTools:
         }
         assert len(hashes) == 1
 
+    def test_each_compare_run_equals_a_train_run_at_its_c_prime(self, workspace):
+        flags = ("--labels-per-class", "5", "--seed", "3")
+        args = train_args(workspace, workspace / "cmp", flags)
+        assert main(["compare", "--cprime-list", "2,C", *args[1:]]) == 0
+        for cp in (2, 6):
+            (workspace / f"cfg{cp}.json").write_text(json.dumps({**CFG, "C_prime": cp}))
+            args = train_args(workspace, workspace / f"run{cp}", flags)
+            args[args.index("--config") + 1] = str(workspace / f"cfg{cp}.json")
+            assert main(args) == 0
+            for name in ("report.json", "W.npy", "R.npy", "config.json",
+                         "free_energy.csv", "test_error.csv"):
+                assert ((workspace / "cmp" / f"cprime_{cp}" / name).read_bytes()
+                        == (workspace / f"run{cp}" / name).read_bytes()), (cp, name)
+
     def test_bad_cprime_entry_is_usage_error_before_data_is_read(self, workspace, capsys):
         args = train_args(workspace, workspace / "cmp")
         args[0] = "compare"
@@ -574,7 +588,7 @@ class TestExitCodes:
         def no_training(*args, **kwargs):
             raise AssertionError("a run was trained before the C' list was checked")
 
-        monkeypatch.setattr(harness, "train", no_training)
+        monkeypatch.setattr(cli, "train", no_training)
         args = train_args(workspace, workspace / "cmp")
         args[0] = "compare"
         assert main(args[:1] + ["--cprime-list", "2,9,0"] + args[1:]) == 1

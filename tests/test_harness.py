@@ -12,7 +12,6 @@ from truncmix.data import Dataset, generate_mixture, preprocess, subsample_label
 from truncmix.harness import (
     _class_scores,
     aggregate,
-    compare_truncation,
     evaluate,
     export_weight_grid,
     load_weights,
@@ -211,27 +210,13 @@ class TestTrain:
         assert report.test_errors[-1] < report.test_errors[0]
         assert report.n_labeled == 16
 
-
-class TestCompareTruncation:
-    def test_shared_initial_state(self):
-        train_ds, test_ds, cfg = small_problem()
-        results = compare_truncation(train_ds, test_ds, cfg, [1, 2, 6], trace_every=1)
-        hashes = {r.init_hash for r, _, _ in results.values()}
-        assert len(hashes) == 1
-        assert set(results) == {1, 2, 6}
-
-    def test_single_full_setting_reduces_to_train(self):
-        train_ds, test_ds, cfg = small_problem()
-        results = compare_truncation(train_ds, test_ds, cfg, [6])
-        direct, _, _ = train(train_ds, test_ds, replace(cfg, C_prime=6))
-        assert results[6][0].to_json() == direct.to_json()
-
     def test_epoch_zero_free_energy_ordering(self):
         # At shared initial weights, the full-support free energy is the
         # data log-likelihood and dominates every truncated value.
         train_ds, test_ds, cfg = small_problem()
-        results = compare_truncation(train_ds, test_ds, replace(cfg, epochs=0), [1, 2, 6])
-        f0 = {cp: r.trace.entries[0][1] for cp, (r, _, _) in results.items()}
+        reports = {cp: train(train_ds, test_ds, replace(cfg, epochs=0, C_prime=cp))[0]
+                   for cp in (1, 2, 6)}
+        f0 = {cp: r.trace.entries[0][1] for cp, r in reports.items()}
         assert f0[6] >= f0[2] >= f0[1]
 
 

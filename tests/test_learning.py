@@ -502,6 +502,18 @@ class TestFreeEnergy:
         with pytest.raises(ValueError, match=match):
             free_energy(Y, W, sets, lg)
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_rejects_lgamma_sums_of_another_length(self, extra):
+        # A longer vector was read only up to N, so F came out wrong with no
+        # error; a shorter one failed in numpy's broadcasting.
+        rng = np.random.default_rng(26)
+        W = random_weights(rng, 12, 9, 20.0)
+        Y = random_observations(rng, 300, 9, 20.0)
+        lg = lgamma_sums(random_observations(rng, 300 + extra, 9, 20.0))
+        match = rf"^lgamma_sums \({300 + extra},\) must be \(N=300,\)$"
+        with pytest.raises(ValueError, match=match):
+            free_energy(Y, W, batch_e_step(Y, W, 3), lg)
+
     @pytest.mark.parametrize("sets_from", ["given", "e_step"])
     def test_full_sets_peak_is_one_activation_matrix_plus_blocks(self, sets_from):
         # The unblocked pass peaked at about seven (N, C) arrays, I included.
@@ -848,6 +860,30 @@ class TestTvEm:
         with pytest.raises(MonotonicityError) as e:
             trace.assert_monotone()
         assert str(e.value) == "free energy fell from -10.0 to -11.5 at trace index 2"
+
+    @pytest.mark.parametrize("values", [
+        [math.nan, -10.0],
+        [-10.0, math.nan],
+        [-10.0, math.nan, -50.0],  # holds a fall of 40
+    ])
+    def test_nan_in_the_trace_raises(self, values):
+        trace = FreeEnergyTrace()
+        for it, v in enumerate(values, start=1):
+            trace.append(it, v)
+        with pytest.raises(MonotonicityError, match="trace index 2"):
+            trace.assert_monotone()
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_rejects_lgamma_sums_of_another_length(self, extra):
+        ds, _ = self.make_data(27)
+        W = random_weights(np.random.default_rng(27), 6, 12, 48.0)
+        lg = np.append(ds.lgamma_sums, 0.0) if extra > 0 else ds.lgamma_sums[:-1]
+        match = rf"^lgamma_sums \({300 + extra},\) must be \(N=300,\)$"
+        with pytest.raises(ValueError, match=match):
+            run_tv_em(ds.Y, W, 2, 1, lg)
+        E = unfused_e_step(ds.Y, W, 2, ds.lgamma_sums)
+        with pytest.raises(ValueError, match=match):
+            tv_em_iteration(ds.Y, W, E, 2, lg)
 
 
 def eager_farthest_point(Y, clusters, rng):

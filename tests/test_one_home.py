@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "truncmix"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "truncmix"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -31,6 +32,22 @@ def bound_names(statements) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def referenced_names(node) -> set[str]:
+    """Names that ``node`` reads: plain names, attributes, imported names and
+    identifier strings (``getattr(module, "name")``)."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names |= {a.name for a in n.names}
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            names.add(n.value)
     return names
 
 
@@ -71,3 +88,24 @@ def test_package_root_binds_only_version_and_pins_blas_first():
     imported = {a.name for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))
                 for a in n.names}
     assert imported == {"os"}
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # A name counts as reached when a top-level statement of src/ other than
+    # the one defining it, or any file of perfbench/ or tools/, reads it; the
+    # match is by name.  Dunder names such as __version__ are metadata.
+    statements = [(path, node, referenced_names(node)) for path in MODULES
+                  for node in parse(path).body]
+    outside = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")):
+        outside |= referenced_names(parse(path))
+    unreached = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, node, _ in statements
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in sorted(bound_names([node]))
+        if not name.startswith("_")
+        and name not in outside
+        and not any(name in refs for _, other, refs in statements if other is not node)
+    ]
+    assert not unreached, f"public but read only by tests, if at all: {unreached}"
