@@ -197,31 +197,29 @@ _RAW_FAULTS = ("raw input has non-finite components", "raw input has negative co
 
 
 def normalize_input(raw, A: float) -> np.ndarray:
-    """Rescale nonnegative raw intensities to a fixed mass A.
+    """Rescale each row of (N, D) nonnegative raw intensities to mass A.
 
-    y_d = (A - D) * raw_d / sum(raw) + 1, applied along the last axis.  The
-    output sums to A and every component is >= 1, which keeps Poisson rates
-    learned from such data strictly positive.  Per row block of
-    ``inference._row_blocks``, on both threads where there is a worker,
-    ``raw`` is cast into its slice of the float64 output, checked and
-    rescaled in place, with the bits of one pass over the whole array.  A
-    block with a faulty row is left unscaled.  Of the ``_RAW_FAULTS`` that
-    some row has (a non-finite or a negative entry, zero mass, a row sum or
-    a scaled entry beyond float64), the first is a DataError naming its
-    first row over all blocks (a single D-vector is not named).
+    y_nd = (A - D) * raw_nd / sum_d(raw_nd) + 1.  Each output row sums to A
+    and every component is >= 1, which keeps Poisson rates learned from such
+    data strictly positive.  Per row block of ``inference._row_blocks``, on
+    both threads where there is a worker, ``raw`` is cast into its slice of
+    the float64 output, checked and rescaled in place, with the bits of one
+    pass over the whole array.  A block with a faulty row is left unscaled.
+    Of the ``_RAW_FAULTS`` that some row has (a non-finite or a negative
+    entry, zero mass, a row sum or a scaled entry beyond float64), the first
+    is a DataError naming its first row over all blocks.
     """
     x = np.asarray(raw)
     y = np.empty(x.shape)
-    D = y.shape[-1]
+    n, D = y.shape
     if A <= D:
         raise DataError("A must exceed D")
-    n = math.prod(y.shape[:-1])
-    xs, ys, scale = x.reshape(n, D), y.reshape(n, D), A - D
+    scale = A - D
     found = []  # per faulty block, its first row of each fault, or n
 
     def block(lo, hi):
-        b = ys[lo:hi]
-        b[...] = xs[lo:hi]
+        b = y[lo:hi]
+        b[...] = x[lo:hi]
         # The scaled row sums and the min check the entries; masks only
         # name the rows.  A nonnegative entry overflows when scaled only
         # where its row sum does.
@@ -242,7 +240,7 @@ def normalize_input(raw, A: float) -> np.ndarray:
     _row_blocks(block, n)
     for what, first in zip(_RAW_FAULTS, np.min(found, axis=0) if found else ()):
         if first < n:
-            raise DataError(what if x.ndim == 1 else f"{what} at index {first}")
+            raise DataError(f"{what} at index {first}")
     return y
 
 

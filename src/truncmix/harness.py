@@ -149,12 +149,12 @@ def train(
     init_hash = hashlib.sha256(W.W.tobytes() + R.R.tobytes()).hexdigest()
 
     trace = FreeEnergyTrace()
-    lgam = train_ds.lgamma_sums
 
     def record_trace(epoch: int):
         if trace_every == 0:
             return
         if epoch % trace_every == 0 or epoch == cfg.epochs:
+            lgam = train_ds.lgamma_sums  # cached on the Dataset after the first trace
             sets = batch_e_step(train_ds.Y, W, cfg.C_prime)
             trace.append(epoch, free_energy(train_ds.Y, W, sets, lgam))
 

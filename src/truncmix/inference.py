@@ -10,9 +10,9 @@ clusters, ranking clusters by log joint is the same as ranking them by the
 linear activation I_c = sum_d log(W_cd) * y_d.  Truncated inference keeps the
 C' largest activations and renormalizes the posterior on that support.
 
-The functions here operate on the last axis, so a single call handles one
-observation or a whole batch; ``truncated_posterior`` takes one observation.
-All but the two ``*_inplace`` functions are pure.
+``integrate`` takes an (N, D) batch and ``truncated_posterior`` one
+observation; the others work along the last axis of either.  All but the
+two ``*_inplace`` functions are pure.
 
 A 2-D batch pass runs in fixed blocks of ``_ROW_BLOCK`` rows.  Where the
 process may run on at least 2 CPUs, the calling thread takes the first half
@@ -166,18 +166,16 @@ def _activation_blocks(W: BottomWeights, Y: np.ndarray, consume, out=None):
     _row_blocks(block, len(Y))
 
 
-def integrate(W: BottomWeights, y: np.ndarray) -> np.ndarray:
-    """Log-domain input integration: I_c = sum_d log(W_cd) * y_d.
+def integrate(W: BottomWeights, Y: np.ndarray) -> np.ndarray:
+    """Log-domain input integration: I_nc = sum_d log(W_cd) * Y_nd.
 
-    ``y`` is a D-vector (a one-row batch) or an (N, D) batch; returns (C,) or
-    (N, C), which ``_activation_blocks`` writes block by block.  Its blocks
-    are fixed and padded, so a point's activations do not depend on the CPU
-    count, nor, at C mod 8 == 0, on its batch; at other C its last bits may
-    (see ``_block_matmul``)."""
-    Y = np.atleast_2d(y)
+    ``Y`` is an (N, D) batch; returns (N, C), which ``_activation_blocks``
+    writes block by block.  Its blocks are fixed and padded, so a point's
+    activations do not depend on the CPU count, nor, at C mod 8 == 0, on its
+    batch; at other C its last bits may (see ``_block_matmul``)."""
     I = np.empty((len(Y), W.C))
     _activation_blocks(W, Y, lambda lo, hi, block: None, out=I)
-    return I if y.ndim == 2 else I[0]
+    return I
 
 
 def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:

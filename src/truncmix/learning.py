@@ -209,18 +209,17 @@ def _tv_em_pass(Y, W: BottomWeights, c_prime: int, lgamma_sums, prev_sets=None):
 def batch_e_step(Y, W: BottomWeights, c_prime: int) -> np.ndarray:
     """Per-point truncation sets holding the clusters of largest log joint.
 
-    Returns an (N, c_prime) index matrix.  Among all equal-size supports this
-    choice maximizes the free energy at fixed weights, because the log joint
-    ranking equals the activation ranking for mass-normalized rows.  At
-    C'=C every set holds all C clusters, whatever the activations, so none
-    are computed: ``select_truncation`` gets a zero-stride stand-in of their
-    shape, and of ``Y`` only D is checked.
+    ``Y`` is an (N, D) batch; returns an (N, c_prime) index matrix.  Among
+    all equal-size supports this choice maximizes the free energy at fixed
+    weights, because the log joint ranking equals the activation ranking for
+    mass-normalized rows.  At C'=C every set holds all C clusters, whatever
+    the activations, so none are computed: ``select_truncation`` gets a
+    zero-stride stand-in of their shape.
     """
-    if c_prime != W.C:
-        return select_truncation(integrate(W, Y), c_prime)
-    if Y.shape[-1] != W.D:
-        raise ValueError(f"Y has D={Y.shape[-1]}, W has D={W.D}")
-    return select_truncation(np.broadcast_to(0.0, Y.shape[:-1] + (W.C,)), c_prime)
+    if Y.shape[1] != W.D:
+        raise ValueError(f"Y has D={Y.shape[1]}, W has D={W.D}")
+    I = integrate(W, Y) if c_prime != W.C else np.broadcast_to(0.0, (len(Y), W.C))
+    return select_truncation(I, c_prime)
 
 
 def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, int]:

@@ -102,7 +102,7 @@ def test_criterion_03_criterion_equivalence():
             W.W[1] = W.W[0]  # exact duplicate rows force ties on both sides
             W.W[3] = W.W[2]
         y = random_observations(rng, 1, D, A)[0]
-        I = integrate(W, y)
+        I = integrate(W, y[None])[0]
         lj = np.array([log_joint(W.W[c], y, C) for c in range(C)])
         a = np.argsort(-I, kind="stable")
         b = np.argsort(-lj, kind="stable")

@@ -76,7 +76,7 @@ class TestEvaluate:
         batch = predict_batch(ds.Y, W, R, 3)
         mix = normalized_columns(R.R)
         for n in range(ds.N):
-            I = integrate(W, ds.Y[n])
+            I = integrate(W, ds.Y[n : n + 1])[0]
             sup = select_truncation(I, 3)
             assert batch[n] == np.argmax(class_activation(sup, truncated_posterior(I, sup), mix))
 
@@ -149,6 +149,11 @@ class TestTrain:
         assert [it for it, _ in report.trace.entries] == [0, 2, 3]
         report, _, _ = train(train_ds, test_ds, cfg, trace_every=0)
         assert report.trace.entries == []
+        # Without a trace nothing reads the per-point lgamma sums, so the
+        # pass that computes them does not run.
+        train_ds, test_ds, cfg = small_problem()
+        train(train_ds, test_ds, cfg, trace_every=0)
+        assert "lgamma_sums" not in train_ds.__dict__
 
     def test_full_truncation_trace_pass_is_one_gemm_pass(self, monkeypatch):
         # At C'=C the E-step computes no activations, so a trace pass runs

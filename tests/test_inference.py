@@ -34,19 +34,19 @@ def naive_posterior(values):
 
 class TestNormalizeInput:
     def test_uniform_raw_gives_constant_output(self):
-        y = normalize_input(np.full(784, 37.0), 900.0)
+        y = normalize_input(np.full((1, 784), 37.0), 900.0)
         np.testing.assert_allclose(y, 900.0 / 784, rtol=1e-14)
         np.testing.assert_allclose(y.sum(), 900.0, rtol=1e-12)
 
     def test_one_hot_raw(self):
         raw = np.zeros(784)
         raw[0] = 5.0
-        y = normalize_input(raw, 900.0)
+        y = normalize_input(raw[None], 900.0)[0]
         assert y[0] == pytest.approx(900.0 - 784.0 + 1.0, rel=1e-15)
         assert np.all(y[1:] == 1.0)
 
     def test_hand_evaluated_example(self):
-        np.testing.assert_allclose(normalize_input([2.0, 6.0], 10.0), [3.0, 7.0], rtol=1e-15)
+        np.testing.assert_allclose(normalize_input([[2.0, 6.0]], 10.0)[0], [3.0, 7.0], rtol=1e-15)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     def test_bit_identical_to_formula_and_input_untouched(self, dtype):
@@ -73,7 +73,7 @@ class TestNormalizeInput:
 
     def test_zero_mass_rejected(self):
         with pytest.raises(DataError, match="zero total mass"):
-            normalize_input(np.zeros(5), 10.0)
+            normalize_input(np.zeros((1, 5)), 10.0)
 
     def test_batch_zero_row_names_index(self):
         raw = np.ones((4, 5))
@@ -83,7 +83,7 @@ class TestNormalizeInput:
 
     def test_negative_rejected(self):
         with pytest.raises(DataError, match="negative"):
-            normalize_input([1.0, -0.5], 10.0)
+            normalize_input([[1.0, -0.5]], 10.0)
 
     @pytest.mark.parametrize("bad,message", [
         (np.nan, "non-finite components at index 1"),
@@ -102,7 +102,7 @@ class TestNormalizeInput:
 
     def test_mass_not_above_dimension_rejected(self):
         with pytest.raises(DataError, match="A must exceed D"):
-            normalize_input(np.ones(5), 5.0)
+            normalize_input(np.ones((1, 5)), 5.0)
 
     def test_output_invariants_random(self):
         rng = np.random.default_rng(11)
@@ -124,19 +124,19 @@ class TestIntegrate:
     def test_uniform_rows_give_constant_activation(self):
         A, D = 900.0, 784
         W = BottomWeights(np.full((5, D), A / D), A)
-        y = normalize_input(np.full(D, 3.0), A)
+        y = normalize_input(np.full((1, D), 3.0), A)
         I = integrate(W, y)
         np.testing.assert_allclose(I, A * math.log(A / D), rtol=1e-12)
 
     def test_unit_weights_give_zero(self):
         W = BottomWeights(np.ones((1, 2)), 2.0)
-        assert integrate(W, np.array([1.0, 1.0]))[0] == 0.0
+        assert integrate(W, np.array([[1.0, 1.0]]))[0, 0] == 0.0
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(3)
         W = random_weights(rng, 3, 4, 9.0)
         y = random_observations(rng, 1, 4, 9.0)[0]
-        I = integrate(W, y)
+        I = integrate(W, y[None])[0]
         oracle = np.zeros(3)
         for c in range(3):
             for d in range(4):
@@ -149,9 +149,9 @@ class TestIntegrate:
         Y = random_observations(rng, 7, 5, 12.0)
         I = integrate(W, Y)
         for n in range(7):
-            np.testing.assert_allclose(I[n], integrate(W, Y[n]), rtol=1e-14)
+            np.testing.assert_allclose(I[n], integrate(W, Y[n : n + 1])[0], rtol=1e-14)
 
-    @pytest.mark.parametrize("shape", [(2,), (1, 2)], ids=["point", "batch"])
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2)], ids=["point", "batch"])
     def test_nonfinite_activation_rejected(self, shape):
         # A short block's pad rows must not turn the -inf of log 0 into a
         # NaN warning (0 * -inf) before the finiteness check names it.
@@ -542,7 +542,7 @@ class TestLogJoint:
             A = 2.0 * D
             W = random_weights(rng, C, D, A)
             y = random_observations(rng, 1, D, A)[0]
-            I = integrate(W, y)
+            I = integrate(W, y[None])[0]
             lj = np.array([log_joint(W.W[c], y, C) for c in range(C)])
             np.testing.assert_array_equal(
                 np.argsort(-I, kind="stable"), np.argsort(-lj, kind="stable")

@@ -556,11 +556,13 @@ class TestBatchESet:
         assert peak < 0.25 * N * C * 8
         assert np.array_equal(sets, np.tile(np.arange(C), (N, 1)))
 
-    @pytest.mark.parametrize("c_prime", [2, 5])
+    @pytest.mark.parametrize("c_prime", [1, 2, 3, 5])
     def test_dimension_mismatch_raises(self, c_prime):
+        # One check before any activation is computed: below C'=C too, the
+        # message is the E-step's, not numpy's matmul error.
         rng = np.random.default_rng(21)
         W = random_weights(rng, 5, 4, 9.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^Y has D=3, W has D=4$"):
             batch_e_step(random_observations(rng, 6, 3, 9.0), W, c_prime)
 
     def test_matches_exhaustive_enumeration(self):

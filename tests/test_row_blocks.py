@@ -142,9 +142,9 @@ def test_class_scores_do_not_depend_on_batch_size(C, c_prime):
     # one; inside the batch they sit in a full block.  On this BLAS a 44-row
     # GEMM rounds differently from a 256-row one at C=15 and 401 (at C=400
     # only below 3 rows), and a 6000-row product differently again, so only
-    # fixed, padded blocks give equal activations and scores.  A single
-    # point is the first row of a padded one-row batch, so its activations
-    # equal its batch row's.  Not tested: rows 252-255 of a block, whose last
+    # fixed, padded blocks give equal activations and scores.  A one-row
+    # batch is padded alike, so a point's activations alone equal its batch
+    # row's.  Not tested: rows 252-255 of a block, whose last
     # C mod 8 columns this BLAS rounds differently from the block's other
     # rows at C >= 398.
     rng = np.random.default_rng(7)
@@ -154,7 +154,7 @@ def test_class_scores_do_not_depend_on_batch_size(C, c_prime):
     I = integrate(W, Y)
     assert integrate(W, Y[:300]).tobytes() == I[:300].tobytes()
     for n in (0, 1, 43, 251, 256, 299, 5999):
-        assert integrate(W, Y[n]).tobytes() == I[n].tobytes()
+        assert integrate(W, Y[n : n + 1])[0].tobytes() == I[n].tobytes()
     alone = _class_scores(Y[:300], W, R, c_prime)
     inside = _class_scores(Y, W, R, c_prime)[:300]
     assert alone.tobytes() == inside.tobytes()
@@ -188,7 +188,7 @@ def test_normalize_and_dataset_write_equal_bytes(worker, monkeypatch, N, kind):
 
 @pytest.mark.parametrize("D", [1, 5, 784])
 def test_normalize_one_point_equals_formula(worker, D):
-    raw = np.random.default_rng(D).uniform(0.0, 9.0, size=D)
+    raw = np.random.default_rng(D).uniform(0.0, 9.0, size=(1, D))
     assert normalize_input(raw, 2.5 * D).tobytes() == unblocked_normalize(raw, 2.5 * D).tobytes()
     assert worker.submitted == 0
 
