@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .classifier import bvsb, class_activation, normalized_columns
 from .core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
@@ -249,6 +248,7 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
         raise ValueError("support indices out of range")
     if not np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
         raise ValueError("every posterior must sum to 1")
+    from scipy.sparse import csr_array  # here, so only a TV-EM run loads scipy
     # Truncated expectations: S holds s_c per point, zero off the support.
     indptr = np.arange(N + 1) * supports.shape[1]
     S = csr_array((probs.ravel(), supports.ravel(), indptr), shape=(N, C))

@@ -957,3 +957,41 @@ def test_numpy_first_caller_gets_pinned_bits(tmp_path, job):
     if job in ("scores", "online"):
         assert "blas after 2" in results["numpy-first"][0]
     assert results["pinned"][1][0] == results["numpy-first"][1][0]
+
+
+# Trains at C'=2 and C'=C through cli.main in a fresh interpreter, prints
+# the scipy modules then loaded, then runs run_tv_em on the same data and
+# prints whether scipy.sparse is loaded.  argv: the output directory, the
+# C'=C config, then the C'=2 train options without --out.
+IMPORT_SCRIPT = """
+import sys
+from truncmix.cli import main
+out, full, *args = sys.argv[1:]
+assert main([*args, "--out", out + "-c2"]) == 0
+args[args.index("--config") + 1] = full
+assert main([*args, "--out", out + "-full"]) == 0
+print("scipy after train:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+import numpy as np
+from truncmix.data import load_idx, preprocess
+from truncmix.learning import init_from_data, run_tv_em
+ds = preprocess(load_idx(args[args.index("--images") + 1], args[args.index("--labels") + 1]),
+                32.0, 4)
+run_tv_em(ds.Y, init_from_data(ds.Y, 6, 32.0, np.random.default_rng(0)), 2, 3, ds.lgamma_sums)
+print("scipy.sparse after run_tv_em:", "scipy.sparse" in sys.modules)
+"""
+
+
+def test_online_run_loads_no_scipy(workspace):
+    # An online run needs numpy alone: lgamma_sums is numpy's, and only the
+    # TV-EM M-step imports scipy.sparse.
+    (workspace / "full.json").write_text(json.dumps({**CFG, "C_prime": CFG["C"]}))
+    src = str(Path(truncmix.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SCRIPT, str(workspace / "run"), str(workspace / "full.json"),
+         *train_args(workspace, "unused")[:-2]],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        "scipy after train: []", "scipy.sparse after run_tv_em: True"]

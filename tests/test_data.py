@@ -10,6 +10,7 @@ from truncmix.core import DataError
 from truncmix.data import (
     Dataset,
     UNLABELED,
+    _lgamma1p,
     generate_mixture,
     load_csv,
     load_idx,
@@ -210,7 +211,31 @@ class TestPreprocess:
         # 513 rows: the last 256-row block holds one row.  Bit for bit.
         raw, _ = generate_mixture(3, 150, 513, seed=2)
         ds = preprocess(raw, 600.0, K=3)
-        assert np.array_equal(ds.lgamma_sums, gammaln(ds.Y + 1.0).sum(axis=1))
+        assert np.array_equal(ds.lgamma_sums, _lgamma1p(ds.Y).sum(axis=1))
+
+    def test_lgamma_entries_match_scipy(self):
+        rng = np.random.default_rng(11)
+        y = np.concatenate([rng.uniform(1.0, 20.0, 200_000),
+                            np.exp(rng.uniform(0.0, np.log(1e6), 200_000)), [1.0, 9.0, 1e6]])
+        ref = gammaln(y + 1.0)
+        assert np.all(np.abs(_lgamma1p(y) - ref) <= 2e-14 * np.maximum(1.0, np.abs(ref)))
+
+    def test_lgamma_is_inf_where_scipy_is(self):
+        # gammaln(y + 1) overflows between y = 2.55e305 and 2.56e305.
+        y = np.array([1e30, 1e300, 2.55e305, 2.56e305, 2.57e305, 1e306, 1.7e308])
+        ref = gammaln(y + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _lgamma1p(y)
+        assert np.array_equal(np.isinf(got), np.isinf(ref)) and np.isinf(ref).sum() == 4
+        finite = np.isfinite(ref)
+        assert np.allclose(got[finite], ref[finite], rtol=2e-14, atol=0.0)
+
+    def test_lgamma_row_sums_match_scipy(self):
+        raw, _ = generate_mixture(4, 200, 700, seed=6)
+        ds = preprocess(raw, 900.0, K=4)
+        ref = gammaln(ds.Y + 1.0).sum(axis=1)
+        assert np.allclose(ds.lgamma_sums, ref, rtol=1e-13, atol=0.0)
 
     def test_lgamma_peak_is_output_plus_two_blocks(self):
         raw, _ = generate_mixture(3, 64, 4000, seed=4)
