@@ -68,10 +68,8 @@ def _class_scores(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
     C'=C the block's supports are gathered and normalized, and the
     posteriors scattered into the zeroed block; at C'=C the support is every
     cluster, so the block takes its row softmax directly.  The block's scores
-    follow.  As in ``integrate``, a short last block's GEMM is padded to a
-    full block (``inference._block_matmul``), so a point's scores depend on
-    its own row and the weights alone, not on the size of its batch, at
-    C mod 8 == 0 (at other C their last bits may; see ``_block_matmul``).
+    follow, through ``inference._block_matmul`` as in ``integrate``, so a
+    point's scores depend on its own row and the weights alone.
     """
     mix_T = normalized_columns(R.R).T  # (C, K)
     scores = np.empty((Y.shape[0], R.K))

@@ -31,7 +31,10 @@ import numpy as np
 from .core import BottomWeights, DataError
 
 
-_ROW_BLOCK = 256  # row block of the batch passes over the data: bounds their scratch memory
+# Row block of the batch passes: bounds their scratch memory.  252 = 21 tiles of 12 rows:
+# OpenBLAS 0.3.31's SkylakeX DGEMM rounds every row alike at any C only at 8 or 12k rows
+# (rotating the rows of a C=401 GEMM moved bits at every other count in 8-396, 256 too).
+_ROW_BLOCK = 252
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -89,12 +92,8 @@ def _block_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     A GEMM rounds a row alike only at equal row counts, so a short block is
     padded to a full one with copies of its first row, which raise no
     floating-point flag it does not (zero rows give 0 * -inf where ``log W``
-    holds -inf): each row of ``out`` depends on its own row of ``a`` and on
-    ``b`` alone, not on the size of its batch.  Except where ``b`` has a
-    column count C with C mod 8 != 0: there OpenBLAS 0.3.31 (SkylakeX
-    kernels, AVX-512) rounds the last C mod 8 columns of a block's last rows
-    apart from its others (rows 252-255 at C near 400), so a row's bits
-    depend on its place in its block, and so on the batch's start and size.
+    holds -inf), and a full block rounds all its rows alike: each row of
+    ``out`` depends on its own row of ``a`` and on ``b`` alone.
     """
     m = len(a)
     if m == _ROW_BLOCK:
@@ -150,7 +149,9 @@ def _activation_blocks(W: BottomWeights, Y: np.ndarray, consume, out=None):
     """Hand each ``_ROW_BLOCK``-row block's activations to ``consume(lo, hi, I)``
     through ``_row_blocks``.  log W is taken once.  Each block's padded GEMM
     (``_block_matmul``) goes into a block of its own, or into ``out[lo:hi]``,
-    and is checked while in cache."""
+    and is checked while in cache.  A ``Y`` of another D raises ValueError."""
+    if Y.shape[1] != W.D:
+        raise ValueError(f"Y has D={Y.shape[1]}, W has D={W.D}")
     with np.errstate(divide="ignore"):
         logw = np.log(W.W)
 
@@ -171,30 +172,31 @@ def integrate(W: BottomWeights, Y: np.ndarray) -> np.ndarray:
 
     ``Y`` is an (N, D) batch; returns (N, C), which ``_activation_blocks``
     writes block by block.  Its blocks are fixed and padded, so a point's
-    activations do not depend on the CPU count, nor, at C mod 8 == 0, on its
-    batch; at other C its last bits may (see ``_block_matmul``)."""
+    activations depend on neither the CPU count nor its batch."""
     I = np.empty((len(Y), W.C))
     _activation_blocks(W, Y, lambda lo, hi, block: None, out=I)
     return I
 
 
 def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
-    """Indices of the ``c_prime`` largest entries along the last axis.
+    """Indices of the ``c_prime`` largest entries of a C-vector, or of each
+    row of an (N, C) batch; any other shape raises ValueError.
 
     Ties go to the smaller index and the indices are ascending, so the
-    result is a deterministic function of I, of shape I.shape[:-1] +
-    (c_prime,).  I must be NaN-free, as every caller checks (a NaN would
-    rank below every number, as in a stable sort of -I).  One
-    ``np.partition``, which moves values only, gives each row's threshold
-    (its c_prime-th largest value), and the entries at or above it are taken
-    in index order.  When every row has exactly c_prime of them, the sets
-    are unique and are returned as they are; otherwise the first c_prime of
-    a stable descending sort are.  A 2-D batch is selected per
+    result is a deterministic function of I.  I must be NaN-free, as every
+    caller checks (a NaN would rank below every number, as in a stable sort
+    of -I).  One ``np.partition``, which moves values only, gives each row's
+    threshold (its c_prime-th largest value), and the entries at or above it
+    are taken in index order.  When every row has exactly c_prime of them,
+    the sets are unique and are returned as they are; otherwise the first
+    c_prime of a stable descending sort are.  A batch is selected per
     ``_ROW_BLOCK``-row block, on two threads where there is a worker, into
     one compact (N, c_prime) array; a block's sets depend only on its own
     rows.  At c_prime == C the result is a read-only ``arange(C)``,
     broadcast to a batch's shape, and I is not read.
     """
+    if I.ndim not in (1, 2):
+        raise ValueError(f"one point's (C,) activations or an (N, C) batch, got {I.shape}")
     C = I.shape[-1]
     if not 1 <= c_prime <= C:
         raise ValueError(f"c_prime must lie in [1, {C}], got {c_prime}")
@@ -202,7 +204,7 @@ def select_truncation(I: np.ndarray, c_prime: int) -> np.ndarray:
         full = np.arange(C)
         full.flags.writeable = False
         return full if I.ndim == 1 else np.broadcast_to(full, I.shape)
-    if I.ndim != 2:
+    if I.ndim == 1:
         return _select(I, c_prime)
     sets = np.empty((len(I), c_prime), dtype=np.intp)
 

@@ -927,7 +927,7 @@ def run_script_outputs(tmp_path, n, job, runs):
 def test_batch_passes_independent_of_cpu_count(tmp_path, job):
     # Below C'=C the trace pass, the evaluation and every TV-EM pass split
     # their fixed row blocks between two threads only where the process may
-    # use two CPUs.  600 points span three 256-row blocks.
+    # use two CPUs.  600 points span three row blocks of 252, 252 and 96.
     results = run_script_outputs(tmp_path, 600, job, [
         (cpus, os.environ, "truncmix", cpus) for cpus in ("one", "all")])
     assert "serial" in results["one"][0] and "split" in results["all"][0]

@@ -208,8 +208,8 @@ class TestPreprocess:
             Dataset(Y, labels, K, 10.0)
 
     def test_lgamma_cache_matches_direct(self):
-        # 513 rows: the last 256-row block holds one row.  Bit for bit.
-        raw, _ = generate_mixture(3, 150, 513, seed=2)
+        # 2 * _ROW_BLOCK + 1 rows: the last block holds one row.  Bit for bit.
+        raw, _ = generate_mixture(3, 150, 2 * _ROW_BLOCK + 1, seed=2)
         ds = preprocess(raw, 600.0, K=3)
         assert np.array_equal(ds.lgamma_sums, _lgamma1p(ds.Y).sum(axis=1))
 

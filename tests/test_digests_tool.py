@@ -1,7 +1,11 @@
-"""``tools/digests.py`` runs end to end on a tiny draw and is deterministic."""
+"""``tools/digests.py`` runs end to end on a tiny draw, is deterministic, and
+gives this OpenBLAS core's golden digests (``tests/golden_digests.json``)."""
 
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -22,6 +26,60 @@ def test_digests_of_tiny_draw_repeat(tmp_path, monkeypatch):
     assert all(len(h) == 16 and int(h, 16) >= 0 for h in hexes)
     # A second run in a fresh directory prints the same line.
     assert digests.digests(tmp_path / "b") == first
+    want = digests.golden("tiny-draw")
+    if want is None:
+        pytest.skip(f"{digests.GOLDEN.name} has no entry for OpenBLAS core {digests.blas_core()}")
+    lines = digests.differences(first, want, tmp_path / "a")
+    assert lines == [], f"outputs differ from {digests.GOLDEN}: {'; '.join(lines)}"
+
+
+def seed_7_entry() -> dict:
+    """A copy of the committed SkylakeX seed-7 entry."""
+    return json.loads(digests.GOLDEN.read_text())["SkylakeX"]["seed-7"]
+
+
+def test_differences_name_workload_file_and_first_key(tmp_path):
+    want = seed_7_entry()
+    got = seed_7_entry()["digests"]
+    assert digests.differences(got, want, tmp_path) == []
+    # semi-c400's report moved in free_energy and test_errors, and the first
+    # in the file's order is named; semi-c15's differs in its bytes alone.
+    report = {"free_energy": [[0, -1.5]], "seed": 7, "test_errors": [0.5]}
+    for name in ("semi-c15", "semi-c400"):
+        path = tmp_path / name / "report.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(report))
+        want["report_keys"][name] = digests.report_keys(path)
+    want["report_keys"]["semi-c400"].update(free_energy="f" * 16, test_errors="e" * 16)
+    got["semi-c15"]["report.json"] = "4" * 16
+    got["sup-c15"]["R.npy"] = "0" * 16
+    got["semi-c400"]["report.json"] = "1" * 16
+    got["tvem"] = "3" * 16
+    assert digests.differences(got, want, tmp_path) == [
+        f"tvem: tvem_rep digest {'3' * 16} != a7aa9ca5025054f8",
+        f"semi-c15: report.json {'4' * 16} != 08614ebe6868e18f, no key's value differs",
+        f"semi-c400: report.json {'1' * 16} != 019be39f046a6927, first at key 'free_energy'",
+        f"sup-c15: R.npy {'0' * 16} != 8caedfa24a889f2e",
+    ]
+
+
+@pytest.mark.parametrize("edit, status", [(None, 0), ("W.npy", 1), ("core", 1)])
+def test_check_exits_1_on_a_difference(monkeypatch, capsys, edit, status):
+    monkeypatch.setattr(digests, "blas_core", lambda: "Unseen" if edit == "core" else "SkylakeX")
+
+    def run(work):
+        got = seed_7_entry()["digests"]
+        if edit == "W.npy":
+            got["semi-c15"]["W.npy"] = "0" * 16
+        return got
+
+    monkeypatch.setattr(digests, "digests", run)
+    assert digests.main(["--check"]) == status
+    err = capsys.readouterr().err
+    if edit == "W.npy":
+        assert "semi-c15: W.npy" in err
+    if edit == "core":
+        assert "no seed-7 entry for core Unseen" in err
 
 
 def test_blas_core_names_the_kernels():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -346,6 +347,15 @@ class TestSelectTruncation:
             select_truncation(np.zeros(4), 0)
         with pytest.raises(ValueError):
             select_truncation(np.zeros(4), 5)
+
+    @pytest.mark.parametrize("shape, c_prime", [((), 1), ((3, 1, 5), 2), ((3, 1, 5), 5),
+                                                ((2, 2, 2, 3), 1)],
+                             ids=["0-D", "3-D", "3-D-full", "4-D"])
+    def test_only_a_vector_or_a_batch(self, shape, c_prime):
+        # The batch hit test counts len(I) rows, not the product of the
+        # leading axes, so a (3, 1, 5) input would give (3, 2) sets.
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            select_truncation(np.zeros(shape), c_prime)
 
 
 class TestPosteriors:

@@ -453,8 +453,7 @@ class TestFreeEnergy:
 
     @pytest.mark.parametrize("c_prime", [1, 3, 11, 12])
     def test_blocked_equals_unblocked_formula(self, c_prime):
-        # A block holds 256 * C // C' of the 513 points: one block at C' <= 3,
-        # 279 + 234 points at C'=11, and 256 + 256 + 1 at C'=C.
+        # The 513 points span row blocks of 252, 252 and 9 (padded) at every C'.
         rng = np.random.default_rng(18)
         W = random_weights(rng, 12, 9, 20.0)
         Y = random_observations(rng, 513, 9, 20.0)

@@ -3,10 +3,11 @@
 Every pass over more than ``_ROW_BLOCK`` rows runs per block, the first half
 of the blocks on the calling thread and the rest on the worker thread.  The
 blocks, not the CPU count, define the bits: each pass must write the same
-bytes with the worker and without it, and a point's class scores must not
-depend on how many other points share its batch.  The load-time passes
-(``normalize_input`` and the ``Dataset`` checks) run on the same blocks and
-name the same faulty row as one pass over the whole array.
+bytes with the worker and without it, and a point's activations and class
+scores must not depend on its batch: on how many other points share it, or
+where in it the point sits.  The load-time passes (``normalize_input`` and
+the ``Dataset`` checks) run on the same blocks and name the same faulty row
+as one pass over the whole array.
 """
 
 import re
@@ -67,7 +68,7 @@ def run_passes(Y, W, R, c_prime) -> dict:
 
 
 @pytest.mark.parametrize("C, c_prime", [(1, 1), (15, 4), (15, 15), (401, 15), (401, 401)])
-@pytest.mark.parametrize("N", [1, 255, 256, 257, 6000])
+@pytest.mark.parametrize("N", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 255, 256, 257, 6000])
 def test_worker_and_serial_passes_write_equal_bytes(worker, monkeypatch, N, C, c_prime):
     rng = np.random.default_rng(N + C)
     D, A = 12, 36.0
@@ -118,6 +119,21 @@ def test_fused_passes_raise_on_non_finite_row(worker, bad_row, run):
     assert worker.submitted == 1
 
 
+@pytest.mark.parametrize("run", [
+    lambda W, Y: integrate(W, Y),
+    lambda W, Y: free_energy(Y, W, np.zeros((len(Y), 2), dtype=np.intp), lgamma_sums(Y)),
+    lambda W, Y: run_tv_em(Y, W, 2, 3, lgamma_sums(Y)),
+    lambda W, Y: predict_batch(Y, W, TopWeights(np.full((2, 7), 1 / 7)), 2),
+], ids=["integrate", "free_energy", "run_tv_em", "predict_batch"])
+def test_gemm_passes_name_a_dimension_mismatch(run):
+    # One check, before any GEMM, gives the E-step's message, not numpy's.
+    rng = np.random.default_rng(9)
+    W = random_weights(rng, 7, 4, 15.0)
+    Y = random_observations(rng, 20, 5, 15.0)
+    with pytest.raises(ValueError, match=r"^Y has D=5, W has D=4$"):
+        run(W, Y)
+
+
 @pytest.mark.parametrize("serial", [False, True], ids=["worker", "serial"])
 @pytest.mark.parametrize("c_prime", [4, 15])
 def test_class_scores_across_the_chunk_boundary(worker, monkeypatch, c_prime, serial):
@@ -135,29 +151,32 @@ def test_class_scores_across_the_chunk_boundary(worker, monkeypatch, c_prime, se
     assert (worker.submitted > 0) != serial
 
 
-@pytest.mark.parametrize("C, c_prime", [(15, 4), (15, 15), (400, 15), (400, 400), (401, 15),
-                                        (401, 401)])
+def rows_apart(a: np.ndarray, b: np.ndarray) -> list:
+    """Indices of the rows whose bits differ between a and b."""
+    return np.flatnonzero((a.view(np.uint64) != b.view(np.uint64)).any(axis=1)).tolist()
+
+
+@pytest.mark.parametrize("C, c_prime", [(C, c_prime) for C in (1, 7, 15, 399, 400, 401, 409)
+                                        for c_prime in sorted({min(15, C), C})])
 def test_class_scores_do_not_depend_on_batch_size(C, c_prime):
-    # Alone, rows 256-299 form a short last block, which is padded to a full
-    # one; inside the batch they sit in a full block.  On this BLAS a 44-row
-    # GEMM rounds differently from a 256-row one at C=15 and 401 (at C=400
-    # only below 3 rows), and a 6000-row product differently again, so only
-    # fixed, padded blocks give equal activations and scores.  A one-row
-    # batch is padded alike, so a point's activations alone equal its batch
-    # row's.  Not tested: rows 252-255 of a block, whose last
-    # C mod 8 columns this BLAS rounds differently from the block's other
-    # rows at C >= 398.
+    # Alone, rows 0-299 end in a short block, which is padded to a full one,
+    # and a batch that starts at row a puts each row at another place in its
+    # block; a one-row batch is padded alike.  On this BLAS an unpadded
+    # 48-row GEMM rounds every row differently from a full block at C=15,
+    # and a 256-row block rounds its last rows apart from its others at
+    # C mod 8 != 0 near C=400.  Only fixed, padded blocks of _ROW_BLOCK rows,
+    # which round every row alike, give every row equal activations and scores.
     rng = np.random.default_rng(7)
     W = random_weights(rng, C, 784, 900.0)
     R = TopWeights(rng.dirichlet(np.ones(C), size=10))
-    Y = random_observations(rng, 6000, 784, 900.0)
+    Y = random_observations(rng, 1200, 784, 900.0)
     I = integrate(W, Y)
-    assert integrate(W, Y[:300]).tobytes() == I[:300].tobytes()
-    for n in (0, 1, 43, 251, 256, 299, 5999):
-        assert integrate(W, Y[n : n + 1])[0].tobytes() == I[n].tobytes()
-    alone = _class_scores(Y[:300], W, R, c_prime)
-    inside = _class_scores(Y, W, R, c_prime)[:300]
-    assert alone.tobytes() == inside.tobytes()
+    scores = _class_scores(Y, W, R, c_prime)
+    for n in (0, 1, 43, _ROW_BLOCK - 1, _ROW_BLOCK, 299, 1199):
+        assert rows_apart(integrate(W, Y[n : n + 1]), I[n : n + 1]) == [], n
+    for a, b in [(0, 300), *((a, 1200) for a in (1, 3, 10, 100, _ROW_BLOCK - 1, _ROW_BLOCK + 1))]:
+        assert rows_apart(integrate(W, Y[a:b]), I[a:b]) == [], (a, b)
+        assert rows_apart(_class_scores(Y[a:b], W, R, c_prime), scores[a:b]) == [], (a, b)
 
 
 def unblocked_normalize(raw, A) -> np.ndarray:
@@ -167,7 +186,7 @@ def unblocked_normalize(raw, A) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["uint8", "strided"])
-@pytest.mark.parametrize("N", [1, 255, 256, 257, 6000])
+@pytest.mark.parametrize("N", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 255, 256, 257, 6000])
 def test_normalize_and_dataset_write_equal_bytes(worker, monkeypatch, N, kind):
     # uint8 counts as load_idx gives them, and the strided float64 view
     # body[:, 1:] that load_csv gives.

@@ -1,6 +1,6 @@
 """Seed-7 output digests of the four benchmark workloads, as one JSON line.
 
-    python3 tools/digests.py
+    python3 tools/digests.py [--check]
 
 Run from a checkout root.  Writes the ``perfbench/gen.py --seed 7`` draw to
 a temporary directory, runs semi-c15, semi-c400 and sup-c15 as ``truncmix
@@ -9,13 +9,21 @@ builds from ``workloads.config_doc``), and tvem through
 ``workloads.tvem_rep`` from the farthest-point init of seed 7.  Prints the
 first 16 hex digits of the sha256 of each online run's ``report.json``,
 ``W.npy`` and ``R.npy``, and of the tvem rep's digest.  Two checkouts print
-the same line exactly when these outputs are byte-identical.  Only reads
-``perfbench/``.
+the same line exactly when these outputs are byte-identical.  Reads only
+``perfbench/`` and, with ``--check``, the golden file below.
 
 The bits also depend on the OpenBLAS kernels that ran, so ``main`` prints
 their core name (such as ``SkylakeX``) as one line on stderr.
+``tests/golden_digests.json`` holds, per core name, the expected line of the
+seed-7 draw and of the 600/200-row draw of the tier-1 test, each with the
+digest of every top-level key of each ``report.json``.  With ``--check`` the
+line is compared with this core's entry: each difference goes to stderr,
+naming the workload and the file (and for ``report.json`` its first key that
+differs), and the exit status is 1 on any difference or when the core has
+no entry.
 """
 
+import argparse
 import ctypes
 import hashlib
 import json
@@ -35,6 +43,7 @@ import workloads  # noqa: E402
 
 SEED = 7
 ONLINE = ("semi-c15", "semi-c400", "sup-c15")
+GOLDEN = ROOT / "tests" / "golden_digests.json"
 
 
 def _file_digest(path: Path) -> str:
@@ -76,11 +85,60 @@ def digests(work: Path) -> dict:
     return out
 
 
-def main() -> int:
-    print(f"OpenBLAS core: {blas_core()}", file=sys.stderr)
+def report_keys(report: Path) -> dict:
+    """The digest of each top-level key's value in one ``report.json``."""
+    return {key: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
+            for key, value in json.loads(report.read_text()).items()}
+
+
+def golden(draw: str) -> dict | None:
+    """This core's entry for ``draw`` (``seed-7`` or ``tiny-draw``) in
+    ``GOLDEN``, or None where the core has none."""
+    return json.loads(GOLDEN.read_text()).get(blas_core(), {}).get(draw)
+
+
+def differences(got: dict, want: dict, work: Path) -> list:
+    """One line per output whose digest in ``got``, the digests of the runs
+    made under ``work``, differs from ``want``'s, naming the workload and the
+    file; for ``report.json`` also its first key (in the file's sorted order)
+    whose value's digest differs."""
+    lines = []
+    if got["tvem"] != want["digests"]["tvem"]:
+        lines.append(f"tvem: tvem_rep digest {got['tvem']} != {want['digests']['tvem']}")
+    for name in ONLINE:
+        for file, digest in got[name].items():
+            expected = want["digests"][name][file]
+            if digest == expected:
+                continue
+            line = f"{name}: {file} {digest} != {expected}"
+            if file == "report.json":
+                have, need = report_keys(work / name / file), want["report_keys"][name]
+                keys = sorted(k for k in have.keys() | need.keys() if have.get(k) != need.get(k))
+                line += f", first at key {keys[0]!r}" if keys else ", no key's value differs"
+            lines.append(line)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"exit 1 unless the line equals this core's seed-7 entry in {GOLDEN.name}")
+    args = parser.parse_args(argv)
+    core = blas_core()
+    print(f"OpenBLAS core: {core}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as work:
-        print(json.dumps(digests(Path(work)), sort_keys=True))
-    return 0
+        got = digests(Path(work))
+        print(json.dumps(got, sort_keys=True))
+        if not args.check:
+            return 0
+        want = golden("seed-7")
+        if want is None:
+            print(f"{GOLDEN}: no seed-7 entry for core {core}", file=sys.stderr)
+            return 1
+        lines = differences(got, want, Path(work))
+    for line in lines:
+        print(f"{GOLDEN.name} mismatch: {line}", file=sys.stderr)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
