@@ -19,10 +19,11 @@ def test_digests_of_tiny_draw_repeat(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "N_TRAIN", 600)
         monkeypatch.setattr(module, "N_TEST", 200)
     first = digests.digests(tmp_path / "a")
-    assert sorted(first) == ["semi-c15", "semi-c400", "sup-c15", "tvem"]
+    assert sorted(first) == ["semi-c15", "semi-c400", "sup-c15", "tvem", "tvem-full"]
     for name in digests.ONLINE:
         assert sorted(first[name]) == ["R.npy", "W.npy", "report.json"]
-    hexes = [first["tvem"], *(d for name in digests.ONLINE for d in first[name].values())]
+    hexes = [first["tvem"], first["tvem-full"],
+             *(d for name in digests.ONLINE for d in first[name].values())]
     assert all(len(h) == 16 and int(h, 16) >= 0 for h in hexes)
     # A second run in a fresh directory prints the same line.
     assert digests.digests(tmp_path / "b") == first
@@ -55,8 +56,10 @@ def test_differences_name_workload_file_and_first_key(tmp_path):
     got["sup-c15"]["R.npy"] = "0" * 16
     got["semi-c400"]["report.json"] = "1" * 16
     got["tvem"] = "3" * 16
+    got["tvem-full"] = "5" * 16
     assert digests.differences(got, want, tmp_path) == [
         f"tvem: tvem_rep digest {'3' * 16} != a7aa9ca5025054f8",
+        f"tvem-full: run_tv_em digest {'5' * 16} != {want['digests']['tvem-full']}",
         f"semi-c15: report.json {'4' * 16} != 08614ebe6868e18f, no key's value differs",
         f"semi-c400: report.json {'1' * 16} != 019be39f046a6927, first at key 'free_energy'",
         f"sup-c15: R.npy {'0' * 16} != 8caedfa24a889f2e",

@@ -6,9 +6,11 @@ Run from a checkout root.  Writes the ``perfbench/gen.py --seed 7`` draw to
 a temporary directory, runs semi-c15, semi-c400 and sup-c15 as ``truncmix
 train`` in-process (``workloads.online_rep``: ``cli.main`` on the argv it
 builds from ``workloads.config_doc``), and tvem through
-``workloads.tvem_rep`` from the farthest-point init of seed 7.  Prints the
-first 16 hex digits of the sha256 of each online run's ``report.json``,
-``W.npy`` and ``R.npy``, and of the tvem rep's digest.  Two checkouts print
+``workloads.tvem_rep`` from the farthest-point init of seed 7; tvem-full
+runs ``run_tv_em`` untruncated (C'=C) from the same init for tvem's
+``em_iterations``.  Prints the first 16 hex digits of the sha256 of each
+online run's ``report.json``, ``W.npy`` and ``R.npy``, of the tvem rep's
+digest, and of tvem-full's F trace (as JSON) followed by its W bytes.  Two checkouts print
 the same line exactly when these outputs are byte-identical.  Reads only
 ``perfbench/`` and, with ``--check``, the golden file below.
 
@@ -82,6 +84,10 @@ def digests(work: Path) -> dict:
     if not rep["ok"] or gate.failed:
         raise RuntimeError(f"checks failed: {gate.reasons}")
     out["tvem"] = rep["digest"][:16]
+    W, trace = learning.run_tv_em(train.Y, W0, workloads.C, wl.em_iterations, train.lgamma_sums)
+    h = hashlib.sha256(json.dumps(trace.entries).encode())
+    h.update(W.W.tobytes())
+    out["tvem-full"] = h.hexdigest()[:16]
     return out
 
 
@@ -103,8 +109,9 @@ def differences(got: dict, want: dict, work: Path) -> list:
     file; for ``report.json`` also its first key (in the file's sorted order)
     whose value's digest differs."""
     lines = []
-    if got["tvem"] != want["digests"]["tvem"]:
-        lines.append(f"tvem: tvem_rep digest {got['tvem']} != {want['digests']['tvem']}")
+    for name, run in (("tvem", "tvem_rep"), ("tvem-full", "run_tv_em")):
+        if got[name] != want["digests"].get(name):
+            lines.append(f"{name}: {run} digest {got[name]} != {want['digests'].get(name)}")
     for name in ONLINE:
         for file, digest in got[name].items():
             expected = want["digests"][name][file]
