@@ -145,13 +145,21 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(before)
 
 
+def _check_batch(W: BottomWeights, Y: np.ndarray):
+    """ValueError unless ``Y`` is an (N, D) batch with the D of ``W``."""
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be an (N, D) batch, got shape {Y.shape}")
+    if Y.shape[1] != W.D:
+        raise ValueError(f"Y has D={Y.shape[1]}, W has D={W.D}")
+
+
 def _activation_blocks(W: BottomWeights, Y: np.ndarray, consume, out=None):
     """Hand each ``_ROW_BLOCK``-row block's activations to ``consume(lo, hi, I)``
     through ``_row_blocks``.  log W is taken once.  Each block's padded GEMM
-    (``_block_matmul``) goes into a block of its own, or into ``out[lo:hi]``,
-    and is checked while in cache.  A ``Y`` of another D raises ValueError."""
-    if Y.shape[1] != W.D:
-        raise ValueError(f"Y has D={Y.shape[1]}, W has D={W.D}")
+    (``_block_matmul``) goes into a block of its own, which ``consume`` may
+    overwrite, or into ``out[lo:hi]``, and is checked while in cache.  A
+    ``Y`` that is not an (N, D) batch of W's D raises ValueError."""
+    _check_batch(W, Y)
     with np.errstate(divide="ignore"):
         logw = np.log(W.W)
 

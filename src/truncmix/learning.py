@@ -24,7 +24,7 @@ from .classifier import bvsb, class_activation, normalized_columns
 from .core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
-    _activation_blocks, _on_two_threads, _one_blas_thread, _select, integrate, logsumexp_inplace,
+    _activation_blocks, _check_batch, _on_two_threads, _one_blas_thread, _select, integrate, logsumexp_inplace,
     select_truncation, softmax_inplace, truncated_posterior,
 )
 
@@ -138,17 +138,40 @@ def update_top(
         r[:, support] += np.outer(et, probs)
 
 
+def _full_support(s, C: int) -> bool:
+    """Whether the index matrix ``s`` is ``arange(C)`` broadcast to its rows
+    (a zero row stride, row 0 equal to ``arange(C)``), as the C'=C E-step gives it."""
+    return (s.ndim == 2 and len(s) > 0 and s.strides[0] == 0 and s.shape[1] == C
+            and np.array_equal(s[0], np.arange(C)))
+
+
+def _check_support_range(s, C: int):
+    """ValueError unless every index of the matrix ``s`` lies in [0, C); a
+    zero row stride repeats one row, so only that row is read."""
+    rows = s[:1] if s.strides[0] == 0 else s
+    if rows.size and (rows.min() < 0 or rows.max() >= C):
+        raise ValueError("support indices out of range")
+
+
 def _support_lse(I, s, row_sums, lgamma_sums, probs=None) -> np.ndarray:
     """Per row of a block of activations ``I``, the log-sum-exp of the joints
-    on its support ``s``; given ``probs``, its truncated posterior goes there."""
-    # One flat take: row r's support s[r] sits at r * C + s[r] of the block.
-    joints = np.take(I.ravel(), s + np.arange(0, I.size, I.shape[1])[:, None])
+    on its support ``s``; given ``probs``, its truncated posterior goes there.
+
+    At a full support (``_full_support``) the joints are ``I`` itself, which
+    this overwrites; any other support's joints are gathered and ``I`` is
+    left as it is.  Both give the same bits."""
+    if _full_support(s, I.shape[1]):
+        joints, offsets = I, row_sums
+    else:
+        # One flat take: row r's support s[r] sits at r * C + s[r] of the block.
+        joints = np.take(I.ravel(), s + np.arange(0, I.size, I.shape[1])[:, None])
+        offsets = np.take(row_sums, s)
     if probs is not None:
         probs[...] = joints
         softmax_inplace(probs)
     # Joints differ from activations only by terms constant across clusters
     # (row sums all equal A, lgamma term depends on the point alone).
-    joints -= np.take(row_sums, s)
+    joints -= offsets
     joints -= lgamma_sums[:, None]
     joints -= np.log(len(row_sums))
     return logsumexp_inplace(joints)
@@ -161,11 +184,13 @@ def free_energy(Y, W: BottomWeights, sets, lgamma_sums) -> float:
     (N,) vector of sum_d lgamma(y_d + 1) per row of ``Y``, as in
     ``Dataset.lgamma_sums``, or ValueError is raised.  No points give 0.0.
     Each row block of activations is reduced in cache
-    (``inference._activation_blocks``); the per-point vector is summed once, in order."""
+    (``inference._activation_blocks``); the per-point vector is summed once, in order.
+    At C'=C's broadcast ``arange(C)`` sets each block is its own joints, with
+    no index array (``_support_lse``), and F is bit-identical to any other
+    form of the same full sets, such as ``np.tile(arange(C), (N, 1))``."""
     if sets.ndim != 2 or len(sets) != len(Y):
         raise ValueError(f"sets {sets.shape} must be an (N={len(Y)}, C') index matrix")
-    if sets.size and (sets.min() < 0 or sets.max() >= W.C):
-        raise ValueError("support indices out of range")
+    _check_support_range(sets, W.C)
     if np.shape(lgamma_sums) != (len(Y),):
         raise ValueError(f"lgamma_sums {np.shape(lgamma_sums)} must be (N={len(Y)},)")
     row_sums = W.W.sum(axis=1)
@@ -182,7 +207,9 @@ def _tv_em_pass(Y, W: BottomWeights, c_prime: int, lgamma_sums, prev_sets=None):
     """One TV-EM pass at ``W``, each row block reduced in cache: returns the
     E-step ``(sets, probs, F(sets, W))`` and F(prev_sets, W), or None without
     ``prev_sets``.  Bit for bit, these are ``select_truncation`` (at C'=C a
-    broadcast ``arange(C)``), ``truncated_posterior`` per row and ``free_energy``."""
+    broadcast ``arange(C)``), ``truncated_posterior`` per row and ``free_energy``.
+    A full support's reduction overwrites the block (``_support_lse``), so it
+    runs last; at C'=C with full ``prev_sets`` both F are one reduction."""
     N, C = len(Y), W.C
     if not 1 <= c_prime <= C:
         raise ValueError(f"c_prime must lie in [1, {C}], got {c_prime}")
@@ -192,13 +219,18 @@ def _tv_em_pass(Y, W: BottomWeights, c_prime: int, lgamma_sums, prev_sets=None):
     sets = (np.broadcast_to(np.arange(C), (N, C)) if c_prime == C
             else np.empty((N, c_prime), dtype=np.intp))
     probs, f, f_prev = np.empty((N, c_prime)), np.empty(N), np.empty(N)
+    prev_full = prev_sets is not None and _full_support(prev_sets, C)
 
     def block(lo, hi, I):
-        if prev_sets is not None:
-            f_prev[lo:hi] = _support_lse(I, prev_sets[lo:hi], row_sums, lgamma_sums[lo:hi])
+        lg = lgamma_sums[lo:hi]
         if c_prime < C:
             sets[lo:hi] = _select(I, c_prime)
-        f[lo:hi] = _support_lse(I, sets[lo:hi], row_sums, lgamma_sums[lo:hi], probs[lo:hi])
+        if prev_sets is not None and not prev_full:
+            f_prev[lo:hi] = _support_lse(I, prev_sets[lo:hi], row_sums, lg)
+        f[lo:hi] = _support_lse(I, sets[lo:hi], row_sums, lg, probs[lo:hi])
+        if prev_full:
+            f_prev[lo:hi] = (f[lo:hi] if c_prime == C
+                             else _support_lse(I, prev_sets[lo:hi], row_sums, lg))
 
     _activation_blocks(W, Y, block)
     f_prev = None if prev_sets is None else float(f_prev.sum())
@@ -215,8 +247,7 @@ def batch_e_step(Y, W: BottomWeights, c_prime: int) -> np.ndarray:
     the activations, so none are computed: ``select_truncation`` gets a
     zero-stride stand-in of their shape.
     """
-    if Y.shape[1] != W.D:
-        raise ValueError(f"Y has D={Y.shape[1]}, W has D={W.D}")
+    _check_batch(W, Y)
     I = integrate(W, Y) if c_prime != W.C else np.broadcast_to(0.0, (len(Y), W.C))
     return select_truncation(I, c_prime)
 
@@ -244,8 +275,7 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
     if supports.ndim != 2 or supports.shape != probs.shape or len(supports) != N:
         raise ValueError(
             f"supports {supports.shape} and probs {probs.shape} must both be (N={N}, C')")
-    if supports.min() < 0 or supports.max() >= C:
-        raise ValueError("support indices out of range")
+    _check_support_range(supports, C)
     if not np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
         raise ValueError("every posterior must sum to 1")
     from scipy.sparse import csr_array  # here, so only a TV-EM run loads scipy

@@ -494,12 +494,13 @@ class TestLogSumExpInplace:
 
 def _assert_batch_equals_rows(I):
     """The block posterior of ``learning._support_lse`` must equal the 1-D
-    per-sample ``truncated_posterior`` bit for bit, at every truncation size."""
+    per-sample ``truncated_posterior`` bit for bit, at every truncation size.
+    At C'=C it overwrites its block, so it gets a copy."""
     N, C = I.shape
     for c_prime in range(1, C + 1):
         sets = select_truncation(I, c_prime)
         batch = np.empty(sets.shape)
-        _support_lse(I, sets, np.zeros(C), np.zeros(N), batch)
+        _support_lse(I.copy(), sets, np.zeros(C), np.zeros(N), batch)
         assert batch.shape == sets.shape
         for n in range(N):
             row = truncated_posterior(I[n], sets[n])

@@ -531,6 +531,37 @@ class TestFreeEnergy:
             tracemalloc.stop()
         assert peak < 1.5 * N * C * 8
 
+    def test_broadcast_full_sets_equal_tiled_sets(self):
+        # The E-step's broadcast arange(C) is reduced in place, the tiled
+        # copy through the gather; 513 points span three blocks.
+        rng = np.random.default_rng(28)
+        W = random_weights(rng, 12, 9, 20.0)
+        Y = random_observations(rng, 513, 9, 20.0)
+        lg = lgamma_sums(Y)
+        full = batch_e_step(Y, W, 12)
+        assert full.strides[0] == 0
+        assert free_energy(Y, W, full, lg) == free_energy(Y, W, np.tile(np.arange(12), (513, 1)), lg)
+
+    @pytest.mark.parametrize("form, in_place", [
+        ("broadcast", True),
+        ("tiled", False),
+        ("permuted", False),  # a broadcast row in another order
+        ("short", False),     # a broadcast arange(C - 1)
+    ])
+    def test_only_a_broadcast_arange_is_its_own_joints(self, form, in_place):
+        rng = np.random.default_rng(29)
+        n, C = 7, 12
+        I = rng.normal(scale=30.0, size=(n, C))
+        row = {"broadcast": np.arange(C), "tiled": np.arange(C), "short": np.arange(C - 1),
+               "permuted": rng.permutation(C)}[form]
+        sets = np.tile(row, (n, 1)) if form == "tiled" else np.broadcast_to(row, (n, len(row)))
+        before = I.copy()
+        probs = np.empty(sets.shape)
+        learning._support_lse(I, sets, np.zeros(C), np.zeros(n), probs)
+        assert np.array_equal(I, before) != in_place
+        for r in range(n):
+            assert np.array_equal(probs[r], inference.truncated_posterior(before[r], sets[r]))
+
 
 class TestBatchESet:
     def test_full_truncation_returns_everything(self):
@@ -832,6 +863,28 @@ class TestTvEm:
         finally:
             tracemalloc.stop()
         assert peak < N * C * 8
+
+    @pytest.mark.parametrize("c_prime, prev", [(6, "broadcast"), (6, "tiled"), (6, "top-2"),
+                                               (2, "broadcast")])
+    def test_pass_with_full_sets_reduces_the_block_last(self, c_prime, prev):
+        # A full support's reduction overwrites its block, so whatever else
+        # the pass reads from the block comes first.  At C'=C with the
+        # broadcast sets both F come from one reduction.
+        ds, _ = self.make_data(29, n=513)
+        W = random_weights(np.random.default_rng(29), 6, 12, 48.0)
+        lg, full = ds.lgamma_sums, np.broadcast_to(np.arange(6), (513, 6))
+        prev_sets = {"broadcast": full, "tiled": np.tile(np.arange(6), (513, 1)),
+                     "top-2": batch_e_step(ds.Y, W, 2)}[prev]
+        (sets, probs, f), f_prev = learning._tv_em_pass(ds.Y, W, c_prime, lg, prev_sets)
+        assert f_prev == free_energy(ds.Y, W, prev_sets, lg)
+        assert f == free_energy(ds.Y, W, sets, lg)
+        if c_prime == 6 and prev != "top-2":
+            assert f_prev == f
+        (want_sets, want_probs, want_f), _ = learning._tv_em_pass(ds.Y, W, c_prime, lg)
+        assert np.array_equal(sets, want_sets) and np.array_equal(probs, want_probs)
+        I = integrate(W, ds.Y)
+        for n in range(0, 513, 37):
+            assert np.array_equal(probs[n], inference.truncated_posterior(I[n], sets[n]))
 
     def test_no_points_is_a_data_error(self):
         W = random_weights(np.random.default_rng(24), 6, 12, 48.0)

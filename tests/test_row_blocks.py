@@ -21,7 +21,7 @@ from truncmix.core import DataError, TopWeights
 from truncmix.data import Dataset, normalize_input
 from truncmix.harness import _CHUNK, _class_scores, predict_batch
 from truncmix.inference import _ROW_BLOCK, integrate, select_truncation
-from truncmix.learning import _tv_em_pass, batch_m_step, free_energy, run_tv_em
+from truncmix.learning import _tv_em_pass, batch_e_step, batch_m_step, free_energy, run_tv_em
 
 from conftest import (
     CountingExecutor, lgamma_sums, posteriors_by_row, random_observations, random_weights,
@@ -132,6 +132,22 @@ def test_gemm_passes_name_a_dimension_mismatch(run):
     Y = random_observations(rng, 20, 5, 15.0)
     with pytest.raises(ValueError, match=r"^Y has D=5, W has D=4$"):
         run(W, Y)
+
+
+@pytest.mark.parametrize("run", [
+    lambda W, y: integrate(W, y),
+    lambda W, y: batch_e_step(y, W, 2),
+    lambda W, y: batch_e_step(y, W, 7),  # C'=C runs no GEMM
+    lambda W, y: free_energy(y, W, np.zeros((len(y), 2), dtype=np.intp), np.zeros(len(y))),
+    lambda W, y: run_tv_em(y, W, 2, 3, np.zeros(len(y))),
+    lambda W, y: predict_batch(y, W, TopWeights(np.full((2, 7), 1 / 7)), 2),
+], ids=["integrate", "batch_e_step", "batch_e_step-full", "free_energy", "run_tv_em",
+        "predict_batch"])
+def test_batch_passes_name_the_batch_shape_of_one_point(run):
+    # One point's D-vector raised IndexError from the D check.
+    W = random_weights(np.random.default_rng(10), 7, 4, 15.0)
+    with pytest.raises(ValueError, match=r"^Y must be an \(N, D\) batch, got shape \(4,\)$"):
+        run(W, np.full(4, 15.0 / 4))
 
 
 @pytest.mark.parametrize("serial", [False, True], ids=["worker", "serial"])
