@@ -263,12 +263,14 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
     S.T @ Y runs over a point-major sparse S, so the M-step costs O(N*C'*D),
     not the O(N*C*D) of a dense S: 16.5 against 38 ms at C'=15, N=6000,
     C=400, D=784, one thread on a 2-core x86-64 VM with OpenBLAS 0.3.31.
-    Above about C'=40 a dense GEMM is faster (38 against 52 ms at C'=50,
-    0.47 s for the sparse product at C'=C).
-    W's C rows are split in two halves, one per thread where there is a
-    worker, each the product of S's columns for its clusters with the whole
-    Y; every W entry still sums over the points in order, so the split is
-    bit-identical to the whole product, and no copy of Y is made.
+    Above about C'=40 a dense GEMM is faster (38 against 52 ms at C'=50).
+    At C'=C's broadcast ``arange(C)`` supports (``_full_support``) S is
+    ``probs`` itself, a dense GEMM with no index array; any other support,
+    full-width ones with tiled or permuted rows included, goes through the
+    sparse S.  W's C rows are two fixed halves, one per thread where there
+    is a worker, each the product of S's columns for its clusters with the
+    whole Y, so the result does not depend on the thread count, and no copy
+    of Y is made.
     """
     supports, probs = posteriors
     N, C = len(Y), prev_W.C
@@ -278,18 +280,25 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
     _check_support_range(supports, C)
     if not np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
         raise ValueError("every posterior must sum to 1")
-    from scipy.sparse import csr_array  # here, so only a TV-EM run loads scipy
     # Truncated expectations: S holds s_c per point, zero off the support.
-    indptr = np.arange(N + 1) * supports.shape[1]
-    S = csr_array((probs.ravel(), supports.ravel(), indptr), shape=(N, C))
-    s_sum = np.bincount(supports.ravel(), weights=probs.ravel(), minlength=C)
+    if _full_support(supports, C):
+        S, s_sum = probs, probs.sum(axis=0)
+    else:
+        from scipy.sparse import csr_array  # here, so only a TV-EM run loads scipy
+        indptr = np.arange(N + 1) * supports.shape[1]
+        S = csr_array((probs.ravel(), supports.ravel(), indptr), shape=(N, C))
+        s_sum = np.bincount(supports.ravel(), weights=probs.ravel(), minlength=C)
     alive = s_sum > 0.0
     W_new = np.empty((C, Y.shape[1]))
+    half = (C + 1) // 2
 
     def rows(lo, hi):
-        W_new[lo:hi] = S[:, lo:hi].T @ Y
+        # Always the same two products, whichever thread runs them: a dense
+        # GEMM may round a row differently in a product of another height.
+        for b in range(lo, hi, half):
+            W_new[b : b + half] = S[:, b : b + half].T @ Y
 
-    _on_two_threads(rows, C // 2, C)
+    _on_two_threads(rows, half, C)
     np.divide(W_new, s_sum[:, None], out=W_new, where=alive[:, None])
     dead = np.flatnonzero(~alive)
     W_new[dead] = prev_W.W[dead]

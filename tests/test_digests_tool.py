@@ -18,7 +18,18 @@ def test_digests_of_tiny_draw_repeat(tmp_path, monkeypatch):
     for module in (digests.gen, digests.workloads):
         monkeypatch.setattr(module, "N_TRAIN", 600)
         monkeypatch.setattr(module, "N_TEST", 200)
+    traces, run_tv_em = {}, digests.learning.run_tv_em
+
+    def unchecked_run(Y, W, c_prime, n_iter, lgamma_sums, check_monotone=True):
+        W, traces[c_prime] = run_tv_em(Y, W, c_prime, n_iter, lgamma_sums, check_monotone=False)
+        return W, traces[c_prime]
+
+    monkeypatch.setattr(digests.learning, "run_tv_em", unchecked_run)
     first = digests.digests(tmp_path / "a")
+    # The untruncated run's F trace rises, checked here rather than by the run.
+    full = [f for _, f in traces[digests.workloads.C].entries]
+    assert len(full) == 16 and full[-1] > full[0]
+    assert all(b >= a - 1e-8 * abs(a) for a, b in zip(full, full[1:]))
     assert sorted(first) == ["semi-c15", "semi-c400", "sup-c15", "tvem", "tvem-full"]
     for name in digests.ONLINE:
         assert sorted(first[name]) == ["R.npy", "W.npy", "report.json"]

@@ -715,6 +715,28 @@ class TestBatchMStep:
         assert np.array_equal(W_new.W, want)
         assert np.array_equal(W.W, before)
 
+    def test_full_support_is_one_dense_product_with_a_dead_cluster(self):
+        # At C'=C's broadcast arange(C) no index array is built; S is probs.
+        # Cluster 5 holds no mass anywhere.
+        rng = np.random.default_rng(30)
+        N, C, D = 513, 8, 6
+        W = random_weights(rng, C, D, 14.0)
+        Y = random_observations(rng, N, D, 14.0)
+        probs = rng.dirichlet(np.ones(C), size=N)
+        probs[:, 5] = 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        full = np.broadcast_to(np.arange(C), (N, C))
+        before = W.W.copy()
+        W_new, dead = batch_m_step(Y, (full, probs), W)
+        S = csr_array((probs.ravel(), full.ravel(), np.arange(N + 1) * C), shape=(N, C))
+        s_sum = np.bincount(full.ravel(), weights=probs.ravel(), minlength=C)
+        alive = s_sum > 0.0
+        assert dead == 1 and not alive[5]
+        np.testing.assert_allclose(W_new.W[alive], (S.T @ Y)[alive] / s_sum[alive, None],
+                                   rtol=1e-12, atol=0.0)
+        assert np.array_equal(W_new.W[5], before[5])
+        assert np.array_equal(W.W, before)
+
     def test_memory_scales_with_support_not_clusters(self):
         # A dense N x C responsibility matrix alone would be N*C*8 bytes.
         rng = np.random.default_rng(17)
@@ -863,6 +885,23 @@ class TestTvEm:
         finally:
             tracemalloc.stop()
         assert peak < N * C * 8
+
+    def test_full_support_run_peaks_below_two_and_a_half_activation_matrices(self):
+        # At C'=C the old and new (N, C) posteriors must coexist, and the
+        # rest is blocks; the M-step's index arrays and sparse S took the
+        # run to 4.3 arrays here.
+        rng = np.random.default_rng(28)
+        N, C, D = 8000, 100, 8
+        W = random_weights(rng, C, D, 20.0)
+        Y = random_observations(rng, N, D, 20.0)
+        lg = lgamma_sums(Y)
+        tracemalloc.start()
+        try:
+            run_tv_em(Y, W, C, 2, lg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * N * C * 8
 
     @pytest.mark.parametrize("c_prime, prev", [(6, "broadcast"), (6, "tiled"), (6, "top-2"),
                                                (2, "broadcast")])
