@@ -24,8 +24,8 @@ from .classifier import bvsb, class_activation, normalized_columns
 from .core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
-    _activation_blocks, _check_batch, _on_two_threads, _one_blas_thread, _select, integrate, logsumexp_inplace,
-    select_truncation, softmax_inplace, truncated_posterior,
+    _activation_blocks, _check_batch, _on_two_threads, _one_blas_thread, _select, integrate,
+    logsumexp_inplace, select_truncation, softmax_inplace, truncated_posterior,
 )
 
 MONOTONE_RSLACK = 1e-8

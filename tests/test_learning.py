@@ -540,7 +540,8 @@ class TestFreeEnergy:
         lg = lgamma_sums(Y)
         full = batch_e_step(Y, W, 12)
         assert full.strides[0] == 0
-        assert free_energy(Y, W, full, lg) == free_energy(Y, W, np.tile(np.arange(12), (513, 1)), lg)
+        tiled = np.tile(np.arange(12), (513, 1))
+        assert free_energy(Y, W, full, lg) == free_energy(Y, W, tiled, lg)
 
     @pytest.mark.parametrize("form, in_place", [
         ("broadcast", True),
