@@ -158,8 +158,7 @@ def _support_lse(I, s, row_sums, lgamma_sums, probs=None) -> np.ndarray:
     on its support ``s``; given ``probs``, its truncated posterior goes there.
 
     At a full support (``_full_support``) the joints are ``I`` itself, which
-    this overwrites; any other support's joints are gathered and ``I`` is
-    left as it is.  Both give the same bits."""
+    this overwrites; other supports' joints are gathered, with the same bits."""
     if _full_support(s, I.shape[1]):
         joints, offsets = I, row_sums
     else:
@@ -184,10 +183,8 @@ def free_energy(Y, W: BottomWeights, sets, lgamma_sums) -> float:
     (N,) vector of sum_d lgamma(y_d + 1) per row of ``Y``, as in
     ``Dataset.lgamma_sums``, or ValueError is raised.  No points give 0.0.
     Each row block of activations is reduced in cache
-    (``inference._activation_blocks``); the per-point vector is summed once, in order.
-    At C'=C's broadcast ``arange(C)`` sets each block is its own joints, with
-    no index array (``_support_lse``), and F is bit-identical to any other
-    form of the same full sets, such as ``np.tile(arange(C), (N, 1))``."""
+    (``inference._activation_blocks``), in place at C'=C's broadcast sets
+    (``_support_lse``); the per-point vector is summed once, in order."""
     if sets.ndim != 2 or len(sets) != len(Y):
         raise ValueError(f"sets {sets.shape} must be an (N={len(Y)}, C') index matrix")
     _check_support_range(sets, W.C)
@@ -263,14 +260,11 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
     S.T @ Y runs over a point-major sparse S, so the M-step costs O(N*C'*D),
     not the O(N*C*D) of a dense S: 16.5 against 38 ms at C'=15, N=6000,
     C=400, D=784, one thread on a 2-core x86-64 VM with OpenBLAS 0.3.31.
-    Above about C'=40 a dense GEMM is faster (38 against 52 ms at C'=50).
-    At C'=C's broadcast ``arange(C)`` supports (``_full_support``) S is
-    ``probs`` itself, a dense GEMM with no index array; any other support,
-    full-width ones with tiled or permuted rows included, goes through the
-    sparse S.  W's C rows are two fixed halves, one per thread where there
-    is a worker, each the product of S's columns for its clusters with the
-    whole Y, so the result does not depend on the thread count, and no copy
-    of Y is made.
+    Above about C'=40 a dense GEMM is faster (38 against 52 ms at C'=50);
+    at C'=C's broadcast supports (``_full_support``) S is ``probs`` itself.
+    W's C rows are two fixed halves, one per thread where there is a
+    worker, each the product of S's columns for its clusters with the whole
+    Y, so W does not depend on the thread count, and no copy of Y is made.
     """
     supports, probs = posteriors
     N, C = len(Y), prev_W.C
@@ -293,8 +287,7 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
     half = (C + 1) // 2
 
     def rows(lo, hi):
-        # Always the same two products, whichever thread runs them: a dense
-        # GEMM may round a row differently in a product of another height.
+        # A dense GEMM may round a row differently in a product of another height.
         for b in range(lo, hi, half):
             W_new[b : b + half] = S[:, b : b + half].T @ Y
 

@@ -487,6 +487,7 @@ class TestFreeEnergy:
     @pytest.mark.parametrize("bad, match", [
         ("negative", "out of range"),  # -1 took the last column of the row before
         ("equal-C", "out of range"),   # C ran past the end of the flat activations
+        ("broadcast", "out of range"),  # a zero row stride is checked on its one row
         ("vector", "index matrix"),    # broadcast to an (n, n) set matrix per block
     ])
     def test_rejects_sets_that_are_not_an_index_matrix_in_range(self, bad, match):
@@ -496,6 +497,8 @@ class TestFreeEnergy:
         sets, lg = batch_e_step(Y, W, 3).copy(), lgamma_sums(Y)
         if bad == "vector":
             sets = sets[:, 0]
+        elif bad == "broadcast":
+            sets = np.broadcast_to([0, 1, W.C], sets.shape)
         else:
             sets[-1, 0] = -1 if bad == "negative" else W.C
         with pytest.raises(ValueError, match=match):
@@ -671,14 +674,16 @@ class TestBatchMStep:
         with pytest.raises(ValueError, match="sum to 1"):
             batch_m_step(Y, bad, W)
 
+    @pytest.mark.parametrize("broadcast", [False, True])
     @pytest.mark.parametrize("index", [-1, 3])
-    def test_rejects_support_index_out_of_range(self, index):
+    def test_rejects_support_index_out_of_range(self, index, broadcast):
+        # A zero-row-stride support is checked on its one row.
         rng = np.random.default_rng(15)
         W = random_weights(rng, 3, 3, 8.0)
         Y = random_observations(rng, 2, 3, 8.0)
-        bad = (np.array([[0, 1], [1, index]]), np.full((2, 2), 0.5))
+        sup = np.broadcast_to([1, index], (2, 2)) if broadcast else np.array([[0, 1], [1, index]])
         with pytest.raises(ValueError, match="support indices out of range"):
-            batch_m_step(Y, bad, W)
+            batch_m_step(Y, (sup, np.full((2, 2), 0.5)), W)
 
     @pytest.mark.parametrize("sup_shape,probs_shape", [
         ((2, 2), (2, 1)),  # probs would broadcast across the support
@@ -715,6 +720,14 @@ class TestBatchMStep:
         assert dead == 1 and not alive[5]
         assert np.array_equal(W_new.W, want)
         assert np.array_equal(W.W, before)
+
+    def test_no_points_keep_every_row(self):
+        # The shared range check skips an empty support matrix, as in
+        # free_energy; numpy's zero-size error was raised here.
+        W = random_weights(np.random.default_rng(31), 4, 3, 9.0)
+        empty = np.empty((0, 2), dtype=np.intp)
+        W_new, dead = batch_m_step(np.empty((0, 3)), (empty, np.empty((0, 2))), W)
+        assert dead == 4 and np.array_equal(W_new.W, W.W)
 
     def test_full_support_is_one_dense_product_with_a_dead_cluster(self):
         # At C'=C's broadcast arange(C) no index array is built; S is probs.
