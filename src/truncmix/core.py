@@ -3,8 +3,7 @@
 The model has two weight matrices: a C x D bottom layer of positive Poisson
 rates whose rows all sum to the input mass A, and a K x C top layer of
 nonnegative class-mixture weights whose rows sum to one.  Everything here is
-plain numpy plus validation; the math lives in `inference`, `learning` and
-`classifier`.
+plain numpy plus validation; the math lives in `inference` and `learning`.
 """
 
 import json

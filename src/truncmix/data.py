@@ -60,6 +60,18 @@ def _lgamma1p(y, buf=None):
     return t
 
 
+def _int_labels(labels) -> np.ndarray:
+    """``labels`` as int64; integer-valued floats and bools pass, and any other
+    float, or one beyond int64, is a DataError that names the first one's index."""
+    x = np.asarray(labels)
+    if x.dtype.kind == "f":
+        bad = np.flatnonzero((x != np.rint(x)) | ~(np.abs(x) < 2.0**63))
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(f"label {float(x.flat[i])!r} at index {i} is not an int64 integer")
+    return x.astype(np.int64, copy=False)
+
+
 @dataclass
 class RawDataset:
     """Pre-normalization intensities plus labels (-1 where unlabeled)."""
@@ -69,7 +81,7 @@ class RawDataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _int_labels(self.labels)
         if self.X.ndim != 2 or self.labels.shape != (self.X.shape[0],):
             raise DataError("raw data must be (N, D) with N labels")
 
@@ -90,7 +102,7 @@ class Dataset:
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _int_labels(self.labels)
         if self.Y.ndim != 2:
             raise DataError("Y must be an (N, D) matrix")
         if self.labels.shape != (self.Y.shape[0],):
@@ -223,7 +235,7 @@ def load_csv(path) -> RawDataset:
     if bad.size:
         i = int(bad[0])
         raise DataError(f"non-integer label {float(labels[i])!r} at data row {i} of {path}")
-    return RawDataset(body[:, 1:], labels.astype(np.int64))
+    return RawDataset(body[:, 1:], labels)
 
 
 _RAW_FAULTS = ("raw input has non-finite components", "raw input has negative components",
@@ -244,6 +256,8 @@ def normalize_input(raw, A: float) -> np.ndarray:
     is a DataError naming its first row over all blocks.
     """
     x = np.asarray(raw)
+    if x.ndim != 2:
+        raise DataError(f"raw input must be an (N, D) array, got shape {x.shape}")
     y = np.empty(x.shape)
     n, D = y.shape
     if A <= D:

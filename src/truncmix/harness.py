@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import normalized_columns
 from .core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
-    _ROW_BLOCK, _block_matmul, _openblas, _row_blocks, integrate, select_truncation,
-    softmax_inplace,
+    _ROW_BLOCK, _block_matmul, _gather_support, _openblas, _row_blocks, integrate,
+    normalized_columns, select_truncation, softmax_inplace,
 )
 from .learning import FreeEnergyTrace, batch_e_step, free_energy, init_weights, online_epoch
 
@@ -62,29 +61,25 @@ def _class_scores(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
     each point's truncated posterior over all C clusters and mix the
     column-normalized R.
 
-    Each chunk of ``_CHUNK`` rows gets its activation matrix I and, below
-    C'=C, its truncation sets.  One ``_row_blocks`` pass then turns each
-    ``_ROW_BLOCK``-row block of I into its posterior block S in place: below
-    C'=C the block's supports are gathered and normalized, and the
-    posteriors scattered into the zeroed block; at C'=C the support is every
-    cluster, so the block takes its row softmax directly.  The block's scores
-    follow, through ``inference._block_matmul`` as in ``integrate``, so a
-    point's scores depend on its own row and the weights alone.
+    Each chunk of ``_CHUNK`` rows gets its activation matrix I and its truncation
+    sets.  One ``_row_blocks`` pass then turns each ``_ROW_BLOCK``-row block of I
+    into its posterior block S in place: its supports are gathered
+    (``inference._gather_support``) and normalized, which at C'=C is the block
+    itself, and below C'=C scattered into the zeroed block.  Its scores follow,
+    through ``inference._block_matmul`` as in ``integrate``, so a point's scores
+    depend on its own row and the weights alone.
     """
     mix_T = normalized_columns(R.R).T  # (C, K)
     scores = np.empty((Y.shape[0], R.K))
     for lo in range(0, Y.shape[0], _CHUNK):
         hi = min(Y.shape[0], lo + _CHUNK)
         S = integrate(W, Y[lo:hi])
-        full = c_prime == S.shape[1]
-        sets = None if full else select_truncation(S, c_prime)
+        sets = select_truncation(S, c_prime)
 
         def block(b, e):
             rows = S[b:e]
-            if full:
-                softmax_inplace(rows)
-            else:
-                probs = softmax_inplace(np.take_along_axis(rows, sets[b:e], axis=1))
+            probs = softmax_inplace(_gather_support(rows, sets[b:e]))
+            if probs is not rows:
                 rows.fill(0.0)
                 np.put_along_axis(rows, sets[b:e], probs, axis=1)
             _block_matmul(rows, mix_T, scores[lo + b : lo + e])

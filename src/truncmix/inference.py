@@ -1,4 +1,4 @@
-"""Bottom-layer inference for the normalized Poisson mixture.
+"""Inference for the normalized Poisson mixture: cluster and class posteriors.
 
 Given a normalized observation y (sum_d y_d = A, y_d >= 1) and positive rate
 rows W_c (sum_d W_cd = A), the cluster log joint is
@@ -8,7 +8,11 @@ rows W_c (sum_d W_cd = A), the cluster log joint is
 Because the -sum_d W_cd and -sum_d lgamma(y_d + 1) terms are constant across
 clusters, ranking clusters by log joint is the same as ranking them by the
 linear activation I_c = sum_d log(W_cd) * y_d.  Truncated inference keeps the
-C' largest activations and renormalizes the posterior on that support.
+C' largest activations and renormalizes the posterior s on that support.
+The class posterior mixes R's columns, normalized over the K classes, by s:
+
+    t_k = sum_c [ R_kc / sum_k' R_k'c ] * s_c        (unlabeled)
+    t_k = 1[k == label]                              (labeled)
 
 ``integrate`` takes an (N, D) batch and ``truncated_posterior`` one
 observation; the others work along the last axis of either.  All but the
@@ -243,6 +247,30 @@ def _select(I: np.ndarray, c_prime: int) -> np.ndarray:
     return np.sort(np.argsort(-I, axis=-1, kind="stable")[..., :c_prime], axis=-1)
 
 
+def _full_support(s, C: int) -> bool:
+    """Whether the support ``s`` holds every cluster in order: ``arange(C)``, or
+    its rows repeated by a zero row stride, as ``select_truncation`` gives it at C'=C."""
+    row = s[0] if s.ndim == 2 and len(s) and s.strides[0] == 0 else s
+    return row.shape == (C,) and np.array_equal(row, np.arange(C))
+
+
+def _check_support_range(s, C: int):
+    """ValueError unless every index of the support ``s`` lies in [0, C); a zero
+    leading stride repeats one entry or row, so only that one is read."""
+    rows = s[:1] if s.strides[0] == 0 else s
+    if rows.size and (rows.min() < 0 or rows.max() >= C):
+        raise ValueError("support indices out of range")
+
+
+def _gather_support(I: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Each row of an activation block ``I`` on its row of the support ``s``: ``I``
+    itself at an untruncated support (``_full_support``), else a gathered copy."""
+    if _full_support(s, I.shape[1]):
+        return I
+    # One flat take: row r's support s[r] sits at r * C + s[r] of the block.
+    return np.take(I.ravel(), s + np.arange(0, I.size, I.shape[1])[:, None])
+
+
 def truncated_posterior(I: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """Softmax of one observation's activations ``I`` restricted to ``sets``,
     in the log domain.
@@ -255,8 +283,7 @@ def truncated_posterior(I: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """
     if I.ndim != 1 or sets.ndim != 1:
         raise ValueError(f"one point's activations and support, got {I.shape} and {sets.shape}")
-    if sets.min() < 0 or sets.max() >= len(I):
-        raise ValueError("support indices out of range")
+    _check_support_range(sets, len(I))
     return softmax_inplace(I[sets])
 
 
@@ -290,3 +317,43 @@ def logsumexp_inplace(x: np.ndarray) -> np.ndarray:
     s = x.sum(axis=-1)
     s /= m
     return np.log1p(s) + np.log(m) + mx[..., 0]
+
+
+def normalized_columns(cols: np.ndarray) -> np.ndarray:
+    """Columns of the top layer R (all C, or a support's) rescaled to sum to
+    one over the K classes, in the memory order of ``cols``.
+
+    Each column is summed over a Fortran-ordered copy (numpy's pairwise sum
+    over K), so it gets the same bits from all of R as from a support's.
+    A column summing to zero gets the uniform 1/K fallback.  Such columns
+    occur at eps_R = 1, where a labeled update resets its class row to the
+    posterior: once every row was reset, columns outside those supports are 0.
+    """
+    sums = np.asfortranarray(cols).sum(axis=0)
+    return np.divide(cols, sums, out=np.full_like(cols, 1.0 / cols.shape[0]), where=sums != 0.0)
+
+
+def class_activation(support, probs, mix: np.ndarray, label: int | None = None) -> np.ndarray:
+    """Class posterior t for one observation; sums to one in both branches.
+
+    ``probs`` is the cluster posterior on ``support`` (distinct indices);
+    ``mix`` is ``normalized_columns(R.R)``, of which a labeled point reads
+    only K.  Gathered at every C', its columns sum and multiply as
+    ``normalized_columns(R.R[:, support])`` does; evaluation reads them too.
+    """
+    K = len(mix)
+    if label is not None:
+        if not 0 <= label < K:
+            raise ValueError(f"label {label} out of range for K={K}")
+        t = np.zeros(K)
+        t[label] = 1.0
+        return t
+    return mix[:, support] @ probs
+
+
+def bvsb(t: np.ndarray) -> float:
+    """Best-versus-second-best margin: max(t) minus the runner-up entry."""
+    if t.shape[-1] < 2:
+        raise ValueError("BvSB undefined for single class")
+    part = np.partition(t, t.shape[-1] - 2)
+    return float(part[-1] - part[-2])

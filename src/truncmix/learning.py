@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import bvsb, class_activation, normalized_columns
 from .core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
 from .data import Dataset, UNLABELED
 from .inference import (
-    _activation_blocks, _check_batch, _on_two_threads, _one_blas_thread, _select, integrate,
-    logsumexp_inplace, select_truncation, softmax_inplace, truncated_posterior,
+    _activation_blocks, _check_batch, _check_support_range, _full_support, _gather_support,
+    _on_two_threads, _one_blas_thread, _select, bvsb, class_activation, integrate,
+    logsumexp_inplace, normalized_columns, select_truncation, softmax_inplace, truncated_posterior,
 )
 
 MONOTONE_RSLACK = 1e-8
@@ -101,7 +101,7 @@ def update_bottom(
     w = W.W
     es = eps_W * probs
     C = w.shape[0]
-    if support.size == C and np.array_equal(support, np.arange(C)):
+    if _full_support(support, C):
         # Views, so each half writes W, log W and the activations in place.
         _on_two_threads(lambda lo, hi: _update_rows(
             w[lo:hi], logw[lo:hi], es[lo:hi], y, Y_later, I_later[:, lo:hi]), C // 2 // 16 * 16, C)
@@ -138,33 +138,14 @@ def update_top(
         r[:, support] += np.outer(et, probs)
 
 
-def _full_support(s, C: int) -> bool:
-    """Whether the index matrix ``s`` is ``arange(C)`` broadcast to its rows
-    (a zero row stride, row 0 equal to ``arange(C)``), as the C'=C E-step gives it."""
-    return (s.ndim == 2 and len(s) > 0 and s.strides[0] == 0 and s.shape[1] == C
-            and np.array_equal(s[0], np.arange(C)))
-
-
-def _check_support_range(s, C: int):
-    """ValueError unless every index of the matrix ``s`` lies in [0, C); a
-    zero row stride repeats one row, so only that row is read."""
-    rows = s[:1] if s.strides[0] == 0 else s
-    if rows.size and (rows.min() < 0 or rows.max() >= C):
-        raise ValueError("support indices out of range")
-
-
 def _support_lse(I, s, row_sums, lgamma_sums, probs=None) -> np.ndarray:
     """Per row of a block of activations ``I``, the log-sum-exp of the joints
     on its support ``s``; given ``probs``, its truncated posterior goes there.
 
-    At a full support (``_full_support``) the joints are ``I`` itself, which
-    this overwrites; other supports' joints are gathered, with the same bits."""
-    if _full_support(s, I.shape[1]):
-        joints, offsets = I, row_sums
-    else:
-        # One flat take: row r's support s[r] sits at r * C + s[r] of the block.
-        joints = np.take(I.ravel(), s + np.arange(0, I.size, I.shape[1])[:, None])
-        offsets = np.take(row_sums, s)
+    The joints are gathered by ``inference._gather_support``: at a full
+    support they are ``I`` itself, which this overwrites."""
+    joints = _gather_support(I, s)
+    offsets = row_sums if joints is I else np.take(row_sums, s)
     if probs is not None:
         probs[...] = joints
         softmax_inplace(probs)
@@ -252,10 +233,10 @@ def batch_e_step(Y, W: BottomWeights, c_prime: int) -> np.ndarray:
 def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, int]:
     """Closed-form bottom-layer M-step from truncated posteriors.
 
-    W_cd = sum_n s_c y_d / sum_n s_c, with the mass A of ``prev_W``.  Rows
-    that received zero total responsibility keep their ``prev_W`` values;
-    their count is returned as a diagnostic.  ``posteriors`` is a (supports, probs) pair of (N, C')
-    matrices with support indices in [0, C).
+    W_cd = sum_n s_c y_d / sum_n s_c, with the mass A of ``prev_W``.  Rows that received
+    zero total responsibility keep their ``prev_W`` values; their count is returned as a
+    diagnostic.  Unless ``Y`` is an (N, D) batch of prev_W's D and ``posteriors`` a (supports,
+    probs) pair of (N, C') matrices with supports in [0, C), ValueError is raised.
 
     S.T @ Y runs over a point-major sparse S, so the M-step costs O(N*C'*D),
     not the O(N*C*D) of a dense S: 16.5 against 38 ms at C'=15, N=6000,
@@ -266,6 +247,7 @@ def batch_m_step(Y, posteriors, prev_W: BottomWeights) -> tuple[BottomWeights, i
     worker, each the product of S's columns for its clusters with the whole
     Y, so W does not depend on the thread count, and no copy of Y is made.
     """
+    _check_batch(prev_W, Y)
     supports, probs = posteriors
     N, C = len(Y), prev_W.C
     if supports.ndim != 2 or supports.shape != probs.shape or len(supports) != N:

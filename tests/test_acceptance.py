@@ -20,10 +20,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from truncmix.classifier import bvsb
 from truncmix.core import ModelConfig, TopWeights
 from truncmix.data import Dataset, generate_mixture, preprocess
-from truncmix.inference import integrate, select_truncation, truncated_posterior
+from truncmix.inference import bvsb, integrate, select_truncation, truncated_posterior
 from truncmix.learning import (free_energy, init_from_data, init_weights, online_epoch, run_tv_em,
                                update_bottom, update_top)
 

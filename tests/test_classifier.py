@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from truncmix.classifier import bvsb, class_activation, normalized_columns
 from truncmix.core import TopWeights
+from truncmix.inference import bvsb, class_activation, normalized_columns
 from truncmix.learning import update_top
 
 

@@ -139,6 +139,13 @@ class TestCsv:
         with pytest.raises(DataError, match="non-integer label 1.7 at data row 1"):
             load_csv(tmp_path / "bad.csv")
 
+    def test_label_beyond_int64_rejected_without_warning(self, tmp_path):
+        (tmp_path / "big.csv").write_text("label,p0,p1\n0,1.0,2.0\n1e300,3.0,4.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^label 1e\+300 at index 1 is not an int64 integer$"):
+                load_csv(tmp_path / "big.csv")
+
 
 class TestPreprocess:
     def test_outputs_sum_to_mass(self):
@@ -206,6 +213,32 @@ class TestPreprocess:
     def test_dataset_rejects_bad_shapes_and_class_count(self, Y, labels, K, message):
         with pytest.raises(DataError, match=message):
             Dataset(Y, labels, K, 10.0)
+
+    @pytest.mark.parametrize("labels,message", [
+        ([0.5, 1.9, -0.5], "^label 0.5 at index 0 is not an int64 integer$"),
+        ([1.0, 2.0, -0.5], r"^label -0.5 at index 2 is not an int64 integer$"),
+        ([0.0, np.nan, 1.0], "^label nan at index 1 is not an int64 integer$"),
+        ([0.0, 1e300, 1.0], r"^label 1e\+300 at index 1 is not an int64 integer$"),
+    ], ids=["fractions", "negative-fraction", "nan", "beyond-int64"])
+    def test_datasets_reject_non_integer_labels(self, labels, message):
+        from truncmix.data import RawDataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: RawDataset(np.ones((3, 4)), labels),
+                          lambda: Dataset(np.full((3, 4), 2.5), labels, 3, 10.0)):
+                with pytest.raises(DataError, match=message):
+                    build()
+
+    @pytest.mark.parametrize("labels", [[0.0, 2.0, -1.0], [True, False, True],
+                                        np.array([0, 2, 1], dtype=np.uint8)],
+                             ids=["integer-floats", "bools", "uint8"])
+    def test_datasets_keep_integer_valued_labels(self, labels):
+        from truncmix.data import RawDataset
+        want = np.asarray(labels).astype(np.int64)
+        for ds in (RawDataset(np.ones((3, 4)), labels),
+                   Dataset(np.full((3, 4), 2.5), labels, 3, 10.0)):
+            assert ds.labels.dtype == np.int64
+            np.testing.assert_array_equal(ds.labels, want)
 
     def test_lgamma_cache_matches_direct(self):
         # 2 * _ROW_BLOCK + 1 rows: the last block holds one row.  Bit for bit.

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from truncmix import inference
-from truncmix.classifier import class_activation, normalized_columns
 from truncmix.core import BottomWeights, ConfigError, DataError, ModelConfig, TopWeights
 from truncmix.data import Dataset, generate_mixture, preprocess, subsample_labels
 from truncmix.harness import (
@@ -19,7 +18,9 @@ from truncmix.harness import (
     save_run,
     train,
 )
-from truncmix.inference import select_truncation, truncated_posterior, integrate
+from truncmix.inference import (
+    class_activation, integrate, normalized_columns, select_truncation, truncated_posterior,
+)
 
 from conftest import posteriors_by_row, random_observations, random_weights
 

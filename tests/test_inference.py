@@ -11,8 +11,8 @@ from scipy.special import gammaln, logsumexp
 from truncmix.core import BottomWeights, DataError
 from truncmix.data import normalize_input
 from truncmix.inference import (
-    _select, integrate, logsumexp_inplace, select_truncation, softmax_inplace,
-    truncated_posterior,
+    _full_support, _gather_support, _select, integrate, logsumexp_inplace, select_truncation,
+    softmax_inplace, truncated_posterior,
 )
 from truncmix.learning import _support_lse, free_energy
 
@@ -100,6 +100,12 @@ class TestNormalizeInput:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DataError, match="non-finite"):
             normalize_input([[1.0, bad, 2.0]], 10.0)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), ()], ids=["1-D", "3-D", "0-D"])
+    def test_shape_that_is_not_n_by_d_rejected(self, shape):
+        message = re.escape(f"raw input must be an (N, D) array, got shape {shape}")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            normalize_input(np.ones(shape), 10.0)
 
     def test_mass_not_above_dimension_rejected(self):
         with pytest.raises(DataError, match="A must exceed D"):
@@ -426,9 +432,10 @@ class TestPosteriors:
             rtol=0.0, atol=1e-12,
         )
 
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            truncated_posterior(np.zeros(3), np.array([0, 3]))
+    @pytest.mark.parametrize("index", [-1, 3, 7])
+    def test_invalid_construction_rejected(self, index):
+        with pytest.raises(ValueError, match="^support indices out of range$"):
+            truncated_posterior(np.zeros(3), np.array([0, index]))
 
     @pytest.mark.parametrize("I_shape, sets_shape", [((2, 3), (2, 2)), ((2, 3), (2,)),
                                                      ((3,), (1, 2))])
@@ -456,6 +463,43 @@ class TestPosteriors:
         buf = x.copy()
         assert softmax_inplace(buf) is buf
         assert np.array_equal(buf, want)
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class TestSupports:
+    C = 6
+
+    @pytest.mark.parametrize("s,full", [
+        (np.arange(C), True),
+        (read_only(np.arange(C)), True),
+        (select_truncation(np.zeros(C), C), True),
+        (np.broadcast_to(np.arange(C), (4, C)), True),
+        (select_truncation(np.zeros((4, C)), C), True),
+        (np.tile(np.arange(C), (4, 1)), False),
+        (np.arange(C)[::-1].copy(), False),
+        (np.broadcast_to(np.arange(C)[::-1], (4, C)), False),
+        (np.arange(C + 1), False),
+        (np.arange(C - 1), False),
+        (np.broadcast_to(np.arange(C - 1), (4, C - 1)), False),
+        (np.broadcast_to(np.arange(C), (0, C)), False),
+        (np.empty((0, C), dtype=np.intp), False),
+    ], ids=["arange", "read-only-arange", "select-1-D", "broadcast", "select-2-D", "tiled-copy",
+            "permutation", "broadcast-permutation", "arange-C+1", "arange-C-1",
+            "broadcast-arange-C-1", "empty-broadcast", "empty-batch"])
+    def test_full_support_truth_table(self, s, full):
+        assert _full_support(s, self.C) is full
+
+    @pytest.mark.parametrize("c_prime", [1, 4, C])
+    def test_gather_is_the_block_at_full_support_and_a_row_take_below(self, c_prime):
+        I = np.random.default_rng(19).normal(size=(5, self.C))
+        sets = select_truncation(I, c_prime)
+        got = _gather_support(I, sets)
+        assert (got is I) == (c_prime == self.C)
+        np.testing.assert_array_equal(got, np.take_along_axis(I, sets, axis=1))
 
 
 class TestLogSumExpInplace:

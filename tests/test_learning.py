@@ -19,10 +19,9 @@ from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
 from truncmix import inference, learning
-from truncmix.classifier import class_activation, normalized_columns
 from truncmix.core import BottomWeights, DataError, ModelConfig, MonotonicityError, TopWeights
 from truncmix.data import Dataset, generate_mixture, preprocess
-from truncmix.inference import integrate, select_truncation
+from truncmix.inference import class_activation, integrate, normalized_columns, select_truncation
 from truncmix.learning import (
     FreeEnergyTrace,
     batch_e_step,
@@ -698,6 +697,21 @@ class TestBatchMStep:
         sup[:, -1] = 1
         probs = np.full(probs_shape, 1.0 / probs_shape[1])
         message = re.escape(str(sup_shape)) + ".*" + re.escape(str(probs_shape))
+        with pytest.raises(ValueError, match=message):
+            batch_m_step(Y, (sup, probs), W)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["c'<C", "broadcast-full"])
+    @pytest.mark.parametrize("Y,message", [
+        (np.full(4, 8.0), r"^Y must be an \(N, D\) batch, got shape \(4,\)$"),
+        (np.full((4, 2), 12.0), "^Y has D=2, W has D=3$"),
+    ], ids=["1-D", "other-D"])
+    def test_rejects_a_y_that_is_not_a_batch_of_w_d(self, Y, message, full):
+        W = random_weights(np.random.default_rng(17), 3, 3, 8.0)
+        if full:
+            sup = select_truncation(np.zeros((4, 3)), 3)
+        else:
+            sup = np.tile([0, 2], (4, 1))
+        probs = np.full(sup.shape, 1.0 / sup.shape[1])
         with pytest.raises(ValueError, match=message):
             batch_m_step(Y, (sup, probs), W)
 

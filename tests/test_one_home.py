@@ -7,6 +7,7 @@ the submodule that defines it.
 """
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -109,3 +110,11 @@ def test_every_public_name_is_reached_outside_the_tests():
         and not any(name in refs for _, other, refs in statements if other is not node)
     ]
     assert not unreached, f"public but read only by tests, if at all: {unreached}"
+
+
+def test_readme_module_table_names_every_module_and_no_other():
+    # The first cell of each row of README's module table names a module.
+    table = (ROOT / "README.md").read_text().split("## Library layout", 1)[1]
+    named = re.findall(r"^\| `truncmix\.(\w+)`", table, flags=re.M)
+    modules = [p.stem for p in MODULES if p.name != "__init__.py"]
+    assert sorted(named) == modules
