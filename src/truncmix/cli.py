@@ -45,13 +45,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_dataset(images, labels, A, K):
+    """One preprocessed data set; a ``preprocess`` fault names its file or IDX pair."""
     if images.endswith(".csv"):
-        raw = load_csv(images)
+        raw, source = load_csv(images), images
     else:
         if labels is None:
             raise ConfigError("IDX input needs both an images and a labels path")
-        raw = load_idx(images, labels)
-    return preprocess(raw, A, K)
+        raw, source = load_idx(images, labels), f"{images}, {labels}"
+    try:
+        return preprocess(raw, A, K)
+    except DataError as e:
+        raise DataError(f"{source}: {e}") from e
 
 
 def _load_config(args) -> ModelConfig:

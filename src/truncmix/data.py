@@ -74,16 +74,10 @@ def _int_labels(labels) -> np.ndarray:
 
 @dataclass
 class RawDataset:
-    """Pre-normalization intensities plus labels (-1 where unlabeled)."""
+    """Raw intensities and labels (-1 = unlabeled) as read; ``preprocess`` checks them."""
 
     X: np.ndarray       # (N, D) nonnegative raw intensities
-    labels: np.ndarray  # (N,) int64
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X)
-        self.labels = _int_labels(self.labels)
-        if self.X.ndim != 2 or self.labels.shape != (self.X.shape[0],):
-            raise DataError("raw data must be (N, D) with N labels")
+    labels: np.ndarray  # (N,) integer labels
 
 
 @dataclass
@@ -106,7 +100,8 @@ class Dataset:
         if self.Y.ndim != 2:
             raise DataError("Y must be an (N, D) matrix")
         if self.labels.shape != (self.Y.shape[0],):
-            raise DataError("labels must align with Y rows")
+            raise DataError(f"labels must align with Y rows: {self.N} rows, labels of shape "
+                            f"{self.labels.shape}")
         if self.K < 1:
             raise DataError("K must be positive")
         if np.any(self.labels >= self.K) or np.any(self.labels < UNLABELED):
@@ -176,14 +171,9 @@ def _read_idx(path, magic: int) -> np.ndarray:
 
 
 def load_idx(images_path, labels_path) -> RawDataset:
-    """Load an IDX image/label pair; counts must agree across the files."""
+    """Load an IDX image/label pair as read; ``preprocess`` checks that the counts agree."""
     X = _read_idx(images_path, IMAGE_MAGIC)
-    labels = _read_idx(labels_path, LABEL_MAGIC).astype(np.int64).ravel()
-    if X.shape[0] != labels.shape[0]:
-        raise DataError(
-            f"image/label count mismatch: {X.shape[0]} images vs {labels.shape[0]} labels"
-        )
-    return RawDataset(X, labels)
+    return RawDataset(X, _read_idx(labels_path, LABEL_MAGIC).ravel())
 
 
 def _write_idx(path, magic: int, items, dims):
@@ -208,11 +198,10 @@ def write_idx_labels(path, labels):
 
 
 def load_csv(path) -> RawDataset:
-    """Load ``label,p0,...,p{D-1}`` rows; label -1 marks unlabeled examples.
-
-    Labels must be integers; the first offending data row (counted from 0
-    after the header) is named in the DataError.  A ragged row or a
-    non-numeric field is a DataError naming the file.
+    """Load ``label,p0,...,p{D-1}`` rows as float64; label -1 marks unlabeled
+    examples, and ``preprocess`` checks that every label is an integer.  An
+    empty file, a bad header, a ragged row or a non-numeric field is a
+    DataError naming the file.
     """
     with open(path, "r") as f:
         header = f.readline().strip()
@@ -230,12 +219,7 @@ def load_csv(path) -> RawDataset:
     expected = ["label"] + [f"p{d}" for d in range(D)]
     if names != expected:
         raise DataError(f"bad CSV header in {path}: expected label,p0,...,p{D-1}")
-    labels = body[:, 0]
-    bad = np.nonzero(~np.isfinite(labels) | (labels != np.rint(labels)))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(f"non-integer label {float(labels[i])!r} at data row {i} of {path}")
-    return RawDataset(body[:, 1:], labels)
+    return RawDataset(body[:, 1:], body[:, 0])
 
 
 _RAW_FAULTS = ("raw input has non-finite components", "raw input has negative components",
@@ -293,9 +277,9 @@ def normalize_input(raw, A: float) -> np.ndarray:
 
 
 def preprocess(raw: RawDataset, A: float, K: int) -> Dataset:
-    """Normalize every example to mass A and wrap it into a Dataset of K
-    classes: two split passes over row blocks, ``normalize_input``'s and the
-    Dataset checks'.  A faulty raw row is rejected with its index."""
+    """Normalize every example to mass A and wrap it into a Dataset of K classes:
+    the one check of raw data, by ``normalize_input`` (the rows, a faulty one
+    named by index) and ``Dataset`` (the labels and their count)."""
     return Dataset(normalize_input(raw.X, A), raw.labels, K, float(A))
 
 

@@ -276,13 +276,15 @@ def truncated_posterior(I: np.ndarray, sets: np.ndarray) -> np.ndarray:
     in the log domain.
 
     ``I`` is a C-vector and ``sets`` a 1-D support of distinct indices into
-    it, as ``select_truncation`` returns them; a 2-D ``I`` or ``sets`` raises
-    ValueError (a batch would index into an (N, C', C) array).  The result
-    is aligned with ``sets``; entries may underflow to 0.0 when activation
-    gaps within the support exceed the float64 exponent range.
+    it, as ``select_truncation`` returns them; an empty or 2-D ``sets`` or a
+    2-D ``I`` raises ValueError (a batch would index into an (N, C', C)
+    array).  The result is aligned with ``sets``; entries may underflow to
+    0.0 when activation gaps within the support exceed the float64 exponent range.
     """
     if I.ndim != 1 or sets.ndim != 1:
         raise ValueError(f"one point's activations and support, got {I.shape} and {sets.shape}")
+    if not sets.size:
+        raise ValueError("empty support: a posterior needs at least one index")
     _check_support_range(sets, len(I))
     return softmax_inplace(I[sets])
 

@@ -509,6 +509,40 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"truncmix: data error: empty CSV: {csv}\n"
         assert not (workspace / "x").exists()
 
+    @pytest.mark.parametrize("fault,message", [
+        ("negative pixel", "raw input has negative components at index 0"),
+        ("label K", "labels must lie in [0, 4) or be -1"),
+        ("label 1.5", "label 1.5 at index 1 is not an int64 integer"),
+    ])
+    def test_fault_of_csv_test_set_names_its_file(self, workspace, capsys, fault, message):
+        # preprocess finds these; the training set is the valid IDX pair.
+        X, labels = np.ones((3, CFG["D"])), np.array([0.0, 1.0, 2.0])
+        if fault == "negative pixel":
+            X[0, 0] = -1.0
+        else:
+            labels[1] = CFG["K"] if fault == "label K" else 1.5
+        csv = workspace / "test.csv"
+        write_csv(csv, X, labels)
+        args = train_args(workspace, workspace / "x")
+        i = args.index("--test-labels")
+        del args[i : i + 2]
+        args[args.index("--test-images") + 1] = str(csv)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"truncmix: data error: {csv}: {message}\n"
+        assert not (workspace / "x").exists()
+
+    def test_idx_count_mismatch_names_both_files_and_counts(self, workspace, capsys):
+        img, lab = workspace / "test-images", workspace / "test-labels"
+        write_idx_images(img, np.ones((3, CFG["D"])), 1, CFG["D"])
+        write_idx_labels(lab, [0, 1])
+        args = train_args(workspace, workspace / "x")
+        args[args.index("--test-images") + 1] = str(img)
+        args[args.index("--test-labels") + 1] = str(lab)
+        assert main(args) == 2
+        assert capsys.readouterr().err == (f"truncmix: data error: {img}, {lab}: labels must align "
+                                           f"with Y rows: 3 rows, labels of shape (2,)\n")
+        assert not (workspace / "x").exists()
+
     def test_eval_on_data_of_other_dimension_is_data_error(self, workspace, square_run, capsys):
         assert main(train_args(workspace, workspace / "run")) == 0
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from truncmix.data import (
     generate_mixture,
     load_csv,
     load_idx,
+    normalize_input,
     preprocess,
     subsample_labels,
     write_idx_images,
@@ -82,12 +84,14 @@ class TestIdxLoading:
             load_idx(lab, img)
 
     def test_count_mismatch(self, tmp_path):
+        # load_idx returns the pair as read; preprocess checks the counts.
         img, _ = write_golden_idx(tmp_path, [[1], [2]], [0, 1], rows=1, cols=1)
         lab_dir = tmp_path / "other"
         lab_dir.mkdir()
         _, lab3 = write_golden_idx(lab_dir, [[1]], [0, 1, 2], rows=1, cols=1)
-        with pytest.raises(DataError, match="count mismatch"):
-            load_idx(img, lab3)
+        with pytest.raises(DataError, match=r"^labels must align with Y rows: 2 rows, "
+                                            r"labels of shape \(3,\)$"):
+            preprocess(load_idx(img, lab3), 10.0, K=3)
 
     def test_round_trip_through_package_writer(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -135,16 +139,113 @@ class TestCsv:
                 load_csv(tmp_path / "e.csv")
 
     def test_non_integer_label_rejected(self, tmp_path):
+        # load_csv returns the labels as read; preprocess checks them.
         (tmp_path / "bad.csv").write_text("label,p0,p1\n0,1.0,2.0\n1.7,3.0,4.0\n2,1.0,1.0\n")
-        with pytest.raises(DataError, match="non-integer label 1.7 at data row 1"):
-            load_csv(tmp_path / "bad.csv")
+        raw = load_csv(tmp_path / "bad.csv")
+        with pytest.raises(DataError, match="^label 1.7 at index 1 is not an int64 integer$"):
+            preprocess(raw, 10.0, K=3)
 
     def test_label_beyond_int64_rejected_without_warning(self, tmp_path):
         (tmp_path / "big.csv").write_text("label,p0,p1\n0,1.0,2.0\n1e300,3.0,4.0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            raw = load_csv(tmp_path / "big.csv")
             with pytest.raises(DataError, match=r"^label 1e\+300 at index 1 is not an int64 integer$"):
-                load_csv(tmp_path / "big.csv")
+                preprocess(raw, 10.0, K=2)
+
+
+class TestNormalizeInput:
+    def test_uniform_raw_gives_constant_output(self):
+        y = normalize_input(np.full((1, 784), 37.0), 900.0)
+        np.testing.assert_allclose(y, 900.0 / 784, rtol=1e-14)
+        np.testing.assert_allclose(y.sum(), 900.0, rtol=1e-12)
+
+    def test_one_hot_raw(self):
+        raw = np.zeros(784)
+        raw[0] = 5.0
+        y = normalize_input(raw[None], 900.0)[0]
+        assert y[0] == pytest.approx(900.0 - 784.0 + 1.0, rel=1e-15)
+        assert np.all(y[1:] == 1.0)
+
+    def test_hand_evaluated_example(self):
+        np.testing.assert_allclose(normalize_input([[2.0, 6.0]], 10.0)[0], [3.0, 7.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_bit_identical_to_formula_and_input_untouched(self, dtype):
+        raw = np.random.default_rng(16).integers(0, 256, size=(50, 784)).astype(dtype)
+        before = raw.copy()
+        y = normalize_input(raw, 900.0)
+        x = raw.astype(np.float64)
+        expected = (900.0 - 784) * x / x.sum(axis=-1, keepdims=True) + 1.0
+        assert y.dtype == np.float64
+        np.testing.assert_array_equal(y, expected)
+        np.testing.assert_array_equal(raw, before)
+
+    def test_uint8_peak_stays_below_one_and_a_half_outputs(self):
+        # One float64 copy of raw is the output; the checks add boolean
+        # arrays at one byte per entry.  Three float64 temporaries would not fit.
+        raw = np.random.default_rng(17).integers(0, 256, size=(2000, 784)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            y = normalize_input(raw, 900.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * y.nbytes
+
+    def test_zero_mass_rejected(self):
+        with pytest.raises(DataError, match="zero total mass"):
+            normalize_input(np.zeros((1, 5)), 10.0)
+
+    def test_batch_zero_row_names_index(self):
+        raw = np.ones((4, 5))
+        raw[2] = 0.0
+        with pytest.raises(DataError, match="index 2"):
+            normalize_input(raw, 10.0)
+
+    def test_negative_rejected(self):
+        with pytest.raises(DataError, match="negative"):
+            normalize_input([[1.0, -0.5]], 10.0)
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "non-finite components at index 1"),
+        (-0.5, "negative components at index 1"),
+    ])
+    def test_batch_bad_row_names_first_index(self, bad, message):
+        raw = np.ones((4, 5))
+        raw[1, 4] = raw[3, 0] = bad
+        with pytest.raises(DataError, match=message):
+            normalize_input(raw, 10.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            normalize_input([[1.0, bad, 2.0]], 10.0)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), ()], ids=["1-D", "3-D", "0-D"])
+    def test_shape_that_is_not_n_by_d_rejected(self, shape):
+        message = re.escape(f"raw input must be an (N, D) array, got shape {shape}")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            normalize_input(np.ones(shape), 10.0)
+
+    def test_mass_not_above_dimension_rejected(self):
+        with pytest.raises(DataError, match="A must exceed D"):
+            normalize_input(np.ones((1, 5)), 5.0)
+
+    def test_output_invariants_random(self):
+        rng = np.random.default_rng(11)
+        raw = rng.uniform(0.0, 50.0, size=(200, 17))
+        raw[:, 0] += 1e-9  # keep total mass positive
+        y = normalize_input(raw, 40.0)
+        np.testing.assert_allclose(y.sum(axis=1), 40.0, rtol=1e-9)
+        assert np.all(y >= 1.0)
+
+    def test_invariant_under_positive_rescaling(self):
+        rng = np.random.default_rng(12)
+        raw = rng.uniform(0.1, 9.0, size=(20, 8))
+        np.testing.assert_allclose(
+            normalize_input(raw, 20.0), normalize_input(635.2 * raw, 20.0), rtol=1e-12
+        )
 
 
 class TestPreprocess:
@@ -196,18 +297,22 @@ class TestPreprocess:
         with pytest.raises(DataError):
             preprocess(raw, 9.0, K=2)  # label 2 out of range
 
-    @pytest.mark.parametrize("X,labels", [
-        (np.ones(4), np.zeros(4, dtype=int)),
-        (np.ones((3, 4)), np.zeros(2, dtype=int)),
+    @pytest.mark.parametrize("X,labels,message", [
+        (np.ones(4), np.zeros(4, dtype=int),
+         r"^raw input must be an \(N, D\) array, got shape \(4,\)$"),
+        (np.ones((3, 4)), np.zeros(2, dtype=int),
+         r"^labels must align with Y rows: 3 rows, labels of shape \(2,\)$"),
     ], ids=["1-D-X", "misaligned-labels"])
-    def test_raw_dataset_rejects_bad_shapes(self, X, labels):
+    def test_preprocess_rejects_bad_shapes(self, X, labels, message):
+        # A RawDataset is the loaders' record as read; preprocess checks it.
         from truncmix.data import RawDataset
-        with pytest.raises(DataError, match=r"^raw data must be \(N, D\) with N labels$"):
-            RawDataset(X, labels)
+        with pytest.raises(DataError, match=message):
+            preprocess(RawDataset(X, labels), 10.0, K=1)
 
     @pytest.mark.parametrize("Y,labels,K,message", [
         (np.full(4, 2.5), np.zeros(4, dtype=int), 1, r"^Y must be an \(N, D\) matrix$"),
-        (np.full((3, 4), 2.5), np.zeros(2, dtype=int), 1, "^labels must align with Y rows$"),
+        (np.full((3, 4), 2.5), np.zeros(2, dtype=int), 1,
+         r"^labels must align with Y rows: 3 rows, labels of shape \(2,\)$"),
         (np.full((3, 4), 2.5), np.full(3, -1), 0, "^K must be positive$"),
     ], ids=["1-D-Y", "misaligned-labels", "K=0"])
     def test_dataset_rejects_bad_shapes_and_class_count(self, Y, labels, K, message):
@@ -224,7 +329,7 @@ class TestPreprocess:
         from truncmix.data import RawDataset
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for build in (lambda: RawDataset(np.ones((3, 4)), labels),
+            for build in (lambda: preprocess(RawDataset(np.ones((3, 4)), labels), 10.0, 3),
                           lambda: Dataset(np.full((3, 4), 2.5), labels, 3, 10.0)):
                 with pytest.raises(DataError, match=message):
                     build()
@@ -235,7 +340,7 @@ class TestPreprocess:
     def test_datasets_keep_integer_valued_labels(self, labels):
         from truncmix.data import RawDataset
         want = np.asarray(labels).astype(np.int64)
-        for ds in (RawDataset(np.ones((3, 4)), labels),
+        for ds in (preprocess(RawDataset(np.ones((3, 4)), labels), 10.0, 3),
                    Dataset(np.full((3, 4), 2.5), labels, 3, 10.0)):
             assert ds.labels.dtype == np.int64
             np.testing.assert_array_equal(ds.labels, want)

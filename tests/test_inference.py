@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln, logsumexp
 
-from truncmix.core import BottomWeights, DataError
+from truncmix.core import BottomWeights, DataError, TopWeights
 from truncmix.data import normalize_input
 from truncmix.inference import (
-    _full_support, _gather_support, _select, integrate, logsumexp_inplace, select_truncation,
-    softmax_inplace, truncated_posterior,
+    _check_support_range, _full_support, _gather_support, _select, bvsb, class_activation,
+    integrate, logsumexp_inplace, normalized_columns, select_truncation, softmax_inplace,
+    truncated_posterior,
 )
-from truncmix.learning import _support_lse, free_energy
+from truncmix.learning import _support_lse, free_energy, update_top
 
 from conftest import (
     lgamma_sums, log_joint, posteriors_by_row, random_observations, random_weights,
@@ -31,100 +31,6 @@ def naive_posterior(values):
     """Direct exp-then-normalize, valid only at small magnitudes."""
     e = np.exp(np.asarray(values, dtype=np.float64))
     return e / e.sum()
-
-
-class TestNormalizeInput:
-    def test_uniform_raw_gives_constant_output(self):
-        y = normalize_input(np.full((1, 784), 37.0), 900.0)
-        np.testing.assert_allclose(y, 900.0 / 784, rtol=1e-14)
-        np.testing.assert_allclose(y.sum(), 900.0, rtol=1e-12)
-
-    def test_one_hot_raw(self):
-        raw = np.zeros(784)
-        raw[0] = 5.0
-        y = normalize_input(raw[None], 900.0)[0]
-        assert y[0] == pytest.approx(900.0 - 784.0 + 1.0, rel=1e-15)
-        assert np.all(y[1:] == 1.0)
-
-    def test_hand_evaluated_example(self):
-        np.testing.assert_allclose(normalize_input([[2.0, 6.0]], 10.0)[0], [3.0, 7.0], rtol=1e-15)
-
-    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
-    def test_bit_identical_to_formula_and_input_untouched(self, dtype):
-        raw = np.random.default_rng(16).integers(0, 256, size=(50, 784)).astype(dtype)
-        before = raw.copy()
-        y = normalize_input(raw, 900.0)
-        x = raw.astype(np.float64)
-        expected = (900.0 - 784) * x / x.sum(axis=-1, keepdims=True) + 1.0
-        assert y.dtype == np.float64
-        np.testing.assert_array_equal(y, expected)
-        np.testing.assert_array_equal(raw, before)
-
-    def test_uint8_peak_stays_below_one_and_a_half_outputs(self):
-        # One float64 copy of raw is the output; the checks add boolean
-        # arrays at one byte per entry.  Three float64 temporaries would not fit.
-        raw = np.random.default_rng(17).integers(0, 256, size=(2000, 784)).astype(np.uint8)
-        tracemalloc.start()
-        try:
-            y = normalize_input(raw, 900.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * y.nbytes
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(DataError, match="zero total mass"):
-            normalize_input(np.zeros((1, 5)), 10.0)
-
-    def test_batch_zero_row_names_index(self):
-        raw = np.ones((4, 5))
-        raw[2] = 0.0
-        with pytest.raises(DataError, match="index 2"):
-            normalize_input(raw, 10.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DataError, match="negative"):
-            normalize_input([[1.0, -0.5]], 10.0)
-
-    @pytest.mark.parametrize("bad,message", [
-        (np.nan, "non-finite components at index 1"),
-        (-0.5, "negative components at index 1"),
-    ])
-    def test_batch_bad_row_names_first_index(self, bad, message):
-        raw = np.ones((4, 5))
-        raw[1, 4] = raw[3, 0] = bad
-        with pytest.raises(DataError, match=message):
-            normalize_input(raw, 10.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(DataError, match="non-finite"):
-            normalize_input([[1.0, bad, 2.0]], 10.0)
-
-    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), ()], ids=["1-D", "3-D", "0-D"])
-    def test_shape_that_is_not_n_by_d_rejected(self, shape):
-        message = re.escape(f"raw input must be an (N, D) array, got shape {shape}")
-        with pytest.raises(DataError, match=f"^{message}$"):
-            normalize_input(np.ones(shape), 10.0)
-
-    def test_mass_not_above_dimension_rejected(self):
-        with pytest.raises(DataError, match="A must exceed D"):
-            normalize_input(np.ones((1, 5)), 5.0)
-
-    def test_output_invariants_random(self):
-        rng = np.random.default_rng(11)
-        raw = rng.uniform(0.0, 50.0, size=(200, 17))
-        raw[:, 0] += 1e-9  # keep total mass positive
-        y = normalize_input(raw, 40.0)
-        np.testing.assert_allclose(y.sum(axis=1), 40.0, rtol=1e-9)
-        assert np.all(y >= 1.0)
-
-    def test_invariant_under_positive_rescaling(self):
-        rng = np.random.default_rng(12)
-        raw = rng.uniform(0.1, 9.0, size=(20, 8))
-        np.testing.assert_allclose(
-            normalize_input(raw, 20.0), normalize_input(635.2 * raw, 20.0), rtol=1e-12
-        )
 
 
 class TestIntegrate:
@@ -437,6 +343,12 @@ class TestPosteriors:
         with pytest.raises(ValueError, match="^support indices out of range$"):
             truncated_posterior(np.zeros(3), np.array([0, index]))
 
+    def test_empty_support_rejected(self):
+        # An empty batch's (0, C') supports still pass the range check.
+        with pytest.raises(ValueError, match="^empty support: a posterior needs at least one"):
+            truncated_posterior(np.zeros(3), np.array([], dtype=np.intp))
+        _check_support_range(np.empty((0, 2), dtype=np.intp), 3)
+
     @pytest.mark.parametrize("I_shape, sets_shape", [((2, 3), (2, 2)), ((2, 3), (2,)),
                                                      ((3,), (1, 2))])
     def test_only_one_point_is_taken(self, I_shape, sets_shape):
@@ -623,3 +535,127 @@ class TestLogJoint:
                 assert free_energy(y, W, sets, lg[n : n + 1]) == pytest.approx(
                     free_energy(y, W, sets, lgamma_sums(y)), rel=1e-15
                 )
+
+
+def mixture(R):
+    """R's normalized columns as ``online_epoch`` caches them."""
+    return normalized_columns(R.R)
+
+
+def posterior(support, probs):
+    """A (support, probs) pair as the online path passes it."""
+    return np.asarray(support, dtype=np.intp), np.asarray(probs, dtype=np.float64)
+
+
+class TestClassActivation:
+    def test_labeled_branch_is_one_hot(self):
+        R = TopWeights(np.full((10, 6), 1.0 / 6))
+        s = posterior([0, 1], [0.5, 0.5])
+        t = class_activation(*s, mixture(R), label=3)
+        expected = np.zeros(10)
+        expected[3] = 1.0
+        np.testing.assert_array_equal(t, expected)
+
+    def test_uniform_top_weights_give_uniform_classes(self):
+        R = TopWeights(np.full((4, 8), 1.0 / 8))
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            p = rng.dirichlet(np.ones(3))
+            sup = np.sort(rng.choice(8, size=3, replace=False))
+            t = class_activation(*posterior(sup, p), mixture(R))
+            np.testing.assert_allclose(t, 0.25, rtol=1e-12)
+
+    def test_hand_evaluated_two_class_mix(self):
+        # Columns 0 and 1 point deterministically at classes 0 and 1.
+        R = TopWeights(np.eye(2))
+        t = class_activation(*posterior([0, 1], [0.5, 0.5]), mixture(R))
+        np.testing.assert_allclose(t, [0.5, 0.5], rtol=1e-15)
+
+    def test_sums_to_one_in_both_branches(self):
+        rng = np.random.default_rng(1)
+        R = TopWeights(rng.dirichlet(np.ones(12), size=5))
+        for _ in range(25):
+            p = rng.dirichlet(np.ones(4))
+            sup = np.sort(rng.choice(12, size=4, replace=False))
+            s = posterior(sup, p)
+            assert class_activation(*s, mixture(R)).sum() == pytest.approx(1.0, abs=1e-12)
+            assert class_activation(*s, mixture(R), label=2).sum() == 1.0
+
+    def test_column_scale_invariance(self):
+        rng = np.random.default_rng(2)
+        R = TopWeights(rng.dirichlet(np.ones(9), size=6))
+        scaled = R.R.copy()
+        scaled[:, 4] *= 1234.5
+        p = rng.dirichlet(np.ones(5))
+        sup = np.array([1, 3, 4, 6, 8])
+        s = posterior(sup, p)
+        # A scaled column breaks R's row sums, so it goes through the
+        # column normalization of the cached mixture.
+        t_scaled = normalized_columns(scaled[:, sup]) @ p
+        np.testing.assert_allclose(class_activation(*s, mixture(R)), t_scaled, rtol=0.0, atol=1e-12)
+        assert np.argmax(class_activation(*s, mixture(R))) == np.argmax(t_scaled)
+
+    def test_zero_column_falls_back_to_uniform(self):
+        R = TopWeights(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        t = class_activation(*posterior([0, 1], [0.4, 0.6]), mixture(R))
+        np.testing.assert_allclose(t, [0.5, 0.5], rtol=1e-15)
+        cols = normalized_columns(R.R)
+        np.testing.assert_allclose(cols[:, 1], 0.5)
+
+    def test_zero_columns_from_labeled_updates_at_full_rate(self):
+        # At eps_R = 1 a labeled step sets its class row to the posterior, so
+        # once both classes were labeled the never-supported columns are zero.
+        R = TopWeights(np.full((2, 6), 1.0 / 6))
+        update_top(R, np.array([1.0, 0.0]), np.array([0, 1]), np.array([0.7, 0.3]), eps_R=1.0)
+        update_top(R, np.array([0.0, 1.0]), np.array([1, 2]), np.array([0.4, 0.6]), eps_R=1.0)
+        assert not R.R[:, 3:].any()
+        for c in range(3, 6):
+            t = class_activation(*posterior([c], [1.0]), mixture(R))
+            np.testing.assert_array_equal(t, [0.5, 0.5])
+
+    def test_bad_label_rejected(self):
+        R = TopWeights(np.full((3, 4), 0.25))
+        with pytest.raises(ValueError, match="label"):
+            class_activation(*posterior([0], [1.0]), mixture(R), label=3)
+
+
+class TestBvsb:
+    def test_one_hot_is_one(self):
+        t = np.zeros(10)
+        t[4] = 1.0
+        assert bvsb(t) == 1.0
+
+    def test_uniform_is_zero(self):
+        assert bvsb(np.full(5, 0.2)) == 0.0
+
+    def test_hand_evaluated_margin(self):
+        assert bvsb(np.array([0.6, 0.3, 0.1])) == pytest.approx(0.3, rel=1e-15)
+
+    def test_single_class_rejected(self):
+        with pytest.raises(ValueError, match="single class"):
+            bvsb(np.array([1.0]))
+
+    def test_range_and_one_hot_characterization(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            t = rng.dirichlet(np.ones(7))
+            m = bvsb(t)
+            assert 0.0 <= m <= 1.0
+            if m == 1.0:
+                assert np.sum(t == 1.0) == 1
+        near = np.array([1.0 - 1e-9, 1e-9, 0.0])
+        assert bvsb(near) < 1.0
+
+
+class TestPredict:
+    """The per-point prediction is argmax_k of the unlabeled class posterior;
+    ties go to the smaller k."""
+
+    def test_uniform_ties_break_to_class_zero(self):
+        R = TopWeights(np.full((10, 6), 1.0 / 6))
+        assert np.argmax(class_activation(*posterior([0, 5], [0.7, 0.3]), mixture(R))) == 0
+
+    def test_hand_evaluated_prediction(self):
+        R = TopWeights(np.eye(2))
+        assert np.argmax(class_activation(*posterior([0, 1], [0.9, 0.1]), mixture(R))) == 0
+        assert np.argmax(class_activation(*posterior([0, 1], [0.1, 0.9]), mixture(R))) == 1

@@ -118,3 +118,13 @@ def test_readme_module_table_names_every_module_and_no_other():
     named = re.findall(r"^\| `truncmix\.(\w+)`", table, flags=re.M)
     modules = [p.stem for p in MODULES if p.name != "__init__.py"]
     assert sorted(named) == modules
+
+
+def test_each_test_file_names_a_module_or_a_cross_cutting_check():
+    # A module folded into another takes its tests along, so no test file
+    # outlives the module it names.
+    cross_cutting = {"acceptance", "digests_tool", "one_home", "perfbench_contract", "row_blocks"}
+    modules = {p.stem for p in MODULES if p.name != "__init__.py"}
+    named = {p.stem.removeprefix("test_") for p in (ROOT / "tests").glob("test_*.py")}
+    stale = sorted(named - modules - cross_cutting)
+    assert not stale, f"test files naming no module: {stale}"
