@@ -22,6 +22,7 @@ from .data import (
     write_idx_labels,
 )
 from .harness import (
+    _check_set,
     aggregate,
     evaluate,
     export_weight_grid,
@@ -44,8 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_dataset(images, labels, A, K):
-    """One preprocessed data set; a ``preprocess`` fault names its file or IDX pair."""
+def _load_dataset(images, labels, A, K, name, D=None):
+    """The preprocessed ``name`` set, checked by ``harness._check_set``; a fault that
+    ``preprocess`` or that check finds names its file or IDX pair."""
     if images.endswith(".csv"):
         raw, source = load_csv(images), images
     else:
@@ -53,9 +55,11 @@ def _load_dataset(images, labels, A, K):
             raise ConfigError("IDX input needs both an images and a labels path")
         raw, source = load_idx(images, labels), f"{images}, {labels}"
     try:
-        return preprocess(raw, A, K)
+        ds = preprocess(raw, A, K)
+        _check_set(ds, name, D)
     except DataError as e:
         raise DataError(f"{source}: {e}") from e
+    return ds
 
 
 def _load_config(args) -> ModelConfig:
@@ -66,8 +70,8 @@ def _load_config(args) -> ModelConfig:
 
 
 def _load_data(args, cfg: ModelConfig):
-    train_ds = _load_dataset(args.images, args.labels, cfg.A, cfg.K)
-    test_ds = _load_dataset(args.test_images, args.test_labels, cfg.A, cfg.K)
+    train_ds = _load_dataset(args.images, args.labels, cfg.A, cfg.K, "training")
+    test_ds = _load_dataset(args.test_images, args.test_labels, cfg.A, cfg.K, "test")
     if args.labels_per_class is not None:
         train_ds = subsample_labels(train_ds, args.labels_per_class, cfg.seed)
     return train_ds, test_ds
@@ -85,7 +89,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     W, R, cfg = load_weights(args.weights)
-    test_ds = _load_dataset(args.test_images, args.test_labels, cfg.A, cfg.K)
+    test_ds = _load_dataset(args.test_images, args.test_labels, cfg.A, cfg.K, "test", W.D)
     err = evaluate(test_ds, W, R, cfg.C_prime)
     print(f"test error: {err!r}")
     return EXIT_OK

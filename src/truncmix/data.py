@@ -60,16 +60,24 @@ def _lgamma1p(y, buf=None):
     return t
 
 
-def _int_labels(labels) -> np.ndarray:
-    """``labels`` as int64; integer-valued floats and bools pass, and any other
-    float, or one beyond int64, is a DataError that names the first one's index."""
+def _checked_labels(labels, N: int, K: int) -> np.ndarray:
+    """``labels`` as int64 once they are integers, align with N rows and lie in
+    [0, K) or are -1.  Integer-valued floats and bools pass; any other float, or
+    one beyond int64, is a DataError that names the first one's index."""
     x = np.asarray(labels)
     if x.dtype.kind == "f":
         bad = np.flatnonzero((x != np.rint(x)) | ~(np.abs(x) < 2.0**63))
         if bad.size:
             i = int(bad[0])
             raise DataError(f"label {float(x.flat[i])!r} at index {i} is not an int64 integer")
-    return x.astype(np.int64, copy=False)
+    x = x.astype(np.int64, copy=False)
+    if x.shape != (N,):
+        raise DataError(f"labels must align with Y rows: {N} rows, labels of shape {x.shape}")
+    if K < 1:
+        raise DataError("K must be positive")
+    if np.any(x >= K) or np.any(x < UNLABELED):
+        raise DataError(f"labels must lie in [0, {K}) or be -1")
+    return x
 
 
 @dataclass
@@ -96,16 +104,9 @@ class Dataset:
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=np.float64)
-        self.labels = _int_labels(self.labels)
         if self.Y.ndim != 2:
             raise DataError("Y must be an (N, D) matrix")
-        if self.labels.shape != (self.Y.shape[0],):
-            raise DataError(f"labels must align with Y rows: {self.N} rows, labels of shape "
-                            f"{self.labels.shape}")
-        if self.K < 1:
-            raise DataError("K must be positive")
-        if np.any(self.labels >= self.K) or np.any(self.labels < UNLABELED):
-            raise DataError(f"labels must lie in [0, {self.K}) or be -1")
+        self.labels = _checked_labels(self.labels, self.N, self.K)
         # A block's min is NaN where it holds a NaN, and so is the min of
         # them all, as over the whole of Y.
         mins, sums = np.empty(-(-self.N // _ROW_BLOCK)), np.empty(self.N)
@@ -278,9 +279,10 @@ def normalize_input(raw, A: float) -> np.ndarray:
 
 def preprocess(raw: RawDataset, A: float, K: int) -> Dataset:
     """Normalize every example to mass A and wrap it into a Dataset of K classes:
-    the one check of raw data, by ``normalize_input`` (the rows, a faulty one
-    named by index) and ``Dataset`` (the labels and their count)."""
-    return Dataset(normalize_input(raw.X, A), raw.labels, K, float(A))
+    the one check of raw data, by ``_checked_labels`` (first, so a label fault
+    costs no float64 copy) and ``normalize_input`` (the rows, a faulty one named by index)."""
+    labels = _checked_labels(raw.labels, len(raw.X) if np.ndim(raw.X) else 0, K)
+    return Dataset(normalize_input(raw.X, A), labels, K, float(A))
 
 
 def subsample_labels(ds: Dataset, labels_per_class: int, seed: int) -> Dataset:

@@ -94,14 +94,20 @@ def predict_batch(Y, W: BottomWeights, R: TopWeights, c_prime: int) -> np.ndarra
     return np.argmax(_class_scores(Y, W, R, c_prime), axis=1)
 
 
+def _check_set(ds: Dataset, name: str, D: int | None = None):
+    """The rules of the ``name`` ("training" or "test") set: it is not empty, and a
+    test set is fully labeled and, unless D is None, of the weights' dimension D."""
+    if ds.N == 0:
+        raise DataError(f"{name} set is empty")
+    if name == "test" and np.any(ds.labels == UNLABELED):
+        raise DataError("test set must be fully labeled")
+    if D is not None and ds.D != D:
+        raise DataError(f"weights have D={D} but test data has D={ds.D}")
+
+
 def evaluate(test_ds: Dataset, W: BottomWeights, R: TopWeights, c_prime: int) -> float:
     """Fraction of test points whose predicted class differs from the label."""
-    if test_ds.N == 0:
-        raise DataError("test set is empty")
-    if np.any(test_ds.labels == UNLABELED):
-        raise DataError("test set must be fully labeled")
-    if test_ds.D != W.D:
-        raise DataError(f"weights have D={W.D} but test data has D={test_ds.D}")
+    _check_set(test_ds, "test", W.D)
     preds = predict_batch(test_ds.Y, W, R, c_prime)
     return float(np.mean(preds != test_ds.labels))
 
@@ -126,8 +132,7 @@ def train(
     """
     if trace_every < 0:
         raise ConfigError(f"trace_every must be >= 0, got {trace_every}")
-    if train_ds.N == 0:
-        raise DataError("training set is empty")
+    _check_set(train_ds, "training")
     for name, ds in (("training", train_ds), ("test", test_ds)):
         if ds.D != cfg.D:
             raise ConfigError(f"config D={cfg.D} but {name} data has D={ds.D}")
@@ -266,27 +271,29 @@ def save_run(out_dir, report: RunReport, W: BottomWeights, R: TopWeights):
     phase seconds, the process's peak resident set size so far,
     ``peak_rss_mb``, and ``blas_threads``, the OpenBLAS thread count that
     each split pass and online epoch pins: 1, or null where it cannot be set.
-    An earlier run's config.json goes first and the new one is written last,
-    so an interrupted save over an old run leaves no loadable mix of the two.
+    An earlier run's config.json goes first; the files then move in together
+    through ``replace_together``, config.json last, so a failed save leaves
+    every other earlier file whole and a directory that loads as no run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").unlink(missing_ok=True)
-    (out / "report.json").write_text(report.to_json())
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-    (out / "timings.json").write_text(json.dumps(
-        {"per_epoch": report.timings, "peak_rss_mb": peak_rss_mb,
-         "blas_threads": 1 if _openblas() else None}, sort_keys=True, indent=2
-    ) + "\n")
-    for name, rows in (("free_energy", report.trace.entries),
-                       ("test_error", enumerate(report.test_errors))):
-        with open(out / f"{name}.csv", "w") as f:
-            f.write(f"epoch,{name}\n")
-            for epoch, v in rows:
-                f.write(f"{epoch},{v!r}\n")
-    np.save(out / "W.npy", W.W)
-    np.save(out / "R.npy", R.R)
-    (out / "config.json").write_text(report.config.to_json() + "\n")
+    names = ("report.json", "timings.json", "free_energy.csv", "test_error.csv", "W.npy",
+             "R.npy", "config.json")
+    with replace_together(*(out / n for n in names)) as (rep, tim, fe, te, w, r, config):
+        rep.write_text(report.to_json())
+        tim.write_text(json.dumps(
+            {"per_epoch": report.timings, "peak_rss_mb": peak_rss_mb,
+             "blas_threads": 1 if _openblas() else None}, sort_keys=True, indent=2
+        ) + "\n")
+        for tmp, name, rows in ((fe, "free_energy", report.trace.entries),
+                                (te, "test_error", enumerate(report.test_errors))):
+            tmp.write_text(f"epoch,{name}\n" + "".join(f"{e},{v!r}\n" for e, v in rows))
+        for tmp, arr in ((w, W.W), (r, R.R)):
+            with open(tmp, "wb") as f:  # np.save appends .npy to a path that lacks it
+                np.save(f, arr)
+        config.write_text(report.config.to_json() + "\n")
 
 
 def load_weights(weights_dir) -> tuple[BottomWeights, TopWeights, ModelConfig]:

@@ -513,14 +513,16 @@ class TestExitCodes:
         ("negative pixel", "raw input has negative components at index 0"),
         ("label K", "labels must lie in [0, 4) or be -1"),
         ("label 1.5", "label 1.5 at index 1 is not an int64 integer"),
+        ("label -1", "test set must be fully labeled"),
     ])
     def test_fault_of_csv_test_set_names_its_file(self, workspace, capsys, fault, message):
-        # preprocess finds these; the training set is the valid IDX pair.
+        # preprocess finds the first three, harness._check_set the last; the
+        # training set is the valid IDX pair.
         X, labels = np.ones((3, CFG["D"])), np.array([0.0, 1.0, 2.0])
         if fault == "negative pixel":
             X[0, 0] = -1.0
         else:
-            labels[1] = CFG["K"] if fault == "label K" else 1.5
+            labels[1] = {"label K": CFG["K"], "label 1.5": 1.5, "label -1": -1}[fault]
         csv = workspace / "test.csv"
         write_csv(csv, X, labels)
         args = train_args(workspace, workspace / "x")
@@ -546,12 +548,13 @@ class TestExitCodes:
     def test_eval_on_data_of_other_dimension_is_data_error(self, workspace, square_run, capsys):
         assert main(train_args(workspace, workspace / "run")) == 0
         capsys.readouterr()
+        img, lab = workspace / "sq" / "images-idx3-ubyte", workspace / "sq" / "labels-idx1-ubyte"
         assert main([
             "eval", "--weights", str(workspace / "run"),
-            "--test-images", str(workspace / "sq" / "images-idx3-ubyte"),
-            "--test-labels", str(workspace / "sq" / "labels-idx1-ubyte"),
+            "--test-images", str(img), "--test-labels", str(lab),
         ]) == 2
-        assert "weights have D=8 but test data has D=9" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"truncmix: data error: {img}, {lab}: weights have "
+                                           f"D=8 but test data has D=9\n")
 
     def test_empty_test_set_is_data_error(self, workspace, capsys):
         assert main(train_args(workspace, workspace / "run")) == 0
@@ -564,12 +567,13 @@ class TestExitCodes:
             "eval", "--weights", str(workspace / "run"),
             "--test-images", str(empty / "img"), "--test-labels", str(empty / "lab"),
         ]) == 2
-        assert "test set is empty" in capsys.readouterr().err
+        line = f"truncmix: data error: {empty / 'img'}, {empty / 'lab'}: test set is empty\n"
+        assert capsys.readouterr().err == line
         args = train_args(workspace, workspace / "x")
         args[args.index("--test-images") + 1] = str(empty / "img")
         args[args.index("--test-labels") + 1] = str(empty / "lab")
         assert main(args) == 2
-        assert "test set is empty" in capsys.readouterr().err
+        assert capsys.readouterr().err == line
         assert not (workspace / "x").exists()
 
     def test_empty_training_set_is_data_error(self, workspace, capsys):
@@ -581,7 +585,8 @@ class TestExitCodes:
         args[args.index("--images") + 1] = str(empty / "img")
         args[args.index("--labels") + 1] = str(empty / "lab")
         assert main(args) == 2
-        assert "data error: training set is empty" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"truncmix: data error: {empty / 'img'}, "
+                                           f"{empty / 'lab'}: training set is empty\n")
         assert not (workspace / "x").exists()
 
     def test_test_set_of_other_dimension_is_named(self, workspace, square_run, capsys):
@@ -668,7 +673,7 @@ class TestExitCodes:
         write_text = Path.write_text
 
         def config_write_fails(path, *rest, **kwargs):
-            if path.name == "config.json":
+            if path.name == ".config.json.tmp":
                 raise OSError("No space left on device")
             return write_text(path, *rest, **kwargs)
 
@@ -678,6 +683,54 @@ class TestExitCodes:
         with pytest.raises(DataError, match="not a weights directory"):
             load_weights(run)
         capsys.readouterr()
+        assert main([
+            "eval", "--weights", str(run),
+            "--test-images", str(workspace / "te" / "images-idx3-ubyte"),
+            "--test-labels", str(workspace / "te" / "labels-idx1-ubyte"),
+        ]) == 2
+        assert "not a weights directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["report.json", "timings.json", "free_energy.csv",
+                                      "test_error.csv", "W.npy", "R.npy", "config.json"])
+    def test_failed_save_over_old_run_leaves_it_whole(self, workspace, monkeypatch, capsys, name):
+        # Run B (C'=6, seed 2) over run A (C'=2, seed 1): the first write to
+        # B's file ``name`` (or to its temporary) stores half its data, then fails.
+        run = workspace / "run"
+        assert main(train_args(workspace, run, ("--seed", "1"))) == 0
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        (workspace / "cfg6.json").write_text(json.dumps({**CFG, "C_prime": 6}))
+        args = train_args(workspace, run, ("--seed", "2"))
+        args[args.index("--config") + 1] = str(workspace / "cfg6.json")
+        real_open = io.open
+
+        class HalfWrite:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError("No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        def failing_open(file, mode="r", *rest, **kwargs):
+            f = real_open(file, mode, *rest, **kwargs)
+            if "w" in mode and Path(file).name in (name, f".{name}.tmp"):
+                return HalfWrite(f)
+            return f
+
+        monkeypatch.setattr(io, "open", failing_open)  # Path.open's
+        monkeypatch.setattr("builtins.open", failing_open)
+        assert main(args) == 2
+        monkeypatch.undo()
+        assert "No space left on device" in capsys.readouterr().err
+        del before["config.json"]
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        assert not list(run.glob(".*.tmp"))
         assert main([
             "eval", "--weights", str(run),
             "--test-images", str(workspace / "te" / "images-idx3-ubyte"),

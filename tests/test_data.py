@@ -401,6 +401,23 @@ class TestPreprocess:
             tracemalloc.stop()
         assert peak < 1.05 * raw.X.size * 8
 
+    def test_label_fault_is_found_before_the_float64_copy(self, tmp_path):
+        # An IDX pair of the bench train shape with its last label dropped:
+        # the label rules run before normalize_input copies the images.
+        rng = np.random.default_rng(7)
+        write_idx_images(tmp_path / "img", rng.integers(0, 256, size=(6000, 784)), 28, 28)
+        write_idx_labels(tmp_path / "lab", rng.integers(0, 10, size=5999))
+        raw = load_idx(tmp_path / "img", tmp_path / "lab")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"^labels must align with Y rows: 6000 rows, "
+                                                r"labels of shape \(5999,\)$"):
+                preprocess(raw, 900.0, K=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < raw.X.nbytes
+
     def test_examples_view(self):
         raw, _ = generate_mixture(3, 6, 10, seed=3)
         ds = preprocess(raw, 24.0, K=3)

@@ -106,3 +106,12 @@ def test_blas_core_names_the_kernels():
 def test_blas_core_without_openblas_is_unknown(monkeypatch):
     monkeypatch.setattr(inference, "_openblas", lambda: None)
     assert digests.blas_core() == "unknown"
+
+
+@pytest.mark.full
+def test_seed_7_outputs_match_the_golden_digests():
+    # The seed-7 draw of every workload, run end to end, as `digests.py --check`.
+    if digests.golden("seed-7") is None:
+        pytest.skip(f"{digests.GOLDEN.name} has no seed-7 entry for OpenBLAS core "
+                    f"{digests.blas_core()}")
+    assert digests.main(["--check"]) == 0
